@@ -13,15 +13,15 @@ import os
 import sys
 import time
 import traceback
+from typing import Optional
 
 import numpy as np
-from scipy.spatial.distance import pdist
 
 from . import oracles, reporting
 from .baselines import best_of_n, noise_opt, train_direct_finetune
 from .config import ConfigError, ExperimentConfig, load_config
 from .generators import Generator, make_generator
-from .hypernet import NoiseHypernetwork, init_hypernet
+from .hypernet import init_hypernet
 from .oracles import kl_knn
 from .rewards import Reward, make_reward
 from .training import save_checkpoint, train_hypernoise
@@ -72,19 +72,31 @@ def _heldout_noise(cfg: ExperimentConfig, g: Generator) -> np.ndarray:
 
 
 def _mean_pairwise(y: np.ndarray) -> float:
-    return float(pdist(y).mean())
+    """Mean Euclidean distance over the pairs i < j (nan below two rows),
+    built one row at a time so the differences stay small."""
+    dists = [np.linalg.norm(y[i + 1:] - y[i], axis=1) for i in range(len(y) - 1)]
+    return float(np.mean(np.concatenate(dists))) if dists else float("nan")
 
 
-def _fidelity(cfg: ExperimentConfig, g: Generator, hn: NoiseHypernetwork,
-              x_heldout: np.ndarray) -> float:
-    """Distributional closeness of the modulated run to the base run."""
-    delta = hn.perturb(x_heldout)
+def _fidelity_reference(cfg: ExperimentConfig, g: Generator) -> Optional[np.ndarray]:
+    """Base-model outputs the kNN fidelity is measured against, or None for
+    the closed-form metric.  The draw is fixed by the seed, so a run makes
+    it once and reuses it at every evaluation."""
     if cfg["evaluation"]["fidelity_metric"] == "closed_form_gaussian_kl":
+        return None
+    rng = np.random.default_rng(cfg.seed + 910_000)
+    return g.generate(rng.standard_normal((cfg["evaluation"]["heldout"], g.latent_dim)))
+
+
+def _fidelity(y_ref: Optional[np.ndarray], delta: np.ndarray,
+              y_mod: Optional[np.ndarray]) -> float:
+    """Distributional closeness of the modulated run to the base run, from
+    the noise perturbation `delta` and the modulated outputs `y_mod` (only
+    read when there is a reference set)."""
+    if y_ref is None:
         # noise-space KL in its L2 form; exact for constant shifts
         return float(0.5 * np.mean(np.sum(delta * delta, axis=1)))
-    rng = np.random.default_rng(cfg.seed + 910_000)
-    fresh = rng.standard_normal(x_heldout.shape)
-    return kl_knn(g.generate(x_heldout + delta), g.generate(fresh))
+    return kl_knn(y_mod, y_ref)
 
 
 def _reward_stats(r: Reward, y: np.ndarray) -> tuple[float, float]:
@@ -133,12 +145,14 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
                     extra={"steps": t["steps"], "seed": cfg.seed})
 
     x = _heldout_noise(cfg, g)
-    fidelity = _fidelity(cfg, g, hn, x)
+    delta = hn.perturb(x)
+    y_ref = _fidelity_reference(cfg, g)
+    fidelity = _fidelity(y_ref, delta, None if y_ref is None else g.generate(x + delta))
     lip = hn.lipschitz_upper_bound()
     final_step = history.steps[-1] if history.steps else 0
     rows = []
     for gen_steps in cfg["evaluation"]["multi_step"]:
-        y_mod = g.generate(x + hn.perturb(x), steps=gen_steps)
+        y_mod = g.generate(x + delta, steps=gen_steps)
         y_base = g.generate(x, steps=gen_steps)
         mean, se = _reward_stats(r, y_mod)
         base_mean = float(r.evaluate_batch(y_base).mean())
@@ -206,12 +220,14 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 
     t = cfg_h["train"]
     hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg_h.seed)
+    y_ref = _fidelity_reference(cfg_h, g)
     curve_h: list[tuple[int, float, float]] = []
 
     def hook(step, net):
-        y = g.generate(x + net.perturb(x))
+        delta = net.perturb(x)
+        y = g.generate(x + delta)
         curve_h.append((step, float(r.evaluate_batch(y).mean()),
-                        _fidelity(cfg_h, g, net, x)))
+                        _fidelity(y_ref, delta, y)))
 
     history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
     if history.aborted_reason:

@@ -189,9 +189,43 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
     return lhs, rhs, se
 
 
+def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each p_i's k-th nearest neighbor among the other points of P
+    and among Q, from k-d trees built in Q's centred principal axes.  Kept
+    apart from kl_knn so the rotated copies are freed before it measures
+    the distances."""
+    mean = q.mean(axis=0)
+    q_rot = q - mean
+    axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
+    q_rot = q_rot @ axes
+    p_rot = (p - mean) @ axes
+    return (cKDTree(p_rot).query(p_rot, k=[k + 1])[1][:, 0],    # k-th excluding self
+            cKDTree(q_rot).query(p_rot, k=[k])[1][:, 0])
+
+
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = 5,
            _retried: bool = False) -> float:
-    """k-nearest-neighbor estimate of D(P || Q) from two sample sets."""
+    """k-nearest-neighbor estimate of D(P || Q) from two sample sets.
+
+    The Wang-Kulkarni-Verdu (2009) estimator: with n points from P, m from
+    Q, rho_i the distance from p_i to its k-th nearest neighbor among the
+    other points of P and nu_i to its k-th nearest neighbor in Q,
+
+        D(P || Q) ~ (d / n) * sum_i log(nu_i / rho_i) + log(m / (n - 1)).
+
+    The scale factor d is still the ambient dimension, a known defect
+    tracked in ROADMAP.md (the fidelity-metric item): for points on a
+    lower-dimensional manifold, such as a decoder's outputs, the intrinsic
+    dimension is the right factor, and the estimate is inflated.
+
+    Both sets are centred on the mean of Q and rotated into Q's principal
+    axes before the k-d trees are built, so that the trees' axis-aligned
+    splits follow the directions the data spans (a decoder's outputs span
+    only a few of their axes).  A rotation preserves every distance, and the
+    trees only pick the neighbors: rho and nu are measured between the
+    original points.  The estimate therefore changes only where rounding in
+    the rotated coordinates reorders two neighbors tied to within it.
+    """
     p = np.atleast_2d(np.asarray(samples_p, dtype=np.float64))
     q = np.atleast_2d(np.asarray(samples_q, dtype=np.float64))
     if p.shape[1] != q.shape[1]:
@@ -199,9 +233,12 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = 5,
     n, m, d = p.shape[0], q.shape[0], p.shape[1]
     if n < k + 1 or m < k + 1:
         raise ValueError(f"need at least {k + 1} points in each set")
-    rho = cKDTree(p).query(p, k=k + 1)[0][:, k]      # k-th NN excluding self
-    nu = cKDTree(q).query(p, k=k)[0]
-    nu = nu[:, k - 1] if nu.ndim == 2 else nu
+    for name, s in (("samples_p", p), ("samples_q", q)):
+        if not np.all(np.isfinite(s)):
+            raise ValueError(f"{name} contains non-finite values")
+    near_p, near_q = _kth_neighbors(p, q, k)
+    rho = np.linalg.norm(p[near_p] - p, axis=1)
+    nu = np.linalg.norm(q[near_q] - p, axis=1)
     if np.any(rho == 0.0) or np.any(nu == 0.0):
         if _retried:
             raise ValueError("duplicate points persist after jitter; cannot estimate")

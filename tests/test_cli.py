@@ -3,8 +3,9 @@ import os
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist
 
-from noisetilt.cli import main
+from noisetilt.cli import _mean_pairwise, main
 from noisetilt.reporting import read_csv
 
 AFFINE_TRAIN = """
@@ -138,17 +139,34 @@ def test_tradeoff_mismatch_exit_2(tmp_path):
                  "--quiet"]) == 2
 
 
-def test_tradeoff_runs(tmp_path):
-    cfg_h = write(tmp_path, "h.ini", AFFINE_TRAIN)
-    cfg_d = write(tmp_path, "d.ini", AFFINE_TRAIN
+def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):
+    cfg_h = write(tmp_path, "h.ini", text)
+    cfg_d = write(tmp_path, "d.ini", text
                   .replace("method = hypernoise", "method = direct_ft")
                   + "\n[direct_ft]\nsteps = 120\neval_every = 20\n"
                     "optimizer = sgd\nlearning_rate = 0.01\neval_samples = 500\n")
+    return cfg_h, cfg_d
+
+
+def test_tradeoff_runs(tmp_path):
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
     out = str(tmp_path / "out")
     assert main(["tradeoff", cfg_h, cfg_d, "--out", out, "--quiet"]) == 0
     header, rows = read_csv(os.path.join(out, "tradeoff.csv"))
     assert header[0] == "step" and rows
     assert os.path.exists(os.path.join(out, "plots", "tradeoff.svg"))
+
+
+def test_tradeoff_rerun_byte_identical(tmp_path):
+    cfg_h, cfg_d = tradeoff_configs(
+        tmp_path, AFFINE_TRAIN.replace("closed_form_gaussian_kl", "knn_kl"))
+    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
+    for out in (out1, out2):
+        assert main(["tradeoff", cfg_h, cfg_d, "--out", out, "--quiet"]) == 0
+    for name in ("tradeoff.csv", os.path.join("plots", "tradeoff.svg")):
+        a = open(os.path.join(out1, name), "rb").read()
+        b = open(os.path.join(out2, name), "rb").read()
+        assert a == b, name
 
 
 def test_diversity_zero_steps_identical(tmp_path):
@@ -160,6 +178,12 @@ def test_diversity_zero_steps_identical(tmp_path):
     numeric = [r for r in rows if r[0] not in ("mean", "sd")]
     for r in numeric:
         assert float(r[1]) == float(r[2])   # zero-init network leaves outputs
+
+
+def test_mean_pairwise_matches_pdist():
+    y = np.random.default_rng(3).standard_normal((40, 7))
+    assert _mean_pairwise(y) == pytest.approx(pdist(y).mean(), rel=1e-14)
+    assert np.isnan(_mean_pairwise(y[:1]))
 
 
 def test_plot_subcommand(tmp_path):

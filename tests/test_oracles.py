@@ -1,6 +1,8 @@
 """Sampling oracles, identity checks, and divergence estimators."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
@@ -117,6 +119,69 @@ def test_kl_knn_duplicate_jitter():
 def test_kl_knn_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_knn(np.zeros((10, 2)), np.zeros((10, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_kl_knn_nonfinite_names_the_set(bad):
+    good = np.random.default_rng(8).standard_normal((20, 3))
+    spoiled = good.copy()
+    spoiled[4, 1] = bad
+    with pytest.raises(ValueError, match="samples_p"):
+        kl_knn(spoiled, good)
+    with pytest.raises(ValueError, match="samples_q"):
+        kl_knn(good, spoiled)
+
+
+def kl_knn_brute_force(p, q, k):
+    """The same estimator from explicit difference norms: no tree, no rotation."""
+    n, m, d = p.shape[0], q.shape[0], p.shape[1]
+    rho = np.sort(np.sqrt(((p[:, None] - p[None]) ** 2).sum(-1)), axis=1)[:, k]
+    nu = np.sort(np.sqrt(((p[:, None] - q[None]) ** 2).sum(-1)), axis=1)[:, k - 1]
+    return d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1))
+
+
+@st.composite
+def sample_pairs(draw):
+    """Two sample sets on a shared rank-r subspace of R^d, with per-direction
+    scales in [0.1, 10], an overall scale in [1e-2, 1e2], offsets up to ten
+    times that scale, and Q shifted and stretched against P."""
+    d = draw(st.integers(1, 64))
+    r = draw(st.integers(1, d))
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k + 1, 250))
+    m = draw(st.integers(k + 1, 250))
+    scale = 10.0 ** draw(st.floats(-2.0, 2.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    basis = np.linalg.qr(rng.standard_normal((d, r)))[0]          # (d, r)
+    dir_scales = 10.0 ** rng.uniform(-1.0, 1.0, r)
+
+    def draw_set(count, latent_shift, stretch):
+        z = (rng.standard_normal((count, r)) * stretch + latent_shift) * dir_scales
+        offset = scale * rng.uniform(0.0, 10.0) * rng.standard_normal(d) / np.sqrt(d)
+        return scale * z @ basis.T + offset
+
+    p = draw_set(n, 0.0, 1.0)
+    q = draw_set(m, rng.uniform(-1.0, 1.0, r), rng.uniform(0.5, 2.0))
+    return p, q, k
+
+
+def assert_close_estimates(value, reference):
+    assert abs(value - reference) <= 1e-12 * max(1.0, abs(reference))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sample_pairs())
+def test_kl_knn_matches_brute_force(case):
+    p, q, k = case
+    assert_close_estimates(kl_knn(p, q, k), kl_knn_brute_force(p, q, k))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sample_pairs(), st.integers(0, 2 ** 32 - 1))
+def test_kl_knn_rotation_invariant(case, seed):
+    p, q, k = case
+    rot = np.linalg.qr(np.random.default_rng(seed).standard_normal((p.shape[1],) * 2))[0]
+    assert_close_estimates(kl_knn(p @ rot, q @ rot, k), kl_knn(p, q, k))
 
 
 def test_dpi_closed_form_projection():
