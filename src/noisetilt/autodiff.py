@@ -7,17 +7,13 @@ values are 64-bit floats; shapes are either vectors ``(n,)`` or batches
 """
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 
 class ShapeError(ValueError):
     """Incompatible operand shapes; the message names the offending op."""
-
-
-class GraphStateError(RuntimeError):
-    """Graph used out of order, e.g. backward before forward."""
 
 
 class Node:
@@ -116,62 +112,130 @@ def scale(a, k: float) -> Node:
     return Node(a.value * k, (a,), (lambda g: g * k,))
 
 
+def _affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """``w @ x + b`` for a vector, ``x @ w.T + b`` row-wise for a batch, in a
+    fresh array (the bias is added in place on the matmul output)."""
+    if w.ndim != 2:
+        raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
+    m, n = w.shape
+    if x.ndim == 1:
+        if x.shape[0] != n:
+            raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
+        y = w @ x
+    elif x.ndim == 2:
+        if x.shape[1] != n:
+            raise ShapeError(f"linear: batch {x.shape} incompatible with weight {w.shape}")
+        y = x @ w.T
+    else:
+        raise ShapeError(f"linear: input must be 1-d or 2-d, got {x.shape}")
+    if b is not None:
+        if b.shape != (m,):
+            raise ShapeError(f"linear: bias {b.shape} incompatible with weight {w.shape}")
+        y += b
+    return y
+
+
 def linear(x, w, b=None) -> Node:
     """Affine map: ``w @ x + b`` for vectors, ``x @ w.T + b`` row-wise for
     batches.  ``w`` is ``(m, n)``, ``b`` is ``(m,)`` or None."""
     x, w = _as_node(x), _as_node(w)
-    if w.value.ndim != 2:
-        raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
-    m, n = w.shape
+    b = None if b is None else _as_node(b)
+    y = _affine(x.value, w.value, None if b is None else b.value)
+    parents = [x, w]
     if x.value.ndim == 1:
-        if x.shape[0] != n:
-            raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
-        y = w.value @ x.value
-        parents = [x, w]
         vjps = [lambda g: w.value.T @ g, lambda g: np.outer(g, x.value)]
-    elif x.value.ndim == 2:
-        if x.shape[1] != n:
-            raise ShapeError(f"linear: batch {x.shape} incompatible with weight {w.shape}")
-        y = x.value @ w.value.T
-        parents = [x, w]
-        vjps = [lambda g: g @ w.value, lambda g: g.T @ x.value]
     else:
-        raise ShapeError(f"linear: input must be 1-d or 2-d, got {x.shape}")
-    if b is None:
-        return Node(y, parents, vjps)
-    b = _as_node(b)
-    if b.shape != (m,):
-        raise ShapeError(f"linear: bias {b.shape} incompatible with weight {w.shape}")
-    parents.append(b)
-    vjps.append(lambda g: _unbroadcast(g, b.shape))
-    return Node(y + b.value, parents, vjps)
+        vjps = [lambda g: g @ w.value, lambda g: g.T @ x.value]
+    if b is not None:
+        parents.append(b)
+        vjps.append(lambda g: _unbroadcast(g, b.shape))
+    return Node(y, parents, vjps)
 
 
-def tanh(a) -> Node:
-    a = _as_node(a)
-    t = np.tanh(a.value)
-    return Node(t, (a,), (lambda g: g * (1.0 - t * t),))
+class Activation:
+    """An elementwise nonlinearity, callable as a tape op.
+
+    ``forward(z, out)`` writes the activation of ``z`` into ``out`` (``z``
+    itself, or a fresh array when None) and returns ``(value, saved)``;
+    ``vjp(g, saved)`` returns the input gradient in one new array, or ``g``
+    itself for the identity.  The arithmetic order is fixed, so a frozen
+    layer and the separate linear and activation ops agree bit for bit.
+    """
+
+    def __init__(self, forward, vjp):
+        self.forward = forward
+        self.vjp = vjp
+
+    def __call__(self, a) -> Node:
+        a = _as_node(a)
+        y, saved = self.forward(a.value, None)
+        return Node(y, (a,), (lambda g: self.vjp(g, saved),))
 
 
-def sigmoid(a) -> Node:
-    a = _as_node(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    return Node(s, (a,), (lambda g: g * s * (1.0 - s),))
+def _sigmoid_into(z, out):
+    out = np.negative(z, out=out)
+    np.exp(out, out=out)
+    np.add(1.0, out, out=out)
+    return np.divide(1.0, out, out=out)
 
 
-def silu(a) -> Node:
-    a = _as_node(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
-    y = a.value * s
-    return Node(y, (a,), (lambda g: g * (s + y * (1.0 - s)),))
+def _tanh_forward(z, out):
+    t = np.tanh(z, out=out)
+    return t, t
 
 
-def identity(a) -> Node:
-    a = _as_node(a)
-    return Node(a.value, (a,), (lambda g: g,))
+def _tanh_vjp(g, t):
+    tmp = np.multiply(t, t)
+    np.subtract(1.0, tmp, out=tmp)
+    return np.multiply(g, tmp, out=tmp)
 
+
+def _sigmoid_forward(z, out):
+    s = _sigmoid_into(z, out)
+    return s, s
+
+
+def _sigmoid_vjp(g, s):
+    out = np.multiply(g, s)
+    return np.multiply(out, 1.0 - s, out=out)
+
+
+def _silu_forward(z, out):
+    s = _sigmoid_into(z, None)
+    y = np.multiply(z, s, out=out)
+    return y, (s, y)
+
+
+def _silu_vjp(g, saved):
+    s, y = saved
+    tmp = np.subtract(1.0, s)
+    np.multiply(y, tmp, out=tmp)
+    np.add(s, tmp, out=tmp)
+    return np.multiply(g, tmp, out=tmp)
+
+
+tanh = Activation(_tanh_forward, _tanh_vjp)
+sigmoid = Activation(_sigmoid_forward, _sigmoid_vjp)
+silu = Activation(_silu_forward, _silu_vjp)
+identity = Activation(lambda z, out: (z, None), lambda g, saved: g)
 
 ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "silu": silu, "identity": identity}
+
+
+def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str) -> Node:
+    """``activation(x @ w.T + b)`` as one node, for constant ``w`` and ``b``.
+
+    Same value and input gradient as ``ACTIVATIONS[activation](linear(x, w,
+    b))``, but the activation overwrites the matmul output and the tape
+    holds one node instead of four."""
+    x = _as_node(x)
+    act = ACTIVATIONS[activation]
+    z = _affine(x.value, w, b)
+    y, saved = act.forward(z, z)
+    if x.value.ndim == 1:
+        return Node(y, (x,), (lambda g: w.T @ act.vjp(g, saved),))
+    return Node(y, (x,), (lambda g: act.vjp(g, saved) @ w,))
+
 
 # Tight slope bounds used for compositional Lipschitz estimates.
 ACTIVATION_SLOPE_BOUND = {
@@ -224,6 +288,11 @@ def concat_last(a, b) -> Node:
     return Node(y, (a, b), (lambda g: g[..., :na], lambda g: g[..., na:]))
 
 
+def reshape(a, shape: tuple) -> Node:
+    a = _as_node(a)
+    return Node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))
+
+
 def dot_rows(a, b) -> Node:
     """Row-wise inner product; plain dot for vectors."""
     return asum(mul(a, b), axis=-1)
@@ -236,8 +305,13 @@ def sumsq_rows(a) -> Node:
 
 
 def backprop(root: Node, seed=None) -> dict[int, np.ndarray]:
-    """One reverse sweep from `root`; returns id(node) -> gradient for every
-    node with requires_grad on the tape."""
+    """One reverse sweep from `root`; returns id(leaf) -> gradient for every
+    differentiable leaf (a node without parents) that `root` depends on.
+
+    An interior node's gradient is released as soon as it has been passed to
+    the node's parents.  A vjp may return a view of its input gradient, so
+    the sweep adds in place only into sums it allocated itself, never writes
+    into `seed`, and returns writable leaf gradients that alias nothing."""
     if seed is None:
         seed = np.ones_like(root.value)
     seed = np.asarray(seed, dtype=np.float64)
@@ -261,49 +335,23 @@ def backprop(root: Node, seed=None) -> dict[int, np.ndarray]:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(root): seed}
+    owned: set[int] = set()   # sums this sweep allocated: safe to add into
     for node in reversed(order):
-        g = grads.get(id(node))
+        if not node.parents:
+            continue
+        g = grads.pop(id(node), None)
         if g is None:
             continue
         for parent, vjp in zip(node.parents, node.vjps):
             if not parent.requires_grad:
                 continue
             contrib = vjp(g)
-            if id(parent) in grads:
-                grads[id(parent)] = grads[id(parent)] + contrib
+            key = id(parent)
+            if key in owned:
+                np.add(grads[key], contrib, out=grads[key])
+            elif key in grads:
+                grads[key] = np.asarray(grads[key] + contrib, dtype=np.float64)
+                owned.add(key)
             else:
-                grads[id(parent)] = np.asarray(contrib, dtype=np.float64)
-    return grads
-
-
-class Graph:
-    """A differentiable map from named inputs to a single output.
-
-    `fn` receives one Node per input name and returns the root Node; it is
-    re-traced on every forward so intermediate values are always cached for
-    the following backward sweep.
-    """
-
-    def __init__(self, fn: Callable[..., Node], inputs: Sequence[str]):
-        self.fn = fn
-        self.inputs = list(inputs)
-        self._leaves: Optional[dict[str, Node]] = None
-        self._root: Optional[Node] = None
-
-    def forward(self, bindings: dict[str, np.ndarray]) -> np.ndarray:
-        missing = [k for k in self.inputs if k not in bindings]
-        if missing:
-            raise KeyError(f"missing bindings for inputs: {missing}")
-        leaves = {k: param(bindings[k], name=k) for k in self.inputs}
-        self._root = self.fn(**leaves)
-        self._leaves = leaves
-        return self._root.value
-
-    def backward(self, seed=None) -> dict[str, np.ndarray]:
-        if self._root is None or self._leaves is None:
-            raise GraphStateError("backward called before forward")
-        grads = backprop(self._root, seed)
-        return {
-            k: grads.get(id(leaf), np.zeros_like(leaf.value))
-            for k, leaf in self._leaves.items()
-        }
+                grads[key] = np.asarray(contrib, dtype=np.float64)
+    return {k: g if k in owned else g.copy() for k, g in grads.items()}

@@ -252,8 +252,17 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
             f"got {ev['fidelity_metric']!r}")
     if ev["diversity_seeds"] < 2:
         raise ConfigError("[evaluation] diversity_seeds: must be >= 2")
-    if any(s < 1 for s in ev["multi_step"]):
-        raise ConfigError("[evaluation] multi_step: entries must be >= 1")
+    # multi-call generation refines the latent with a square map: the
+    # decoder's own refiner, or the whole generator when it maps d -> d
+    square = g["variant"] == "decoder" or g["output_dim"] in (0, g["latent_dim"])
+    for key, steps in (("[train] generation_steps", [cfg.values["train"]["generation_steps"]]),
+                       ("[evaluation] multi_step", ev["multi_step"])):
+        if any(s < 1 for s in steps):
+            raise ConfigError(f"{key}: entries must be >= 1")
+        if not square and any(s > 1 for s in steps):
+            raise ConfigError(
+                f"{key}: more than one step needs a square generator; this "
+                f"{g['variant']} generator maps {g['latent_dim']} -> {g['output_dim']}")
 
 
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:

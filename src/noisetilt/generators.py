@@ -119,8 +119,7 @@ class Generator:
 
         def apply(layers: list[Layer], h: ad.Node) -> ad.Node:
             for layer in layers:
-                h = ad.ACTIVATIONS[layer.activation](
-                    ad.linear(h, ad.constant(layer.weight), ad.constant(layer.bias)))
+                h = ad.frozen_layer(h, layer.weight, layer.bias, layer.activation)
             return h
 
         state = x0

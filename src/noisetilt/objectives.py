@@ -36,10 +36,11 @@ class KlBreakdown:
 
 
 def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
-                    noise_batch: np.ndarray, conditions=None,
-                    alpha: float = 1.0) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
+                    noise_batch: np.ndarray, conditions=None, alpha: float = 1.0,
+                    generation_steps: int = 1) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Monte-Carlo loss over a noise batch plus gradients for the adapter
-    parameters (the backbone is never differentiated into)."""
+    parameters (the backbone is never differentiated into); the generator
+    runs `generation_steps` calls per sample."""
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     x = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
@@ -52,7 +53,7 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
     cond_node = ad.constant(np.asarray(conditions, dtype=np.float64)) if conditions is not None else None
     delta = hn.delta_node(x_node, cond_node, param_nodes)
     xhat = ad.add(x_node, delta)
-    out = g.node(xhat, cond_node)
+    out = g.node(xhat, cond_node, steps=generation_steps)
     reward_rows = r.node_rows(out)
     if not np.all(np.isfinite(reward_rows.value)):
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(reward_rows.value)))[0])

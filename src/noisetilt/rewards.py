@@ -127,9 +127,11 @@ class RednessReward(Reward):
 
     def _node_rows(self, x):
         p = self._pixels(np.atleast_2d(x.value)[0])
-        means = [ad.amean(ad.slice_last(x, i * p, (i + 1) * p), axis=-1) for i in range(3)]
-        gb = ad.scale(ad.add(means[1], means[2]), 0.5)
-        return ad.scale(ad.sub(means[0], gb), self.scale)
+        lead = x.shape[:-1]
+        means = ad.amean(ad.reshape(x, lead + (3, p)), axis=-1)
+        red, green, blue = (ad.slice_last(means, i, i + 1) for i in range(3))
+        gb = ad.scale(ad.add(green, blue), 0.5)
+        return ad.reshape(ad.scale(ad.sub(red, gb), self.scale), lead)
 
     def upper_bound_on_box(self, lo, hi, dim):
         return self.scale * (hi - lo)

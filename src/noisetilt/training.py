@@ -151,7 +151,8 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
         noise = rng.standard_normal((cfg.batch_size, d))
         try:
             breakdown, grads = hypernoise_loss(hn, g, r, noise, conditions=condition,
-                                               alpha=cfg.alpha)
+                                               alpha=cfg.alpha,
+                                               generation_steps=cfg.generation_steps)
         except FloatingPointError as exc:
             hn.set_params(last_good)
             history.aborted_reason = f"step {step}: {exc}"

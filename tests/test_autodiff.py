@@ -1,8 +1,10 @@
-"""Gradient checks for every primitive plus graph bookkeeping."""
+"""Gradient checks for every primitive, the fused frozen layer, and the
+reverse sweep's bookkeeping."""
 import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
+from noisetilt.training import clip_global_norm
 
 
 def num_grad(f, x, eps=1e-6):
@@ -128,12 +130,65 @@ def test_reused_node_accumulates():
     np.testing.assert_allclose(grads[id(x)], [4.0])
 
 
-def test_graph_state_error():
-    g = ad.Graph(lambda x: ad.asum(ad.tanh(x)), ["x"])
-    with pytest.raises(ad.GraphStateError):
-        g.backward()
-    g.forward({"x": np.ones(3)})
-    out = g.backward()
-    assert out["x"].shape == (3,)
-    with pytest.raises(KeyError):
-        g.forward({})
+
+def test_reuse_through_view_vjps_matches_fd():
+    """`h` feeds identity, add, concat_last and reshape, whose vjps all hand
+    back views of their input gradient; summing them must write into none."""
+    rng = np.random.default_rng(7)
+    x0 = rng.standard_normal((3, 4))
+    w_both = rng.standard_normal((3, 4))
+    w_joined = rng.standard_normal((3, 8))
+    w_flat = rng.standard_normal(12)
+
+    def loss(x):
+        h = ad.tanh(x)
+        both = ad.add(h, ad.identity(h))
+        joined = ad.concat_last(h, both)
+        flat = ad.reshape(ad.add(x, h), (12,))
+        return ad.add(ad.add(ad.asum(ad.mul(both, w_both)),
+                             ad.asum(ad.mul(joined, w_joined))),
+                      ad.asum(ad.mul(flat, w_flat)))
+
+    x = ad.param(x0)
+    grads = ad.backprop(loss(x))
+    ref = num_grad(lambda v: float(loss(ad.constant(v)).value), x0)
+    np.testing.assert_allclose(grads[id(x)], ref, rtol=1e-6, atol=1e-8)
+
+
+def test_backprop_leaves_seed_and_returns_exclusive_gradients():
+    rng = np.random.default_rng(8)
+    a, b = ad.param(rng.standard_normal(4)), ad.param(rng.standard_normal(4))
+    # every vjp on the way returns a view of the seed; `a` is reached 3 times
+    out = ad.add(ad.add(a, b), ad.add(ad.identity(a), a))
+    seed = rng.standard_normal(4)
+    kept = seed.copy()
+    grads = ad.backprop(out, seed)
+    np.testing.assert_array_equal(seed, kept)
+    ga, gb = grads[id(a)], grads[id(b)]
+    np.testing.assert_array_equal(ga, seed + seed + seed)
+    np.testing.assert_array_equal(gb, seed)
+    for g in (ga, gb):
+        assert g.flags.writeable and not np.shares_memory(g, seed)
+    assert not np.shares_memory(ga, gb)
+    leaf_root = ad.backprop(a, seed)[id(a)]
+    assert leaf_root.flags.writeable and not np.shares_memory(leaf_root, seed)
+
+    norm = clip_global_norm({"a": ga, "b": gb}, 1e-3)
+    assert norm == pytest.approx(np.sqrt(10) * np.linalg.norm(kept))
+    assert np.sqrt(np.sum(ga * ga) + np.sum(gb * gb)) == pytest.approx(1e-3)
+    np.testing.assert_array_equal(seed, kept)
+
+
+@pytest.mark.parametrize("name", ["tanh", "sigmoid", "silu", "identity"])
+def test_frozen_layer_equals_linear_then_activation(name):
+    rng = np.random.default_rng(9)
+    w, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
+    for x0 in (rng.standard_normal(4), rng.standard_normal((6, 4))):
+        seed = rng.standard_normal(x0.shape[:-1] + (5,))
+        x_fused, x_plain = ad.param(x0), ad.param(x0)
+        fused = ad.frozen_layer(x_fused, w, b, name)
+        plain = ad.ACTIVATIONS[name](ad.linear(x_plain, ad.constant(w), ad.constant(b)))
+        assert fused.parents == (x_fused,)
+        assert np.array_equal(fused.value, plain.value)
+        assert np.array_equal(ad.backprop(fused, seed)[id(x_fused)],
+                              ad.backprop(plain, seed)[id(x_plain)])

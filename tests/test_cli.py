@@ -85,6 +85,56 @@ def test_malformed_config_exit_2(tmp_path):
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
+def test_multi_step_on_nonsquare_generator_exit_2(tmp_path):
+    text = (AFFINE_TRAIN.replace("variant = affine", "variant = mlp\noutput_dim = 3")
+            .replace("matrix = 1 0.3; 0 0.9\nbias = 0.2 -0.1\n", "")
+            .replace("c = 0.6 -0.5", "c = 0.6 -0.5 0.1"))
+    assert main(["train", "--config", write(tmp_path, "one.ini", text),
+                 "--out", str(tmp_path / "one"), "--quiet"]) == 0
+    out = str(tmp_path / "two")
+    assert main(["train", "--config", write(tmp_path, "two.ini", text + "multi_step = 1 2\n"),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+DECODER_TRAIN = """
+[run]
+method = hypernoise
+seed = 3
+
+[generator]
+variant = decoder
+latent_dim = 4
+height = 3
+width = 3
+hidden = 8
+
+[reward]
+variant = redness
+scale = 1.0
+
+[train]
+steps = 30
+batch_size = 16
+learning_rate = 0.1
+generation_steps = {steps}
+
+[evaluation]
+heldout = 200
+fidelity_metric = closed_form_gaussian_kl
+"""
+
+
+def test_train_generation_steps_reaches_training(tmp_path):
+    reports = []
+    for steps in (1, 2):
+        cfg = write(tmp_path, f"d{steps}.ini", DECODER_TRAIN.format(steps=steps))
+        out = str(tmp_path / f"out{steps}")
+        assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
+        reports.append(open(os.path.join(out, "report.csv"), "rb").read())
+    assert reports[0] != reports[1]
+
+
 def test_runtime_failure_exit_1_with_marker(tmp_path):
     text = AFFINE_TRAIN.replace("learning_rate = 0.1", "learning_rate = 80.0")
     text = text.replace("[train]", "[train]\nclip_norm = 0\n")

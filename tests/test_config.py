@@ -88,3 +88,22 @@ def test_echo_round_trips():
     # every schema key appears in the echo, defaults included
     assert "batch_size = 64" in echo
     assert "fidelity_metric = knn_kl" in echo
+
+
+NONSQUARE = GOOD.replace("variant = affine", "variant = mlp\noutput_dim = 3")
+
+
+@pytest.mark.parametrize("section,key", [("train", "generation_steps"),
+                                         ("evaluation", "multi_step")])
+def test_generation_steps_checked_at_load_time(section, key):
+    def with_steps(text, n):
+        if section == "train":
+            return text.replace("[train]", f"[train]\n{key} = {n}")
+        return text + f"\n[{section}]\n{key} = {n}\n"
+
+    assert load_config(with_steps(GOOD, 2), is_text=True)[section][key] in (2, [2])
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: entries must be >= 1"):
+        load_config(with_steps(GOOD, 0), is_text=True)
+    with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*square generator"):
+        load_config(with_steps(NONSQUARE, 2), is_text=True)
+    assert load_config(with_steps(NONSQUARE, 1), is_text=True)

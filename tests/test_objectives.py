@@ -1,5 +1,6 @@
 """Loss decomposition, exact noise-space KL, and the log-det error bound."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.objectives import (MAX_EXACT_KL_DIM, error_term, exact_noise_kl,
                                   hypernoise_loss, theorem_bound)
-from noisetilt.rewards import LinearReward
+from noisetilt.rewards import LinearReward, RednessReward
 
 MLP_SPEC = {"variant": "mlp", "latent_dim": 3, "output_dim": 3, "hidden": [8]}
 
@@ -34,22 +35,58 @@ def test_loss_decomposition_identity():
         np.mean(r.evaluate_batch(g.generate(x + delta))) / 2.0)
 
 
-def test_loss_gradients_match_fd():
-    g, hn = setup()
-    hn.randomize_adapters(2)
-    r = LinearReward([1.0, -0.5, 0.2])
-    x = np.random.default_rng(3).standard_normal((4, 3))
-    _, grads = hypernoise_loss(hn, g, r, x, alpha=1.5)
+def check_loss_gradients(g, hn, r, x, **kw):
+    _, grads = hypernoise_loss(hn, g, r, x, alpha=1.5, **kw)
     for name, arr in hn.params().items():
         for flat in (0, arr.size - 1):
             orig = arr.flat[flat]
             arr.flat[flat] = orig + 1e-6
-            hi, _ = hypernoise_loss(hn, g, r, x, alpha=1.5)
+            hi, _ = hypernoise_loss(hn, g, r, x, alpha=1.5, **kw)
             arr.flat[flat] = orig - 1e-6
-            lo, _ = hypernoise_loss(hn, g, r, x, alpha=1.5)
+            lo, _ = hypernoise_loss(hn, g, r, x, alpha=1.5, **kw)
             arr.flat[flat] = orig
             fd = (hi.total - lo.total) / 2e-6
             assert grads[name].flat[flat] == pytest.approx(fd, rel=1e-5, abs=1e-8), name
+
+
+def test_loss_gradients_match_fd():
+    g, hn = setup()
+    hn.randomize_adapters(2)
+    x = np.random.default_rng(3).standard_normal((4, 3))
+    check_loss_gradients(g, hn, LinearReward([1.0, -0.5, 0.2]), x)
+
+
+def test_loss_gradients_match_fd_two_generation_steps():
+    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 2,
+                        "width": 3, "hidden": [6]}, seed=1)
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=1)
+    hn.randomize_adapters(4)
+    r = RednessReward(scale=1.0)
+    x = np.random.default_rng(5).standard_normal((5, 4))
+    one, _ = hypernoise_loss(hn, g, r, x, generation_steps=1)
+    two, _ = hypernoise_loss(hn, g, r, x, generation_steps=2)
+    assert one.reward_term != two.reward_term
+    check_loss_gradients(g, hn, r, x, generation_steps=2)
+
+
+def test_loss_step_allocation_peak():
+    """One loss-and-gradient step at latent 64, hidden 256, 32x32x3 outputs
+    and batch 128 holds at most six output-sized arrays at a time."""
+    g = make_generator({"variant": "decoder", "latent_dim": 64, "height": 32,
+                        "width": 32, "hidden": [256]}, seed=0)
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=0)
+    hn.randomize_adapters(1)
+    r = RednessReward()
+    x = np.random.default_rng(0).standard_normal((128, 64))
+    hypernoise_loss(hn, g, r, x)   # first call pays any lazy set-up
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        hypernoise_loss(hn, g, r, x)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 128 * g.output_dim * 8
 
 
 def test_loss_validation():
