@@ -112,7 +112,7 @@ def scale(a, k: float) -> Node:
     return Node(a.value * k, (a,), (lambda g: g * k,))
 
 
-def _affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
     """``w @ x + b`` for a vector, ``x @ w.T + b`` row-wise for a batch, in a
     fresh array (the bias is added in place on the matmul output)."""
     if w.ndim != 2:
@@ -140,7 +140,7 @@ def linear(x, w, b=None) -> Node:
     batches.  ``w`` is ``(m, n)``, ``b`` is ``(m,)`` or None."""
     x, w = _as_node(x), _as_node(w)
     b = None if b is None else _as_node(b)
-    y = _affine(x.value, w.value, None if b is None else b.value)
+    y = affine(x.value, w.value, None if b is None else b.value)
     parents = [x, w]
     if x.value.ndim == 1:
         vjps = [lambda g: w.value.T @ g, lambda g: np.outer(g, x.value)]
@@ -222,19 +222,27 @@ identity = Activation(lambda z, out: (z, None), lambda g, saved: g)
 ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "silu": silu, "identity": identity}
 
 
-def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str) -> Node:
-    """``activation(x @ w.T + b)`` as one node, for constant ``w`` and ``b``.
+def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
+                 extra: Optional[Node] = None) -> Node:
+    """``activation(x @ w.T + b + extra)`` as one node, for constant ``w``
+    and ``b``; ``extra`` (an adapter's output, or None) is differentiable.
 
-    Same value and input gradient as ``ACTIVATIONS[activation](linear(x, w,
-    b))``, but the activation overwrites the matmul output and the tape
-    holds one node instead of four."""
+    Same value and gradients as ``ACTIVATIONS[activation](add(linear(x, w,
+    b), extra))``, but the activation overwrites the matmul output and the
+    tape holds one node instead of four or five."""
     x = _as_node(x)
     act = ACTIVATIONS[activation]
-    z = _affine(x.value, w, b)
+    z = affine(x.value, w, b)
+    if extra is not None:
+        z += extra.value
     y, saved = act.forward(z, z)
     if x.value.ndim == 1:
-        return Node(y, (x,), (lambda g: w.T @ act.vjp(g, saved),))
-    return Node(y, (x,), (lambda g: act.vjp(g, saved) @ w,))
+        vjp_x = lambda g: w.T @ act.vjp(g, saved)
+    else:
+        vjp_x = lambda g: act.vjp(g, saved) @ w
+    if extra is None:
+        return Node(y, (x,), (vjp_x,))
+    return Node(y, (x, extra), (vjp_x, lambda g: act.vjp(g, saved)))
 
 
 # Tight slope bounds used for compositional Lipschitz estimates.

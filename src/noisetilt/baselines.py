@@ -10,8 +10,8 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .generators import Generator, Layer, _NP_ACT
-from .hypernet import LoraAdapter
+from .generators import Generator
+from .layers import LayerStack, condition_node, lora_adapters, with_condition
 from .oracles import kl_knn
 from .rewards import Reward
 from .training import Adam, Sgd, clip_global_norm
@@ -126,61 +126,26 @@ class AdaptedGenerator:
     def __init__(self, backbone: Generator, rank: int = 2, adapter_scale: float = 1.0,
                  seed: int = 0):
         self.backbone = backbone
-        self.rank = rank
         rng = np.random.default_rng(seed)
-        self.adapters: list[LoraAdapter] = []
-        self.bias_delta: Optional[np.ndarray] = None
         if backbone.variant == "affine":
-            self.bias_delta = np.zeros(backbone.output_dim)
+            self.stack = LayerStack(backbone.layers, shift=np.zeros(backbone.output_dim),
+                                    shift_name="bias_delta")
         else:
-            for layer in backbone.layers:
-                m, n = layer.weight.shape
-                if rank > min(m, n):
-                    raise ValueError(f"rank {rank} too large for a {m}x{n} layer")
-                self.adapters.append(LoraAdapter(
-                    down=rng.standard_normal((rank, n)) / np.sqrt(n),
-                    up=np.zeros((m, rank)),
-                    scale=adapter_scale / rank,
-                ))
+            self.stack = LayerStack(backbone.layers,
+                                    lora_adapters(rng, backbone.layers, rank, adapter_scale))
+        self.bias_delta: Optional[np.ndarray] = self.stack.shift
 
     def params(self) -> dict[str, np.ndarray]:
-        if self.bias_delta is not None:
-            return {"bias_delta": self.bias_delta}
-        out = {}
-        for i, a in enumerate(self.adapters):
-            out[f"layer{i}.down"] = a.down
-            out[f"layer{i}.up"] = a.up
-        return out
+        return self.stack.params()
 
     def generate(self, x0: np.ndarray, condition=None) -> np.ndarray:
         x0 = np.asarray(x0, dtype=np.float64)
-        h = self.backbone._with_condition(x0, condition)
-        if self.bias_delta is not None:
-            return self.backbone._apply(self.backbone.layers, h) + self.bias_delta
-        for layer, a in zip(self.backbone.layers, self.adapters):
-            z = h @ layer.weight.T + layer.bias + a.scale * (h @ a.down.T) @ a.up.T
-            h = _NP_ACT[layer.activation](z)
-        return h
+        return self.stack.forward(with_condition(x0, condition, self.backbone.condition_dim))
 
     def node(self, x0: ad.Node, param_nodes: dict[str, ad.Node],
              condition: Optional[ad.Node] = None) -> ad.Node:
-        h = x0
-        if condition is not None:
-            c = condition
-            if h.value.ndim == 2 and c.value.ndim == 1:
-                c = ad.Node(np.broadcast_to(c.value, (h.value.shape[0], c.value.shape[0])),
-                            (c,), (lambda g: g.sum(axis=0),))
-            h = ad.concat_last(h, c)
-        if self.bias_delta is not None:
-            layer = self.backbone.layers[0]
-            base = ad.linear(h, ad.constant(layer.weight), ad.constant(layer.bias))
-            return ad.add(base, param_nodes["bias_delta"])
-        for i, (layer, a) in enumerate(zip(self.backbone.layers, self.adapters)):
-            frozen = ad.linear(h, ad.constant(layer.weight), ad.constant(layer.bias))
-            lora = ad.linear(ad.linear(h, param_nodes[f"layer{i}.down"]),
-                             param_nodes[f"layer{i}.up"])
-            h = ad.ACTIVATIONS[layer.activation](ad.add(frozen, ad.scale(lora, a.scale)))
-        return h
+        h = condition_node(x0, condition, self.backbone.condition_dim)
+        return self.stack.trace(h, param_nodes)
 
 
 @dataclass

@@ -21,7 +21,7 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# section -> key -> (type, default). Types: int, float, str, bool,
+# section -> key -> (type, default). Types: int, float, str,
 # ints/floats (comma-separated), matrix (semicolon-separated rows).
 _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "run": {
@@ -39,7 +39,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "width": ("int", 8),
         "matrix": ("matrix", []),
         "bias": ("floats", []),
-        "condition_dim": ("int", 0),
         "step_mix": ("float", 0.5),
         "weight_seed": ("int", 0),
     },
@@ -105,12 +104,6 @@ def _parse_value(section: str, key: str, kind: str, raw: str):
             return int(raw)
         if kind == "float":
             return float(raw)
-        if kind == "bool":
-            if raw.lower() in ("true", "yes", "1"):
-                return True
-            if raw.lower() in ("false", "no", "0"):
-                return False
-            raise ValueError(f"not a boolean: {raw!r}")
         if kind == "str":
             return raw
         if kind == "ints":
@@ -132,8 +125,6 @@ def _format_value(kind: str, value) -> str:
         return " ".join(repr(v) if kind == "floats" else str(v) for v in value)
     if kind == "matrix":
         return "; ".join(" ".join(repr(x) for x in row) for row in value)
-    if kind == "bool":
-        return "true" if value else "false"
     if kind == "float":
         return repr(float(value))
     return "" if value is None else str(value)
@@ -158,8 +149,6 @@ class ExperimentConfig:
         g = self.values["generator"]
         spec = {"variant": g["variant"], "latent_dim": g["latent_dim"],
                 "step_mix": g["step_mix"]}
-        if g["condition_dim"]:
-            spec["condition_dim"] = g["condition_dim"]
         if g["variant"] == "affine":
             if g["output_dim"]:
                 spec["output_dim"] = g["output_dim"]

@@ -9,32 +9,18 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
-
-_NP_ACT = {
-    "tanh": np.tanh,
-    "sigmoid": lambda z: 1.0 / (1.0 + np.exp(-z)),
-    "silu": lambda z: z / (1.0 + np.exp(-z)),
-    "identity": lambda z: z,
-}
+from .layers import Layer, LayerStack, condition_node, with_condition
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=np.float64)
     arr.setflags(write=False)
     return arr
-
-
-@dataclass(frozen=True)
-class Layer:
-    weight: np.ndarray  # (out, in)
-    bias: np.ndarray    # (out,)
-    activation: str
 
 
 class Generator:
@@ -49,6 +35,7 @@ class Generator:
         self.condition_dim = condition_dim
         self.layers = layers
         self.refiner = refiner
+        self.stack = LayerStack(layers)
         self.step_mix = float(step_mix)
         self.output_dim = layers[-1].weight.shape[0]
         self.output_range = (0.0, 1.0) if variant == "decoder" else None
@@ -56,80 +43,47 @@ class Generator:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_inputs(self, x0: np.ndarray, condition, steps: int):
+    def _check_inputs(self, x0: np.ndarray, steps: int):
         if x0.shape[-1] != self.latent_dim:
             raise ValueError(
                 f"latent has {x0.shape[-1]} entries, generator expects {self.latent_dim}")
-        if (condition is None) != (self.condition_dim is None):
-            raise ValueError("condition must be provided iff the generator is conditional")
-        if condition is not None and np.shape(condition)[-1] != self.condition_dim:
-            raise ValueError(
-                f"condition has {np.shape(condition)[-1]} entries, expected {self.condition_dim}")
         if steps < 1:
             raise ValueError("steps must be >= 1")
 
-    def _with_condition(self, x: np.ndarray, condition) -> np.ndarray:
-        if condition is None:
-            return x
-        c = np.asarray(condition, dtype=np.float64)
-        if x.ndim == 2 and c.ndim == 1:
-            c = np.broadcast_to(c, (x.shape[0], c.shape[0]))
-        return np.concatenate([x, c], axis=-1)
-
-    def _apply(self, layers: list[Layer], h: np.ndarray) -> np.ndarray:
-        for layer in layers:
-            h = _NP_ACT[layer.activation](h @ layer.weight.T + layer.bias)
-        return h
-
-    def _refine_map(self) -> list[Layer]:
+    def _refine_stack(self) -> LayerStack:
         if self.refiner is not None:
-            return self.refiner
+            return LayerStack(self.refiner)
         if self.output_dim != self.latent_dim:
             raise ValueError(
                 "multi-step generation needs a square map; "
                 f"this {self.variant} generator maps {self.latent_dim} -> {self.output_dim}")
-        return self.layers
+        return self.stack
 
     def generate(self, x0: np.ndarray, condition=None, steps: int = 1) -> np.ndarray:
         """Deterministic output for one latent or a batch of latents."""
         x0 = np.asarray(x0, dtype=np.float64)
-        self._check_inputs(x0, condition, steps)
+        self._check_inputs(x0, steps)
         state = x0
         if steps > 1:
-            refine = self._refine_map()
+            refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = self._apply(refine, self._with_condition(state, condition))
+                fresh = refine.forward(with_condition(state, condition, self.condition_dim))
                 state = (1.0 - gamma) * state + gamma * fresh
-        return self._apply(self.layers, self._with_condition(state, condition))
+        return self.stack.forward(with_condition(state, condition, self.condition_dim))
 
     def node(self, x0: ad.Node, condition: Optional[ad.Node] = None,
              steps: int = 1) -> ad.Node:
         """Autodiff trace of `generate` on an existing tape."""
-        self._check_inputs(x0.value, condition.value if condition is not None else None, steps)
-
-        def with_cond(h: ad.Node) -> ad.Node:
-            if condition is None:
-                return h
-            c = condition
-            if h.value.ndim == 2 and c.value.ndim == 1:
-                c = ad.Node(np.broadcast_to(c.value, (h.value.shape[0], c.value.shape[0])),
-                            (c,), (lambda g: g.sum(axis=0),))
-            return ad.concat_last(h, c)
-
-        def apply(layers: list[Layer], h: ad.Node) -> ad.Node:
-            for layer in layers:
-                h = ad.frozen_layer(h, layer.weight, layer.bias, layer.activation)
-            return h
-
+        self._check_inputs(x0.value, steps)
         state = x0
         if steps > 1:
-            refine = self._refine_map()
+            refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = apply(refine, with_cond(state))
+                fresh = refine.trace(condition_node(state, condition, self.condition_dim))
                 state = ad.add(ad.scale(state, 1.0 - gamma), ad.scale(fresh, gamma))
-        return apply(self.layers, with_cond(state))
+        return self.stack.trace(condition_node(state, condition, self.condition_dim))
 
     # -- identity -----------------------------------------------------------
 
@@ -185,64 +139,26 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
         return Generator("affine", latent_dim, layers, condition_dim,
                          step_mix=step_mix, spec=spec)
 
+    if variant not in ("mlp", "decoder"):
+        raise ValueError(f"unknown generator variant {variant!r}")
+    hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
+    activation = spec.get("activation", "tanh")
+    if activation not in ad.ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     if variant == "mlp":
-        output_dim = int(spec["output_dim"])
-        hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
-        activation = spec.get("activation", "tanh")
-        if activation not in _NP_ACT:
-            raise ValueError(f"unknown activation {activation!r}")
-        dims = [in_dim] + hidden + [output_dim]
-        layers = [
-            _init_layer(rng, dims[i], dims[i + 1],
-                        activation if i < len(dims) - 2 else "identity")
-            for i in range(len(dims) - 1)
-        ]
-        return Generator("mlp", latent_dim, layers, condition_dim,
-                         step_mix=step_mix, spec=spec)
-
+        output_dim, last = int(spec["output_dim"]), "identity"
+    else:
+        output_dim = int(spec.get("height", 8)) * int(spec.get("width", 8)) * 3
+        last = "sigmoid"
+    dims = [in_dim] + hidden + [output_dim]
+    activations = [activation] * len(hidden) + [last]
+    layers = [_init_layer(rng, n, m, act) for n, m, act in zip(dims, dims[1:], activations)]
+    refiner = None
     if variant == "decoder":
-        height = int(spec.get("height", 8))
-        width = int(spec.get("width", 8))
-        output_dim = height * width * 3
-        hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
-        activation = spec.get("activation", "tanh")
-        dims = [in_dim] + hidden + [output_dim]
-        layers = [
-            _init_layer(rng, dims[i], dims[i + 1],
-                        activation if i < len(dims) - 2 else "sigmoid")
-            for i in range(len(dims) - 1)
-        ]
         # square latent refiner used only by multi-call generation
         refiner = [
             _init_layer(rng, in_dim, 2 * latent_dim, activation),
             _init_layer(rng, 2 * latent_dim, latent_dim, "identity"),
         ]
-        return Generator("decoder", latent_dim, layers, condition_dim,
-                         refiner=refiner, step_mix=step_mix, spec=spec)
-
-    raise ValueError(f"unknown generator variant {variant!r}")
-
-
-@dataclass
-class BaseOutputReference:
-    """Moments of the untilted output distribution, kept with its samples."""
-    mean: np.ndarray
-    covariance: np.ndarray
-    samples: np.ndarray
-    seed: int
-
-
-def base_output_reference(g: Generator, n: int, seed: int = 0,
-                          condition=None, steps: int = 1) -> BaseOutputReference:
-    """Sample mean/covariance of g(x0) under standard Gaussian noise."""
-    if n < 2:
-        raise ValueError("need at least two samples")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, g.latent_dim))
-    y = g.generate(x, condition=condition, steps=steps)
-    return BaseOutputReference(
-        mean=y.mean(axis=0),
-        covariance=np.cov(y, rowvar=False).reshape(g.output_dim, g.output_dim),
-        samples=y,
-        seed=seed,
-    )
+    return Generator(variant, latent_dim, layers, condition_dim,
+                     refiner=refiner, step_mix=step_mix, spec=spec)

@@ -3,60 +3,37 @@ backbone, with a perturbation-only head that is exactly zero at init.
 
 The trunk reuses the backbone's layer shapes (adapter deltas on top of the
 frozen weights); the final backbone layer is replaced by a head that emits
-only the low-rank perturbation, projected back to the latent dimension.
+only the low-rank perturbation, projected back to the latent dimension: a
+frozen zero layer with an adapter, plus a trainable bias.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
 from .generators import Generator
+from .layers import Layer, LayerStack, condition_node, lora_adapters, with_condition
 from .linalg import spectral_norm
-
-_ACT_DERIV = {
-    "tanh": lambda z: 1.0 - np.tanh(z) ** 2,
-    "sigmoid": lambda z: (s := 1.0 / (1.0 + np.exp(-z))) * (1.0 - s),
-    "silu": lambda z: (s := 1.0 / (1.0 + np.exp(-z))) + z * s * (1.0 - s),
-    "identity": lambda z: np.ones_like(z),
-}
-
-
-@dataclass
-class LoraAdapter:
-    down: np.ndarray  # (r, n), random init
-    up: np.ndarray    # (m, r), zero init
-    scale: float      # alpha / r
 
 
 class NoiseHypernetwork:
     """Trainable residual map on noise space; backbone weights stay frozen."""
 
-    def __init__(self, backbone: Generator, rank: int, alpha: float,
-                 trunk_adapters: list[LoraAdapter], head: LoraAdapter,
-                 head_bias: np.ndarray):
+    def __init__(self, backbone: Generator, rank: int, alpha: float, stack: LayerStack):
         self.backbone = backbone
         self.rank = rank
         self.alpha = float(alpha)
-        self.trunk_adapters = trunk_adapters
-        self.head = head
-        self.head_bias = head_bias
-        self.perturbation_only = True
+        self.stack = stack
+        self.head = stack.adapters[-1]
+        self.head_bias = stack.shift
 
     # -- parameters ---------------------------------------------------------
 
     def params(self) -> dict[str, np.ndarray]:
         """Trainable arrays, keyed by stable names (manifest order)."""
-        out = {}
-        for i, a in enumerate(self.trunk_adapters):
-            out[f"layer{i}.down"] = a.down
-            out[f"layer{i}.up"] = a.up
-        out["head.down"] = self.head.down
-        out["head.up"] = self.head.up
-        out["head.bias"] = self.head_bias
-        return out
+        return self.stack.params()
 
     def set_params(self, values: dict[str, np.ndarray]):
         current = self.params()
@@ -72,85 +49,33 @@ class NoiseHypernetwork:
 
     # -- evaluation ---------------------------------------------------------
 
-    def _trunk_layers(self):
-        return self.backbone.layers[:-1]
-
-    def _with_condition(self, x: np.ndarray, condition) -> np.ndarray:
-        if (condition is None) != (self.backbone.condition_dim is None):
-            raise ValueError("condition must be provided iff the backbone is conditional")
-        if condition is None:
-            return x
-        c = np.asarray(condition, dtype=np.float64)
-        if x.ndim == 2 and c.ndim == 1:
-            c = np.broadcast_to(c, (x.shape[0], c.shape[0]))
-        return np.concatenate([x, c], axis=-1)
-
     def perturb(self, x0: np.ndarray, condition=None) -> np.ndarray:
         """The residual perturbation, for one latent or a batch."""
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape[-1] != self.backbone.latent_dim:
             raise ValueError(
                 f"latent has {x0.shape[-1]} entries, expected {self.backbone.latent_dim}")
-        h = self._with_condition(x0, condition)
-        from .generators import _NP_ACT
-        for layer, a in zip(self._trunk_layers(), self.trunk_adapters):
-            z = h @ layer.weight.T + layer.bias + a.scale * (h @ a.down.T) @ a.up.T
-            h = _NP_ACT[layer.activation](z)
-        return self.head.scale * (h @ self.head.down.T) @ self.head.up.T + self.head_bias
+        return self.stack.forward(with_condition(x0, condition, self.backbone.condition_dim))
 
     def delta_node(self, x0: ad.Node, condition: Optional[ad.Node] = None,
                    param_nodes: Optional[dict[str, ad.Node]] = None) -> ad.Node:
         """Autodiff trace of `perturb`; pass `param_nodes` to get gradients
         with respect to the adapter parameters."""
-        if param_nodes is None:
-            param_nodes = {k: ad.constant(v) for k, v in self.params().items()}
-        h = x0
-        if condition is not None:
-            c = condition
-            if h.value.ndim == 2 and c.value.ndim == 1:
-                c = ad.Node(np.broadcast_to(c.value, (h.value.shape[0], c.value.shape[0])),
-                            (c,), (lambda g: g.sum(axis=0),))
-            h = ad.concat_last(h, c)
-        elif self.backbone.condition_dim is not None:
-            raise ValueError("condition must be provided iff the backbone is conditional")
-        for i, (layer, a) in enumerate(zip(self._trunk_layers(), self.trunk_adapters)):
-            frozen = ad.linear(h, ad.constant(layer.weight), ad.constant(layer.bias))
-            lora = ad.linear(ad.linear(h, param_nodes[f"layer{i}.down"]),
-                             param_nodes[f"layer{i}.up"])
-            h = ad.ACTIVATIONS[layer.activation](
-                ad.add(frozen, ad.scale(lora, a.scale)))
-        lora = ad.linear(ad.linear(h, param_nodes["head.down"]), param_nodes["head.up"])
-        return ad.add(ad.scale(lora, self.head.scale), param_nodes["head.bias"])
+        h = condition_node(x0, condition, self.backbone.condition_dim)
+        return self.stack.trace(h, param_nodes)
 
     def jacobian_batch(self, x0: np.ndarray, condition=None) -> np.ndarray:
         """Exact Jacobians of the perturbation w.r.t. the latent, (B, d, d)."""
         x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-        d = self.backbone.latent_dim
-        h = self._with_condition(x0, condition)
-        n0 = h.shape[1]
-        jac = np.zeros((x0.shape[0], n0, d))
-        jac[:, :d, :] = np.eye(d)
-        from .generators import _NP_ACT
-        for layer, a in zip(self._trunk_layers(), self.trunk_adapters):
-            weff = layer.weight + a.scale * a.up @ a.down
-            z = h @ weff.T + layer.bias
-            slope = _ACT_DERIV[layer.activation](z)
-            jac = slope[:, :, None] * np.einsum("mn,bnd->bmd", weff, jac)
-            h = _NP_ACT[layer.activation](z)
-        w_head = self.head.scale * self.head.up @ self.head.down
-        return np.einsum("mn,bnd->bmd", w_head, jac)
+        h = with_condition(x0, condition, self.backbone.condition_dim)
+        return self.stack.jacobian(h, self.backbone.latent_dim)
 
     # -- Lipschitz auditing -------------------------------------------------
 
     def lipschitz_upper_bound(self) -> float:
         """Compositional bound: product of per-layer spectral norms times
         activation slope bounds.  Sound input for the log-det error theorem."""
-        bound = 1.0
-        for layer, a in zip(self._trunk_layers(), self.trunk_adapters):
-            weff = layer.weight + a.scale * a.up @ a.down
-            bound *= ad.ACTIVATION_SLOPE_BOUND[layer.activation] * spectral_norm(weff)
-        bound *= spectral_norm(self.head.scale * self.head.up @ self.head.down)
-        return bound
+        return self.stack.lipschitz_upper_bound()
 
     def lipschitz_lower_bound(self, n_pairs: int, seed: int = 0,
                               condition=None) -> float:
@@ -172,19 +97,16 @@ class NoiseHypernetwork:
 
     def set_constant(self, c: np.ndarray):
         """Force f(x) = c exactly (zero adapters, head bias = c)."""
-        c = np.asarray(c, dtype=np.float64)
-        for a in self.trunk_adapters:
+        for a in self.stack.adapters:
             a.up[...] = 0.0
-        self.head.up[...] = 0.0
-        self.head_bias[...] = c
+        self.head_bias[...] = np.asarray(c, dtype=np.float64)
 
     def randomize_adapters(self, seed: int, spread: float = 0.1):
         """Fill the zero-init up matrices with small random values (test and
         audit scaffolding; training starts from exact zero)."""
         rng = np.random.default_rng(seed)
-        for a in self.trunk_adapters:
-            a.up[...] = spread * rng.standard_normal(a.up.shape) / np.sqrt(a.up.shape[1])
-        self.head.up[...] = spread * rng.standard_normal(self.head.up.shape) / np.sqrt(self.rank)
+        for a in self.stack.adapters:
+            a.up[...] = spread * rng.standard_normal(a.up.shape) / np.sqrt(self.rank)
 
     def set_lipschitz_budget(self, budget: float) -> float:
         """Rescale the head so the compositional bound equals `budget` exactly."""
@@ -198,33 +120,13 @@ class NoiseHypernetwork:
 
 def init_hypernet(g: Generator, rank: int, alpha: float, seed: int = 0) -> NoiseHypernetwork:
     """Zero-output initialization: down matrices Gaussian, up matrices zero."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
     rng = np.random.default_rng(seed)
-    in_dim = g.latent_dim + (g.condition_dim or 0)
-    scale = alpha / rank
-
-    trunk = []
-    n_prev = in_dim
-    for layer in g.layers[:-1]:
-        m, n = layer.weight.shape
-        if rank > min(m, n):
-            raise ValueError(f"rank {rank} too large for a {m}x{n} layer")
-        trunk.append(LoraAdapter(
-            down=rng.standard_normal((rank, n)) / np.sqrt(n),
-            up=np.zeros((m, rank)),
-            scale=scale,
-        ))
-        n_prev = m
-    d = g.latent_dim
-    if rank > min(d, n_prev):
-        raise ValueError(f"rank {rank} too large for the {d}x{n_prev} head")
-    head = LoraAdapter(
-        down=rng.standard_normal((rank, n_prev)) / np.sqrt(n_prev),
-        up=np.zeros((d, rank)),
-        scale=scale,
-    )
-    return NoiseHypernetwork(g, rank, alpha, trunk, head, np.zeros(d))
+    d, n = g.latent_dim, g.layers[-1].weight.shape[1]
+    layers = g.layers[:-1] + [Layer(np.zeros((d, n)), np.zeros(d), "identity")]
+    names = [f"layer{i}" for i in range(len(layers) - 1)] + ["head"]
+    stack = LayerStack(layers, lora_adapters(rng, layers, rank, alpha), names,
+                       shift=np.zeros(d), shift_name="head.bias")
+    return NoiseHypernetwork(g, rank, alpha, stack)
 
 
 def modulate(hn: NoiseHypernetwork, x0: np.ndarray,

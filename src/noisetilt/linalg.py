@@ -1,5 +1,5 @@
 """Matrix utilities: finite-difference Jacobians, log-determinants of
-I + J via pivoted LU, and power-iteration spectral norms."""
+I + J via pivoted LU, and exact spectral norms."""
 from __future__ import annotations
 
 from typing import Callable
@@ -47,36 +47,10 @@ def logdet_and_trace(j: np.ndarray) -> tuple[float, float]:
     return trace, float(logdet)
 
 
-def spectral_norm(m: np.ndarray, iters: int = 100, seed: int = 0) -> float:
-    """Power-iteration estimate of the largest singular value.
-
-    A lower bound of the true norm, nondecreasing in `iters` (the Rayleigh
-    quotient of M^T M is monotone along the iteration).
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+def spectral_norm(m: np.ndarray) -> float:
+    """The largest singular value, from the SVD: an upper bound of |M v| / |v|
+    for every v, which the compositional Lipschitz bounds rely on."""
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m.shape[1])
-    nv = np.linalg.norm(v)
-    if nv == 0.0:
-        return 0.0
-    v /= nv
-    sigma = 0.0
-    for _ in range(iters):
-        mv = m @ v
-        sigma = float(np.linalg.norm(mv))
-        if sigma == 0.0:
-            return 0.0
-        w = m.T @ mv
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            break
-        v = w / nw
-    return sigma
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.float64)))
+    return float(np.linalg.norm(m, 2))

@@ -137,45 +137,6 @@ class RednessReward(Reward):
         return self.scale * (hi - lo)
 
 
-class CompositeReward(Reward):
-    """Weighted sum of rewards; weights come from configuration."""
-
-    def __init__(self, parts: list[tuple[Reward, float]]):
-        if not parts:
-            raise ValueError("composite reward needs at least one part")
-        self.parts = [(r, float(w)) for r, w in parts]
-        if not all(np.isfinite(w) for _, w in self.parts):
-            raise ValueError("composite weights must be finite")
-
-    def _check(self, x):
-        for r, _ in self.parts:
-            r._check(x)
-
-    def _rows(self, x):
-        return sum(w * r._rows(x) for r, w in self.parts)
-
-    def _grad(self, x):
-        return sum(w * r._grad(x) for r, w in self.parts)
-
-    def _node_rows(self, x):
-        total = None
-        for r, w in self.parts:
-            term = ad.scale(r._node_rows(x), w)
-            total = term if total is None else ad.add(total, term)
-        return total
-
-    def upper_bound_on_box(self, lo, hi, dim):
-        total = 0.0
-        for r, w in self.parts:
-            # sup(w*r) needs inf(r) for negative weights; only the w >= 0
-            # case is supported, which covers the shipped configurations
-            b = r.upper_bound_on_box(lo, hi, dim) if w >= 0 else None
-            if b is None:
-                return None
-            total += w * b
-        return total
-
-
 def make_reward(spec: dict) -> Reward:
     """Build a reward from a config record."""
     variant = spec.get("variant")
@@ -185,6 +146,4 @@ def make_reward(spec: dict) -> Reward:
         return QuadraticReward(spec["q"], int(spec.get("sign", -1)))
     if variant == "redness":
         return RednessReward(float(spec.get("scale", 0.01)))
-    if variant == "composite":
-        return CompositeReward([(make_reward(p), w) for p, w in spec["parts"]])
     raise ValueError(f"unknown reward variant {variant!r}")

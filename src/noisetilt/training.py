@@ -17,10 +17,6 @@ from .objectives import hypernoise_loss
 from .rewards import Reward
 
 
-class TrainingError(RuntimeError):
-    pass
-
-
 class CheckpointError(RuntimeError):
     pass
 

@@ -192,3 +192,13 @@ def test_frozen_layer_equals_linear_then_activation(name):
         assert np.array_equal(fused.value, plain.value)
         assert np.array_equal(ad.backprop(fused, seed)[id(x_fused)],
                               ad.backprop(plain, seed)[id(x_plain)])
+        # with an adapter term added before the activation
+        e0 = rng.standard_normal(seed.shape)
+        e_fused, e_plain = ad.param(e0), ad.param(e0)
+        fused = ad.frozen_layer(x_fused, w, b, name, e_fused)
+        plain = ad.ACTIVATIONS[name](
+            ad.add(ad.linear(x_plain, ad.constant(w), ad.constant(b)), e_plain))
+        assert np.array_equal(fused.value, plain.value)
+        gf, gp = ad.backprop(fused, seed), ad.backprop(plain, seed)
+        for leaf_fused, leaf_plain in ((x_fused, x_plain), (e_fused, e_plain)):
+            assert np.array_equal(gf[id(leaf_fused)], gp[id(leaf_plain)])

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from noisetilt import autodiff as ad
 from noisetilt.baselines import (AdaptedGenerator, DirectFinetuneConfig,
                                  NoiseOptConfig, best_of_n, noise_opt,
                                  train_direct_finetune)
@@ -96,3 +97,21 @@ def test_adapted_generator_rank_check():
                         "hidden": [4]}, seed=0)
     with pytest.raises(ValueError):
         AdaptedGenerator(g, rank=3)
+
+
+def test_adapted_generator_node_matches_generate():
+    # the shift of an affine backbone, and adapters on a decoder
+    decoder = make_generator({"variant": "decoder", "latent_dim": 4, "height": 2,
+                              "width": 2, "hidden": [8]}, seed=1)
+    x = np.random.default_rng(7).standard_normal((6, 4))
+    for g, seed in ((affine_gen(), 0), (decoder, 1)):
+        adapted = AdaptedGenerator(g, rank=3, seed=seed)
+        rng = np.random.default_rng(8)
+        for name, arr in adapted.params().items():
+            if name.endswith(".up") or name == "bias_delta":
+                arr[...] = 0.3 * rng.standard_normal(arr.shape)
+        nodes = {k: ad.param(v) for k, v in adapted.params().items()}
+        xs = x[:, :g.latent_dim]
+        value = adapted.generate(xs)
+        assert not np.array_equal(value, g.generate(xs))
+        assert np.array_equal(adapted.node(ad.constant(xs), nodes).value, value)

@@ -97,6 +97,18 @@ def test_multi_step_on_nonsquare_generator_exit_2(tmp_path):
     assert not os.path.exists(os.path.join(out, "report.csv"))
 
 
+def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
+    # no subcommand routes a condition, so the key is rejected at load time
+    # instead of failing every run with exit 1
+    text = AFFINE_TRAIN.replace("latent_dim = 2", "latent_dim = 2\ncondition_dim = 2")
+    for argv in (["train"], ["baseline"], ["validate-theory"], ["diversity"]):
+        out = str(tmp_path / argv[0])
+        assert main(argv + ["--config", write(tmp_path, "c.ini", text),
+                            "--out", out, "--quiet"]) == 2
+        assert not os.path.exists(os.path.join(out, "report.csv"))
+    assert "[generator] condition_dim: unknown key" in capsys.readouterr().err
+
+
 DECODER_TRAIN = """
 [run]
 method = hypernoise

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
-from noisetilt.generators import base_output_reference, make_generator
+from noisetilt.generators import make_generator
 from noisetilt.linalg import jacobian_fd
 
 MLP_SPEC = {"variant": "mlp", "latent_dim": 3, "output_dim": 4, "hidden": [8]}
@@ -102,13 +102,3 @@ def test_node_matches_generate_and_fd():
     ref = jacobian_fd(lambda v: g.generate(v), x)
     np.testing.assert_allclose(jac, ref, rtol=1e-5, atol=1e-7)
 
-
-def test_base_output_reference():
-    g = make_generator({"variant": "affine", "latent_dim": 2,
-                        "matrix": [[2.0, 0.0], [0.0, 1.0]], "bias": [1.0, 0.0]},
-                       seed=0)
-    ref = base_output_reference(g, 20000, seed=7)
-    np.testing.assert_allclose(ref.mean, [1.0, 0.0], atol=0.05)
-    np.testing.assert_allclose(ref.covariance, [[4.0, 0.0], [0.0, 1.0]], atol=0.15)
-    with pytest.raises(ValueError):
-        base_output_reference(g, 1)

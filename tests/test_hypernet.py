@@ -61,15 +61,6 @@ def test_perturb_batch_matches_single():
         np.testing.assert_allclose(batch[i], hn.perturb(x[i]), rtol=1e-13)
 
 
-def test_delta_node_matches_perturb():
-    from noisetilt import autodiff as ad
-    g, hn = fresh()
-    hn.randomize_adapters(4)
-    x = np.random.default_rng(2).standard_normal((5, 4))
-    node = hn.delta_node(ad.constant(x))
-    np.testing.assert_allclose(node.value, hn.perturb(x), rtol=1e-13)
-
-
 def test_jacobian_batch_matches_fd():
     g, hn = fresh()
     hn.randomize_adapters(5)

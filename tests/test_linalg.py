@@ -3,8 +3,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from noisetilt.linalg import (SingularMatrixError, frobenius_norm, jacobian_fd,
-                              logdet_and_trace, spectral_norm)
+from noisetilt.linalg import (SingularMatrixError, jacobian_fd, logdet_and_trace,
+                              spectral_norm)
 
 
 def test_jacobian_fd_linear_map_exact():
@@ -63,14 +63,17 @@ def test_spectral_norm_matches_svd():
     for shape in [(5, 5), (3, 7), (8, 2)]:
         m = rng.standard_normal(shape)
         assert spectral_norm(m) == pytest.approx(np.linalg.svd(m, compute_uv=False)[0],
-                                                 rel=1e-8)
+                                                 rel=1e-14)
 
 
 def test_spectral_norm_lower_bound_and_zero():
-    m = np.diag([3.0, 1.0])
-    assert spectral_norm(m, iters=1) <= 3.0 + 1e-12
+    assert spectral_norm(np.diag([3.0, 1.0])) <= 3.0 + 1e-12
     assert spectral_norm(np.zeros((4, 4))) == 0.0
 
 
-def test_frobenius_norm():
-    assert frobenius_norm(np.array([[3.0, 4.0]])) == pytest.approx(5.0)
+def test_spectral_norm_is_an_upper_bound():
+    # 100 steps of power iteration from a fixed start read 1.3% low on this
+    # matrix; the norm must bound |M v| / |v| for the top singular vector too
+    m = np.random.default_rng(1571).standard_normal((10, 4))
+    top = np.linalg.svd(m)[2][0]
+    assert spectral_norm(m) >= np.linalg.norm(m @ top) * (1 - 1e-12)

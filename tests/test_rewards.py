@@ -3,8 +3,7 @@ import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
-from noisetilt.rewards import (CompositeReward, LinearReward, QuadraticReward,
-                               RednessReward, make_reward)
+from noisetilt.rewards import LinearReward, QuadraticReward, RednessReward, make_reward
 
 
 def grad_check(r, x):
@@ -52,21 +51,6 @@ def test_redness_closed_form():
     assert r.upper_bound_on_box(0.0, 1.0, 12) == pytest.approx(0.01)
     with pytest.raises(ValueError):
         r.evaluate(np.zeros(10))
-
-
-def test_composite():
-    r = CompositeReward([(LinearReward([1.0, 0.0]), 2.0),
-                         (LinearReward([0.0, 1.0]), -1.0)])
-    x = np.array([3.0, 4.0])
-    assert r.evaluate(x) == pytest.approx(2.0)
-    grad_check(r, x)
-    assert r.upper_bound_on_box(0.0, 1.0, 2) is None   # negative weight
-    pos = CompositeReward([(LinearReward([1.0, 0.0]), 2.0)])
-    assert pos.upper_bound_on_box(0.0, 1.0, 2) == pytest.approx(2.0)
-    with pytest.raises(ValueError):
-        CompositeReward([])
-    with pytest.raises(ValueError):
-        CompositeReward([(LinearReward([1.0]), np.inf)])
 
 
 def test_make_reward():
