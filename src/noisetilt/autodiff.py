@@ -16,6 +16,55 @@ class ShapeError(ValueError):
     """Incompatible operand shapes; the message names the offending op."""
 
 
+class Arena:
+    """Output buffers that successive training steps reuse.
+
+    While an arena is active (``with arena:``), the ops that make a step's
+    large arrays (`affine`, the activation vjps and the silu forward's
+    sigmoid, the `asum` vjp) take their outputs from it instead of allocating: the i-th request
+    of a step gets the i-th buffer, reallocated only when its shape changes.
+    Entering rewinds to the first buffer, so whatever one step's tape holds
+    is overwritten by the next; `backprop` returns copies, and a forward
+    whose output outlives the step must run outside the arena.  Reusing
+    the buffers spares the allocator from returning them to the OS and
+    faulting them in again on every step."""
+
+    def __init__(self):
+        self._buffers: list[np.ndarray] = []
+        self._next = 0
+
+    def take(self, shape: tuple) -> np.ndarray:
+        i = self._next
+        self._next += 1
+        if i == len(self._buffers):
+            self._buffers.append(np.empty(shape))
+        elif self._buffers[i].shape != shape:
+            self._buffers[i] = np.empty(shape)
+        return self._buffers[i]
+
+    def __enter__(self) -> "Arena":
+        global _active
+        self._next = 0
+        _active = self
+        return self
+
+    def __exit__(self, *exc):
+        global _active
+        _active = None
+
+
+# The arena the running step draws from; ops reach it here because the
+# traced entry points (`Generator.node`, `Reward.node_rows`, ...) take no
+# arena argument.
+_active: Optional[Arena] = None
+
+
+def _empty(shape: tuple) -> np.ndarray:
+    """An uninitialised float64 array: the active arena's next buffer, or a
+    fresh one."""
+    return np.empty(shape) if _active is None else _active.take(shape)
+
+
 class Node:
     """One entry of the tape: a cached forward value plus vector-Jacobian
     closures back to its parents."""
@@ -114,18 +163,19 @@ def scale(a, k: float) -> Node:
 
 def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
     """``w @ x + b`` for a vector, ``x @ w.T + b`` row-wise for a batch, in a
-    fresh array (the bias is added in place on the matmul output)."""
+    new array or the active arena's next buffer (the bias is added in place
+    on the matmul output)."""
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
     m, n = w.shape
     if x.ndim == 1:
         if x.shape[0] != n:
             raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
-        y = w @ x
+        y = np.matmul(w, x, out=_empty((m,)))
     elif x.ndim == 2:
         if x.shape[1] != n:
             raise ShapeError(f"linear: batch {x.shape} incompatible with weight {w.shape}")
-        y = x @ w.T
+        y = np.matmul(x, w.T, out=_empty((x.shape[0], m)))
     else:
         raise ShapeError(f"linear: input must be 1-d or 2-d, got {x.shape}")
     if b is not None:
@@ -157,9 +207,10 @@ class Activation:
 
     ``forward(z, out)`` writes the activation of ``z`` into ``out`` (``z``
     itself, or a fresh array when None) and returns ``(value, saved)``;
-    ``vjp(g, saved)`` returns the input gradient in one new array, or ``g``
-    itself for the identity.  The arithmetic order is fixed, so a frozen
-    layer and the separate linear and activation ops agree bit for bit.
+    ``vjp(g, saved)`` returns the input gradient in one new array (or arena
+    buffer), or ``g`` itself for the identity.  The arithmetic order is
+    fixed, so a frozen layer and the separate linear and activation ops
+    agree bit for bit.
     """
 
     def __init__(self, forward, vjp):
@@ -185,7 +236,7 @@ def _tanh_forward(z, out):
 
 
 def _tanh_vjp(g, t):
-    tmp = np.multiply(t, t)
+    tmp = np.multiply(t, t, out=_empty(t.shape))
     np.subtract(1.0, tmp, out=tmp)
     return np.multiply(g, tmp, out=tmp)
 
@@ -196,19 +247,19 @@ def _sigmoid_forward(z, out):
 
 
 def _sigmoid_vjp(g, s):
-    out = np.multiply(g, s)
-    return np.multiply(out, 1.0 - s, out=out)
+    out = np.multiply(g, s, out=_empty(s.shape))
+    return np.multiply(out, np.subtract(1.0, s, out=_empty(s.shape)), out=out)
 
 
 def _silu_forward(z, out):
-    s = _sigmoid_into(z, None)
+    s = _sigmoid_into(z, _empty(z.shape))
     y = np.multiply(z, s, out=out)
     return y, (s, y)
 
 
 def _silu_vjp(g, saved):
     s, y = saved
-    tmp = np.subtract(1.0, s)
+    tmp = np.subtract(1.0, s, out=_empty(s.shape))
     np.multiply(y, tmp, out=tmp)
     np.add(s, tmp, out=tmp)
     return np.multiply(g, tmp, out=tmp)
@@ -260,9 +311,9 @@ def asum(a, axis: Optional[int] = None) -> Node:
     shp = a.shape
 
     def vjp(g):
-        if axis is None:
-            return np.broadcast_to(g, shp).astype(np.float64)
-        return np.broadcast_to(np.expand_dims(g, axis), shp).astype(np.float64)
+        out = _empty(shp)
+        np.copyto(out, g if axis is None else np.expand_dims(g, axis))
+        return out
 
     return Node(y, (a,), (vjp,))
 

@@ -52,14 +52,17 @@ def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
          else np.asarray(init, dtype=np.float64).copy())
     cond_arr = np.asarray(condition, dtype=np.float64) if condition is not None else None
 
+    arena = ad.Arena()
+
     def objective_and_grad(xv):
-        x_node = ad.param(xv, name="noise")
-        cond = ad.constant(cond_arr) if cond_arr is not None else None
-        out = g.node(x_node, cond, steps=cfg.generation_steps)
-        rew = r.node_rows(out)
-        obj = ad.sub(rew, ad.scale(ad.sumsq_rows(x_node), 0.5 * cfg.prior_weight))
-        grads = ad.backprop(obj)
-        return float(obj.value), float(rew.value), grads.get(id(x_node), np.zeros_like(xv))
+        with arena:
+            x_node = ad.param(xv, name="noise")
+            cond = ad.constant(cond_arr) if cond_arr is not None else None
+            out = g.node(x_node, cond, steps=cfg.generation_steps)
+            rew = r.node_rows(out)
+            obj = ad.sub(rew, ad.scale(ad.sumsq_rows(x_node), 0.5 * cfg.prior_weight))
+            grads = ad.backprop(obj)
+            return float(obj.value), float(rew.value), grads.get(id(x_node), np.zeros_like(xv))
 
     best_x, best_obj, best_rew = x.copy(), -np.inf, -np.inf
     trajectory = []
@@ -198,14 +201,16 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
         drift_estimator="closed_form" if adapted.bias_delta is not None else "knn")
     cond_arr = np.asarray(condition, dtype=np.float64) if condition is not None else None
 
+    arena = ad.Arena()
     for step in range(cfg.steps):
         x = rng.standard_normal((cfg.batch_size, g.latent_dim))
-        param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
-        cond = ad.constant(cond_arr) if cond_arr is not None else None
-        out = adapted.node(ad.constant(x), param_nodes, cond)
-        rew = ad.amean(r.node_rows(out), axis=None)
-        loss = ad.neg(rew)
-        raw = ad.backprop(loss)
+        with arena:
+            param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
+            cond = ad.constant(cond_arr) if cond_arr is not None else None
+            out = adapted.node(ad.constant(x), param_nodes, cond)
+            rew = ad.amean(r.node_rows(out), axis=None)
+            raw = ad.backprop(ad.neg(rew))
+            mean_reward = float(rew.value)
         grads = {k: raw.get(id(n), np.zeros_like(n.value))
                  for k, n in param_nodes.items()}
         if not all(np.all(np.isfinite(v)) for v in grads.values()):
@@ -214,7 +219,7 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
         opt.update(adapted.params(), grads)
         if step % cfg.eval_every == 0 or step == cfg.steps - 1:
             history.steps.append(step)
-            history.mean_reward.append(float(rew.value))
+            history.mean_reward.append(mean_reward)
             history.output_drift.append(
                 _output_drift(adapted, cfg.eval_samples, cfg.seed + 1000 + step, condition))
     return adapted, history

@@ -9,7 +9,9 @@ wall-clock timings go to run.log, which is excluded from that guarantee.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
+import resource
 import sys
 import time
 import traceback
@@ -37,6 +39,30 @@ class RunContext:
         self.quiet = quiet
         self.t0 = time.monotonic()
         self.log_lines: list[str] = []
+        self.phases: dict[str, list] = {}   # name -> [wall s, minor page faults]
+        self._open: list[str] = []
+        self._mark = (self.t0, 0)
+
+    @contextlib.contextmanager
+    def phase(self, name: str):
+        """Charge the wall time and minor page faults spent inside to phase
+        `name`; a phase opened inside another pauses the outer one."""
+        self._charge()
+        self._open.append(name)
+        try:
+            yield
+        finally:
+            self._charge()
+            self._open.pop()
+
+    def _charge(self):
+        now = time.monotonic()
+        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        if self._open:
+            totals = self.phases.setdefault(self._open[-1], [0.0, 0])
+            totals[0] += now - self._mark[0]
+            totals[1] += faults - self._mark[1]
+        self._mark = (now, faults)
 
     def path(self, *parts) -> str:
         return os.path.join(self.out_dir, *parts)
@@ -47,6 +73,8 @@ class RunContext:
             print(msg)
 
     def finish(self):
+        for name, (wall, faults) in self.phases.items():
+            self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults")
         self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
         reporting.atomic_write(self.path("run.log"), "\n".join(self.log_lines) + "\n")
 
@@ -128,46 +156,51 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     if cfg.method != "hypernoise":
         raise ConfigError(f"[run] method: train expects hypernoise, got {cfg.method!r}")
     _echo_config(ctx, cfg)
-    g, r = _build(cfg)
-    t = cfg["train"]
-    hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
-    history = train_hypernoise(hn, g, r, cfg.train_config())
+    with ctx.phase("build"):
+        g, r = _build(cfg)
+        t = cfg["train"]
+        hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
+    with ctx.phase("train"):
+        history = train_hypernoise(hn, g, r, cfg.train_config())
     if history.aborted_reason:
         raise RuntimeError(f"training aborted: {history.aborted_reason}")
 
-    reporting.write_csv(
-        ctx.path("history.csv"),
-        ["step", "loss", "l2_term", "reward_term", "grad_norm"],
-        [[s, lo, l2, rw, gn] for s, lo, l2, rw, gn in
-         zip(history.steps, history.loss, history.l2_term,
-             history.reward_term, history.grad_norm)])
-    save_checkpoint(ctx.path("checkpoint.bin"), hn,
-                    extra={"steps": t["steps"], "seed": cfg.seed})
+    with ctx.phase("write"):
+        reporting.write_csv(
+            ctx.path("history.csv"),
+            ["step", "loss", "l2_term", "reward_term", "grad_norm"],
+            [[s, lo, l2, rw, gn] for s, lo, l2, rw, gn in
+             zip(history.steps, history.loss, history.l2_term,
+                 history.reward_term, history.grad_norm)])
+        save_checkpoint(ctx.path("checkpoint.bin"), hn,
+                        extra={"steps": t["steps"], "seed": cfg.seed})
 
-    x = _heldout_noise(cfg, g)
-    delta = hn.perturb(x)
-    y_ref = _fidelity_reference(cfg, g)
-    fidelity = _fidelity(y_ref, delta, None if y_ref is None else g.generate(x + delta))
-    lip = hn.lipschitz_upper_bound()
-    final_step = history.steps[-1] if history.steps else 0
-    rows = []
-    for gen_steps in cfg["evaluation"]["multi_step"]:
-        y_mod = g.generate(x + delta, steps=gen_steps)
-        y_base = g.generate(x, steps=gen_steps)
-        mean, se = _reward_stats(r, y_mod)
-        base_mean = float(r.evaluate_batch(y_base).mean())
-        div = _mean_pairwise(y_mod[:cfg["evaluation"]["diversity_samples"]])
-        rows.append(["hypernoise", final_step, gen_steps, mean, se,
-                     base_mean, fidelity, div, lip])
-        ctx.log(f"steps={gen_steps}: reward {mean:.6g} (base {base_mean:.6g}), "
-                f"fidelity {fidelity:.6g}")
-    reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
+    with ctx.phase("evaluate"):
+        x = _heldout_noise(cfg, g)
+        delta = hn.perturb(x)
+        y_ref = _fidelity_reference(cfg, g)
+        fidelity = _fidelity(y_ref, delta, None if y_ref is None else g.generate(x + delta))
+        lip = hn.lipschitz_upper_bound()
+        final_step = history.steps[-1] if history.steps else 0
+        rows = []
+        for gen_steps in cfg["evaluation"]["multi_step"]:
+            y_mod = g.generate(x + delta, steps=gen_steps)
+            y_base = g.generate(x, steps=gen_steps)
+            mean, se = _reward_stats(r, y_mod)
+            base_mean = float(r.evaluate_batch(y_base).mean())
+            div = _mean_pairwise(y_mod[:cfg["evaluation"]["diversity_samples"]])
+            rows.append(["hypernoise", final_step, gen_steps, mean, se,
+                         base_mean, fidelity, div, lip])
+            ctx.log(f"steps={gen_steps}: reward {mean:.6g} (base {base_mean:.6g}), "
+                    f"fidelity {fidelity:.6g}")
 
-    svg = reporting.svg_curve(
-        [("loss", [float(s) for s in history.steps], history.loss),
-         ("reward", [float(s) for s in history.steps], history.reward_term)],
-        title="training", xlabel="step")
-    reporting.atomic_write(ctx.path("plots", "history.svg"), svg)
+    with ctx.phase("write"):
+        reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
+        svg = reporting.svg_curve(
+            [("loss", [float(s) for s in history.steps], history.loss),
+             ("reward", [float(s) for s in history.steps], history.reward_term)],
+            title="training", xlabel="step")
+        reporting.atomic_write(ctx.path("plots", "history.svg"), svg)
     return 0
 
 
@@ -215,25 +248,29 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
     if cfg_h["train"]["steps"] != cfg_d["direct_ft"]["steps"]:
         raise ConfigError("tradeoff configs disagree on the step budget")
     _echo_config(ctx, cfg_h)
-    g, r = _build(cfg_h)
-    x = _heldout_noise(cfg_h, g)
-
-    t = cfg_h["train"]
-    hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg_h.seed)
-    y_ref = _fidelity_reference(cfg_h, g)
+    with ctx.phase("build"):
+        g, r = _build(cfg_h)
+        x = _heldout_noise(cfg_h, g)
+        t = cfg_h["train"]
+        hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg_h.seed)
+    with ctx.phase("evaluate"):
+        y_ref = _fidelity_reference(cfg_h, g)
     curve_h: list[tuple[int, float, float]] = []
 
     def hook(step, net):
-        delta = net.perturb(x)
-        y = g.generate(x + delta)
-        curve_h.append((step, float(r.evaluate_batch(y).mean()),
-                        _fidelity(y_ref, delta, y)))
+        with ctx.phase("evaluate"):
+            delta = net.perturb(x)
+            y = g.generate(x + delta)
+            curve_h.append((step, float(r.evaluate_batch(y).mean()),
+                            _fidelity(y_ref, delta, y)))
 
-    history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
-    if history.aborted_reason:
-        raise RuntimeError(f"training aborted: {history.aborted_reason}")
-
-    _, hist_d = train_direct_finetune(g, r, cfg_d.direct_ft_config())
+    # the direct fine-tune measures its output drift inside its own loop,
+    # so its evaluations count as training here
+    with ctx.phase("train"):
+        history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
+        if history.aborted_reason:
+            raise RuntimeError(f"training aborted: {history.aborted_reason}")
+        _, hist_d = train_direct_finetune(g, r, cfg_d.direct_ft_config())
     curve_d = list(zip(hist_d.steps, hist_d.mean_reward, hist_d.output_drift))
 
     steps = sorted({s for s, _, _ in curve_h} | {s for s, _, _ in curve_d})
@@ -244,15 +281,16 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
         hr, hf = h_map.get(s, ("", ""))
         dr, df = d_map.get(s, ("", ""))
         rows.append([s, hr, hf, dr, df])
-    reporting.write_csv(
-        ctx.path("tradeoff.csv"),
-        ["step", "hypernoise_reward", "hypernoise_fidelity",
-         "direct_ft_reward", "direct_ft_fidelity"], rows)
-    svg = reporting.svg_curve(
-        [("hypernoise", [f for _, _, f in curve_h], [rw for _, rw, _ in curve_h]),
-         ("direct_ft", [f for _, _, f in curve_d], [rw for _, rw, _ in curve_d])],
-        title="reward vs fidelity cost", xlabel="fidelity (KL)", ylabel="reward")
-    reporting.atomic_write(ctx.path("plots", "tradeoff.svg"), svg)
+    with ctx.phase("write"):
+        reporting.write_csv(
+            ctx.path("tradeoff.csv"),
+            ["step", "hypernoise_reward", "hypernoise_fidelity",
+             "direct_ft_reward", "direct_ft_fidelity"], rows)
+        svg = reporting.svg_curve(
+            [("hypernoise", [f for _, _, f in curve_h], [rw for _, rw, _ in curve_h]),
+             ("direct_ft", [f for _, _, f in curve_d], [rw for _, rw, _ in curve_d])],
+            title="reward vs fidelity cost", xlabel="fidelity (KL)", ylabel="reward")
+        reporting.atomic_write(ctx.path("plots", "tradeoff.svg"), svg)
     ctx.log(f"tradeoff: {len(curve_h)} points (residual method), "
             f"{len(curve_d)} points (direct fine-tune)")
     return 0

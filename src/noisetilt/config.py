@@ -213,6 +213,17 @@ class ExperimentConfig:
         return out.getvalue()
 
 
+def _layer_shapes(spec: dict) -> list[tuple[int, int]]:
+    """(out, in) of each generator layer, as `make_generator` builds them
+    from `spec` (a `generator_spec()`)."""
+    d = spec["latent_dim"]
+    if spec["variant"] == "affine":
+        return [(spec.get("output_dim", d), d)]
+    out = spec.get("output_dim") or spec["height"] * spec["width"] * 3
+    dims = [d] + spec["hidden"] + [out]
+    return list(zip(dims[1:], dims))
+
+
 def _validate(cfg: ExperimentConfig, missing: list[str]):
     run = cfg.values["run"]
     if run["method"] not in _METHODS:
@@ -234,6 +245,22 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         raise ConfigError("[reward] c: required for the linear reward")
     if r["variant"] == "quadratic" and not r["q"]:
         raise ConfigError("[reward] q: required for the quadratic reward")
+    # an adapter's rank can be at most the smaller side of its layer: the
+    # hypernetwork adapts the generator's layers but the last, plus a
+    # latent x last-hidden head; direct_ft adapts every layer of a
+    # non-affine generator
+    shapes = _layer_shapes(cfg.generator_spec())
+    adapted = {"train": shapes[:-1] + [(g["latent_dim"], shapes[-1][1])],
+               "direct_ft": [] if g["variant"] == "affine" else shapes}
+    for section, layers in adapted.items():
+        rank = cfg.values[section]["rank"]
+        if rank < 1:
+            raise ConfigError(f"[{section}] rank: must be >= 1")
+        bound = min((min(shape) for shape in layers), default=rank)
+        if rank > bound:
+            raise ConfigError(
+                f"[{section}] rank: {rank} exceeds {bound}, the smallest "
+                "dimension of a layer that gets an adapter")
     ev = cfg.values["evaluation"]
     if ev["fidelity_metric"] not in _FIDELITY:
         raise ConfigError(

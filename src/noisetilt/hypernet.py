@@ -44,9 +44,6 @@ class NoiseHypernetwork:
                 raise ValueError(f"shape mismatch for {name!r}")
             current[name][...] = arr
 
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.params().values())
-
     # -- evaluation ---------------------------------------------------------
 
     def perturb(self, x0: np.ndarray, condition=None) -> np.ndarray:
@@ -127,14 +124,3 @@ def init_hypernet(g: Generator, rank: int, alpha: float, seed: int = 0) -> Noise
     stack = LayerStack(layers, lora_adapters(rng, layers, rank, alpha), names,
                        shift=np.zeros(d), shift_name="head.bias")
     return NoiseHypernetwork(g, rank, alpha, stack)
-
-
-def modulate(hn: NoiseHypernetwork, x0: np.ndarray,
-             condition=None) -> tuple[np.ndarray, np.ndarray]:
-    """Residual transform: returns (delta, x0 + delta)."""
-    x0 = np.asarray(x0, dtype=np.float64)
-    delta = hn.perturb(x0, condition)
-    xhat = x0 + delta
-    if not np.all(np.isfinite(xhat)):
-        raise FloatingPointError("modulated noise is non-finite")
-    return delta, xhat

@@ -11,6 +11,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff as ad
 from .generators import Generator
 from .hypernet import NoiseHypernetwork
 from .objectives import hypernoise_loss
@@ -142,13 +143,15 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
     d = g.latent_dim
     ceiling = cfg.divergence_factor * d
 
+    arena = ad.Arena()
     last_good = _snapshot(hn)
     for step in range(cfg.steps):
         noise = rng.standard_normal((cfg.batch_size, d))
         try:
-            breakdown, grads = hypernoise_loss(hn, g, r, noise, conditions=condition,
-                                               alpha=cfg.alpha,
-                                               generation_steps=cfg.generation_steps)
+            with arena:
+                breakdown, grads = hypernoise_loss(hn, g, r, noise, conditions=condition,
+                                                   alpha=cfg.alpha,
+                                                   generation_steps=cfg.generation_steps)
         except FloatingPointError as exc:
             hn.set_params(last_good)
             history.aborted_reason = f"step {step}: {exc}"

@@ -202,3 +202,32 @@ def test_frozen_layer_equals_linear_then_activation(name):
         gf, gp = ad.backprop(fused, seed), ad.backprop(plain, seed)
         for leaf_fused, leaf_plain in ((x_fused, x_plain), (e_fused, e_plain)):
             assert np.array_equal(gf[id(leaf_fused)], gp[id(leaf_plain)])
+
+
+def test_arena_hands_out_buffers_in_request_order():
+    rng = np.random.default_rng(9)
+    x, w, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)), rng.standard_normal(5)
+    arena = ad.Arena()
+    with arena:
+        first = [ad.affine(x, w, b), ad.affine(x[0], w, None)]
+    with arena:   # entering rewinds: the same requests get the same buffers
+        again = [ad.affine(x, w, b), ad.affine(x[0], w, None)]
+        wider = ad.affine(x, np.vstack([w, w]), None)   # a new request allocates
+    assert all(a is b for a, b in zip(first, again))
+    assert wider.shape == (4, 10)
+    with arena:
+        ad.affine(x, np.vstack([w, w]), None)   # a shape change reallocates
+        assert ad.affine(x[0], w, None) is first[1]
+    np.testing.assert_array_equal(first[0], x @ w.T + b)
+    assert ad.affine(x, w, b) is not first[0]   # no arena active: fresh arrays
+
+
+def test_gradients_outlive_the_arena_step():
+    arena, grads = ad.Arena(), []
+    for k in (1.0, 2.0):
+        with arena:
+            p = ad.param(np.zeros((2, 3)))
+            # asum's vjp writes this leaf's gradient into an arena buffer
+            grads.append(ad.backprop(ad.asum(p), np.array(k))[id(p)])
+    np.testing.assert_array_equal(grads[0], np.ones((2, 3)))
+    np.testing.assert_array_equal(grads[1], np.full((2, 3), 2.0))

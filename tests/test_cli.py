@@ -147,6 +147,42 @@ def test_train_generation_steps_reaches_training(tmp_path):
     assert reports[0] != reports[1]
 
 
+@pytest.mark.parametrize("section", ["train", "direct_ft"])
+def test_adapter_rank_checked_at_load_time(tmp_path, section, capsys):
+    # the bound is 4: the decoder's 8x4 first layer and, for the
+    # hypernetwork, its 4x8 head
+    text = DECODER_TRAIN.format(steps=1)
+    if section == "direct_ft":
+        text = text.replace("method = hypernoise", "method = direct_ft") + (
+            "\n[direct_ft]\nsteps = 5\nbatch_size = 8\neval_every = 5\n"
+            "eval_samples = 50\n")
+    argv = ["train"] if section == "train" else ["baseline"]
+    for rank, code in ((0, 2), (5, 2), (4, 0)):
+        cfg = write(tmp_path, f"r{rank}.ini",
+                    text.replace(f"[{section}]", f"[{section}]\nrank = {rank}"))
+        out = str(tmp_path / f"out{rank}")
+        assert main(argv + ["--config", cfg, "--out", out, "--quiet"]) == code, rank
+        assert os.path.exists(os.path.join(out, "report.csv")) == (code == 0)
+    err = capsys.readouterr().err
+    assert f"[{section}] rank: must be >= 1" in err
+    assert f"[{section}] rank: 5 exceeds 4" in err
+
+
+def test_run_log_phase_lines(tmp_path):
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
+    runs = {"train": ["train", "--config", cfg_h], "tradeoff": ["tradeoff", cfg_h, cfg_d]}
+    for name, argv in runs.items():
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out, "--quiet"]) == 0
+        lines = open(os.path.join(out, "run.log")).read().splitlines()
+        phases = {line.split()[1]: line for line in lines if line.startswith("phase ")}
+        assert sorted(phases) == ["build", "evaluate", "train", "write"], name
+        for line in phases.values():
+            _, _, wall, unit, faults, *rest = line.split()
+            assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
+            assert rest == ["minor", "page", "faults"]
+
+
 def test_runtime_failure_exit_1_with_marker(tmp_path):
     text = AFFINE_TRAIN.replace("learning_rate = 0.1", "learning_rate = 80.0")
     text = text.replace("[train]", "[train]\nclip_norm = 0\n")

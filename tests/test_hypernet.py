@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisetilt.generators import make_generator
-from noisetilt.hypernet import init_hypernet, modulate
+from noisetilt.hypernet import init_hypernet
 from noisetilt.linalg import jacobian_fd
 
 MLP_SPEC = {"variant": "mlp", "latent_dim": 4, "output_dim": 4, "hidden": [10]}
@@ -19,15 +19,9 @@ def fresh(rank=2, alpha=2.0, seed=0, gseed=0):
 def test_zero_init_identity():
     g, hn = fresh()
     x = np.random.default_rng(0).standard_normal((50, 4))
-    delta, xhat = modulate(hn, x)
+    delta = hn.perturb(x)
     assert np.max(np.abs(delta)) == 0.0
-    np.testing.assert_array_equal(xhat, x)
-
-
-def test_parameter_count_arithmetic():
-    g, hn = fresh(rank=3)
-    # trunk layer 10x4 plus head 4x10, each r(m+n), plus the head bias
-    assert hn.parameter_count() == 3 * (10 + 4) + 3 * (4 + 10) + 4
+    np.testing.assert_array_equal(x + delta, x)
 
 
 def test_same_seed_same_down_matrices():
@@ -104,13 +98,6 @@ def test_set_params_validation():
         hn.set_params({"nope": np.zeros(2)})
     with pytest.raises(ValueError):
         hn.set_params({"head.bias": np.zeros(7)})
-
-
-def test_modulate_nonfinite_error():
-    g, hn = fresh()
-    hn.head_bias[...] = np.inf
-    with pytest.raises(FloatingPointError):
-        modulate(hn, np.zeros(4))
 
 
 def test_conditional_pathway():

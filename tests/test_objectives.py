@@ -1,15 +1,20 @@
 """Loss decomposition, exact noise-space KL, and the log-det error bound."""
+import contextlib
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from noisetilt import autodiff as ad
+from noisetilt.baselines import (DirectFinetuneConfig, NoiseOptConfig, noise_opt,
+                                 train_direct_finetune)
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.objectives import (MAX_EXACT_KL_DIM, error_term, exact_noise_kl,
                                   hypernoise_loss, theorem_bound)
 from noisetilt.rewards import LinearReward, RednessReward
+from noisetilt.training import TrainConfig, train_hypernoise
 
 MLP_SPEC = {"variant": "mlp", "latent_dim": 3, "output_dim": 3, "hidden": [8]}
 
@@ -69,24 +74,101 @@ def test_loss_gradients_match_fd_two_generation_steps():
     check_loss_gradients(g, hn, r, x, generation_steps=2)
 
 
-def test_loss_step_allocation_peak():
-    """One loss-and-gradient step at latent 64, hidden 256, 32x32x3 outputs
-    and batch 128 holds at most six output-sized arrays at a time."""
+def train_wide_step_peak(arena):
+    """`tracemalloc` peak of one loss-and-gradient step at latent 64, hidden
+    256, 32x32x3 outputs and batch 128, in output-sized arrays, after one
+    warm-up step that pays any lazy set-up (and fills the arena)."""
     g = make_generator({"variant": "decoder", "latent_dim": 64, "height": 32,
                         "width": 32, "hidden": [256]}, seed=0)
     hn = init_hypernet(g, rank=2, alpha=2.0, seed=0)
     hn.randomize_adapters(1)
     r = RednessReward()
     x = np.random.default_rng(0).standard_normal((128, 64))
-    hypernoise_loss(hn, g, r, x)   # first call pays any lazy set-up
+    with arena:
+        hypernoise_loss(hn, g, r, x)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        hypernoise_loss(hn, g, r, x)
+        with arena:
+            hypernoise_loss(hn, g, r, x)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 128 * g.output_dim * 8
+    return peak / (128 * g.output_dim * 8)
+
+
+def test_loss_step_allocation_peak():
+    """A plain step holds at most six output-sized arrays at a time."""
+    assert train_wide_step_peak(contextlib.nullcontext()) <= 6
+
+
+def test_loss_step_allocation_peak_in_arena():
+    """Under a warm arena a step allocates less than one output-sized array
+    of its own."""
+    assert train_wide_step_peak(ad.Arena()) <= 1
+
+
+ARENA_CASES = {
+    "decoder-sigmoid": ({"variant": "decoder", "activation": "sigmoid"}, 1, None),
+    "decoder-tanh": ({"variant": "decoder", "activation": "tanh"}, 1, None),
+    "decoder-silu": ({"variant": "decoder", "activation": "silu"}, 1, None),
+    # the refiner is traced twice in one tape and takes separate buffers
+    "decoder-two-steps": ({"variant": "decoder", "activation": "tanh"}, 2, None),
+    "conditional-mlp": ({"variant": "mlp", "output_dim": 3, "condition_dim": 2},
+                        1, [0.5, -0.5]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARENA_CASES))
+def test_arena_steps_equal_plain_steps(case):
+    extra, gen_steps, cond = ARENA_CASES[case]
+    g = make_generator({"latent_dim": 3, "height": 2, "width": 3, "hidden": [6],
+                        **extra}, seed=1)
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=1)
+    hn.randomize_adapters(2)
+    r = RednessReward(scale=1.0) if extra["variant"] == "decoder" else \
+        LinearReward([1.0, -0.5, 0.2])
+    xs = np.random.default_rng(3).standard_normal((3, 5, 3))
+
+    def step(x):
+        b, grads = hypernoise_loss(hn, g, r, x, conditions=cond,
+                                   generation_steps=gen_steps)
+        return [b.total, b.l2_term, b.reward_term, *grads.values()]
+
+    plain = [step(x) for x in xs]
+    arena, held = ad.Arena(), []
+    for x in xs:
+        with arena:
+            held.append(step(x))
+    # every step's results are compared after the later steps reused the arena
+    for p, a in zip(plain, held):
+        assert all(np.array_equal(u, v) for u, v in zip(p, a))
+
+
+def run_loop(name):
+    g = make_generator({"variant": "decoder", "latent_dim": 3, "height": 2,
+                        "width": 3, "hidden": [6]}, seed=2)
+    r = RednessReward(scale=1.0)
+    if name == "noise_opt":
+        res = noise_opt(g, r, NoiseOptConfig(steps=3, learning_rate=0.5, seed=4))
+        return [res.noise, res.objective, res.reward, res.trajectory]
+    if name == "direct_ft":
+        adapted, hist = train_direct_finetune(g, r, DirectFinetuneConfig(
+            steps=3, batch_size=8, eval_every=2, eval_samples=40, seed=4))
+        return [*adapted.params().values(), hist.mean_reward, hist.output_drift]
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=4)
+    hist = train_hypernoise(hn, g, r, TrainConfig(steps=3, batch_size=8,
+                                                  optimizer="adam", seed=4,
+                                                  log_every=1))
+    return [*hn.params().values(), hist.loss, hist.grad_norm]
+
+
+@pytest.mark.parametrize("name", ["noise_opt", "direct_ft", "hypernoise"])
+def test_training_loops_equal_without_arena(name, monkeypatch):
+    with_arena = run_loop(name)
+    monkeypatch.setattr(ad, "Arena", contextlib.nullcontext)
+    without = run_loop(name)
+    assert all(np.array_equal(u, v) for u, v in zip(with_arena, without))
 
 
 def test_loss_validation():
