@@ -337,16 +337,6 @@ def slice_last(a, start: int, stop: int) -> Node:
     return Node(y, (a,), (vjp,))
 
 
-def concat_last(a, b) -> Node:
-    """Concatenate along the last axis."""
-    a, b = _as_node(a), _as_node(b)
-    if a.value.ndim != b.value.ndim or a.shape[:-1] != b.shape[:-1]:
-        raise ShapeError(f"concat: shapes {a.shape} and {b.shape} do not align")
-    y = np.concatenate([a.value, b.value], axis=-1)
-    na = a.shape[-1]
-    return Node(y, (a, b), (lambda g: g[..., :na], lambda g: g[..., na:]))
-
-
 def reshape(a, shape: tuple) -> Node:
     a = _as_node(a)
     return Node(a.value.reshape(shape), (a,), (lambda g: g.reshape(a.shape),))

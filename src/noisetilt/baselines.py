@@ -11,7 +11,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .generators import Generator
-from .layers import LayerStack, condition_node, lora_adapters, with_condition
+from .layers import LayerStack, lora_adapters
 from .oracles import kl_knn
 from .rewards import Reward
 from .training import Adam, Sgd, clip_global_norm
@@ -27,7 +27,6 @@ class NoiseOptConfig:
     learning_rate: float = 0.05
     prior_weight: float = 1.0    # lambda in r(g(x)) - lambda/2 ||x||^2
     seed: int = 0
-    generation_steps: int = 1
 
 
 @dataclass
@@ -39,7 +38,7 @@ class NoiseOptResult:
 
 
 def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
-              init: Optional[np.ndarray] = None, condition=None) -> NoiseOptResult:
+              init: Optional[np.ndarray] = None) -> NoiseOptResult:
     """Gradient ascent on r(g(x)) - lambda/2 ||x||^2 for one noise vector.
 
     Keeps the best iterate seen; a non-finite step falls back to it instead
@@ -50,15 +49,13 @@ def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
     rng = np.random.default_rng(cfg.seed)
     x = (rng.standard_normal(g.latent_dim) if init is None
          else np.asarray(init, dtype=np.float64).copy())
-    cond_arr = np.asarray(condition, dtype=np.float64) if condition is not None else None
 
     arena = ad.Arena()
 
     def objective_and_grad(xv):
         with arena:
             x_node = ad.param(xv, name="noise")
-            cond = ad.constant(cond_arr) if cond_arr is not None else None
-            out = g.node(x_node, cond, steps=cfg.generation_steps)
+            out = g.node(x_node)
             rew = r.node_rows(out)
             obj = ad.sub(rew, ad.scale(ad.sumsq_rows(x_node), 0.5 * cfg.prior_weight))
             grads = ad.backprop(obj)
@@ -93,8 +90,7 @@ class BestOfNResult:
     best_output: np.ndarray
 
 
-def best_of_n(g: Generator, r: Reward, counts: list[int], seed: int,
-              condition=None, generation_steps: int = 1) -> BestOfNResult:
+def best_of_n(g: Generator, r: Reward, counts: list[int], seed: int) -> BestOfNResult:
     """Best reward among the first N base samples, for each requested N.
 
     All counts share one draw, so smaller budgets are exact prefixes of
@@ -105,7 +101,7 @@ def best_of_n(g: Generator, r: Reward, counts: list[int], seed: int,
         raise ValueError("counts must be positive integers")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((counts[-1], g.latent_dim))
-    y = g.generate(x, condition=condition, steps=generation_steps)
+    y = g.generate(x)
     rewards = r.evaluate_batch(y)
     running = np.maximum.accumulate(rewards)
     best_idx = int(np.argmax(rewards))
@@ -141,14 +137,11 @@ class AdaptedGenerator:
     def params(self) -> dict[str, np.ndarray]:
         return self.stack.params()
 
-    def generate(self, x0: np.ndarray, condition=None) -> np.ndarray:
-        x0 = np.asarray(x0, dtype=np.float64)
-        return self.stack.forward(with_condition(x0, condition, self.backbone.condition_dim))
+    def generate(self, x0: np.ndarray) -> np.ndarray:
+        return self.stack.forward(np.asarray(x0, dtype=np.float64))
 
-    def node(self, x0: ad.Node, param_nodes: dict[str, ad.Node],
-             condition: Optional[ad.Node] = None) -> ad.Node:
-        h = condition_node(x0, condition, self.backbone.condition_dim)
-        return self.stack.trace(h, param_nodes)
+    def node(self, x0: ad.Node, param_nodes: dict[str, ad.Node]) -> ad.Node:
+        return self.stack.trace(x0, param_nodes)
 
 
 @dataclass
@@ -172,7 +165,7 @@ class DirectFinetuneHistory:
     drift_estimator: str = "closed_form"
 
 
-def _output_drift(adapted: AdaptedGenerator, n: int, seed: int, condition=None) -> float:
+def _output_drift(adapted: AdaptedGenerator, n: int, seed: int) -> float:
     g = adapted.backbone
     if adapted.bias_delta is not None:
         # affine case in closed form: equal covariances, shifted means
@@ -182,11 +175,11 @@ def _output_drift(adapted: AdaptedGenerator, n: int, seed: int, condition=None) 
     seqs = np.random.SeedSequence(seed).spawn(2)
     xa = np.random.default_rng(seqs[0]).standard_normal((n, g.latent_dim))
     xb = np.random.default_rng(seqs[1]).standard_normal((n, g.latent_dim))
-    return kl_knn(adapted.generate(xa, condition), g.generate(xb, condition=condition))
+    return kl_knn(adapted.generate(xa), g.generate(xb))
 
 
-def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
-                          condition=None) -> tuple[AdaptedGenerator, DirectFinetuneHistory]:
+def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig
+                          ) -> tuple[AdaptedGenerator, DirectFinetuneHistory]:
     """Maximize mean reward by adapting generator weights directly.
 
     No closeness term: the point of this baseline is to expose the output
@@ -199,15 +192,13 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
     rng = np.random.default_rng(cfg.seed)
     history = DirectFinetuneHistory(
         drift_estimator="closed_form" if adapted.bias_delta is not None else "knn")
-    cond_arr = np.asarray(condition, dtype=np.float64) if condition is not None else None
 
     arena = ad.Arena()
     for step in range(cfg.steps):
         x = rng.standard_normal((cfg.batch_size, g.latent_dim))
         with arena:
             param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
-            cond = ad.constant(cond_arr) if cond_arr is not None else None
-            out = adapted.node(ad.constant(x), param_nodes, cond)
+            out = adapted.node(ad.constant(x), param_nodes)
             rew = ad.amean(r.node_rows(out), axis=None)
             raw = ad.backprop(ad.neg(rew))
             mean_reward = float(rew.value)
@@ -221,5 +212,5 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
             history.steps.append(step)
             history.mean_reward.append(mean_reward)
             history.output_drift.append(
-                _output_drift(adapted, cfg.eval_samples, cfg.seed + 1000 + step, condition))
+                _output_drift(adapted, cfg.eval_samples, cfg.seed + 1000 + step))
     return adapted, history

@@ -95,6 +95,7 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
 
 _METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
 _FIDELITY = ("knn_kl", "closed_form_gaussian_kl")
+_OPTIMIZERS = ("sgd", "adam")
 
 
 def _parse_value(section: str, key: str, kind: str, raw: str):
@@ -261,6 +262,18 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
             raise ConfigError(
                 f"[{section}] rank: {rank} exceeds {bound}, the smallest "
                 "dimension of a layer that gets an adapter")
+    for section in ("train", "direct_ft"):
+        opt = cfg.values[section]["optimizer"]
+        if opt not in _OPTIMIZERS:
+            raise ConfigError(
+                f"[{section}] optimizer: must be one of {_OPTIMIZERS}, got {opt!r}")
+    for key, value in (("[noise_opt] steps", cfg.values["noise_opt"]["steps"]),
+                       ("[direct_ft] eval_every", cfg.values["direct_ft"]["eval_every"])):
+        if value < 1:
+            raise ConfigError(f"{key}: must be >= 1")
+    counts = cfg.values["best_of_n"]["counts"]
+    if not counts or min(counts) < 1:
+        raise ConfigError("[best_of_n] counts: needs at least one entry, all >= 1")
     ev = cfg.values["evaluation"]
     if ev["fidelity_metric"] not in _FIDELITY:
         raise ConfigError(

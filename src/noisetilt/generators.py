@@ -14,7 +14,7 @@ from typing import Optional
 import numpy as np
 
 from . import autodiff as ad
-from .layers import Layer, LayerStack, condition_node, with_condition
+from .layers import Layer, LayerStack
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -24,15 +24,13 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 class Generator:
-    """A fixed map from latent noise (plus optional condition) to outputs."""
+    """A fixed map from latent noise to outputs."""
 
     def __init__(self, variant: str, latent_dim: int, layers: list[Layer],
-                 condition_dim: Optional[int] = None,
                  refiner: Optional[list[Layer]] = None,
                  step_mix: float = 0.5, spec: Optional[dict] = None):
         self.variant = variant
         self.latent_dim = latent_dim
-        self.condition_dim = condition_dim
         self.layers = layers
         self.refiner = refiner
         self.stack = LayerStack(layers)
@@ -59,7 +57,7 @@ class Generator:
                 f"this {self.variant} generator maps {self.latent_dim} -> {self.output_dim}")
         return self.stack
 
-    def generate(self, x0: np.ndarray, condition=None, steps: int = 1) -> np.ndarray:
+    def generate(self, x0: np.ndarray, *, steps: int = 1) -> np.ndarray:
         """Deterministic output for one latent or a batch of latents."""
         x0 = np.asarray(x0, dtype=np.float64)
         self._check_inputs(x0, steps)
@@ -68,12 +66,11 @@ class Generator:
             refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = refine.forward(with_condition(state, condition, self.condition_dim))
+                fresh = refine.forward(state)
                 state = (1.0 - gamma) * state + gamma * fresh
-        return self.stack.forward(with_condition(state, condition, self.condition_dim))
+        return self.stack.forward(state)
 
-    def node(self, x0: ad.Node, condition: Optional[ad.Node] = None,
-             steps: int = 1) -> ad.Node:
+    def node(self, x0: ad.Node, *, steps: int = 1) -> ad.Node:
         """Autodiff trace of `generate` on an existing tape."""
         self._check_inputs(x0.value, steps)
         state = x0
@@ -81,9 +78,9 @@ class Generator:
             refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = refine.trace(condition_node(state, condition, self.condition_dim))
+                fresh = refine.trace(state)
                 state = ad.add(ad.scale(state, 1.0 - gamma), ad.scale(fresh, gamma))
-        return self.stack.trace(condition_node(state, condition, self.condition_dim))
+        return self.stack.trace(state)
 
     # -- identity -----------------------------------------------------------
 
@@ -119,25 +116,21 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     latent_dim = int(spec.get("latent_dim", 0))
     if latent_dim < 1:
         raise ValueError("latent_dim must be a positive integer")
-    condition_dim = spec.get("condition_dim")
-    condition_dim = int(condition_dim) if condition_dim else None
-    in_dim = latent_dim + (condition_dim or 0)
     step_mix = float(spec.get("step_mix", 0.5))
     rng = np.random.default_rng(seed)
 
     if variant == "affine":
         output_dim = int(spec.get("output_dim", latent_dim))
         if "matrix" in spec:
-            a = np.asarray(spec["matrix"], dtype=np.float64).reshape(output_dim, in_dim)
+            a = np.asarray(spec["matrix"], dtype=np.float64).reshape(output_dim, latent_dim)
         else:
-            a = rng.standard_normal((output_dim, in_dim)) / np.sqrt(in_dim)
+            a = rng.standard_normal((output_dim, latent_dim)) / np.sqrt(latent_dim)
         if "bias" in spec:
             b = np.asarray(spec["bias"], dtype=np.float64).reshape(output_dim)
         else:
             b = np.zeros(output_dim)
         layers = [Layer(_freeze(a), _freeze(b), "identity")]
-        return Generator("affine", latent_dim, layers, condition_dim,
-                         step_mix=step_mix, spec=spec)
+        return Generator("affine", latent_dim, layers, step_mix=step_mix, spec=spec)
 
     if variant not in ("mlp", "decoder"):
         raise ValueError(f"unknown generator variant {variant!r}")
@@ -150,15 +143,14 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     else:
         output_dim = int(spec.get("height", 8)) * int(spec.get("width", 8)) * 3
         last = "sigmoid"
-    dims = [in_dim] + hidden + [output_dim]
+    dims = [latent_dim] + hidden + [output_dim]
     activations = [activation] * len(hidden) + [last]
     layers = [_init_layer(rng, n, m, act) for n, m, act in zip(dims, dims[1:], activations)]
     refiner = None
     if variant == "decoder":
         # square latent refiner used only by multi-call generation
         refiner = [
-            _init_layer(rng, in_dim, 2 * latent_dim, activation),
+            _init_layer(rng, latent_dim, 2 * latent_dim, activation),
             _init_layer(rng, 2 * latent_dim, latent_dim, "identity"),
         ]
-    return Generator(variant, latent_dim, layers, condition_dim,
-                     refiner=refiner, step_mix=step_mix, spec=spec)
+    return Generator(variant, latent_dim, layers, refiner, step_mix, spec)

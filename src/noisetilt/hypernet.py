@@ -14,7 +14,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .generators import Generator
-from .layers import Layer, LayerStack, condition_node, lora_adapters, with_condition
+from .layers import Layer, LayerStack, lora_adapters
 from .linalg import spectral_norm
 
 
@@ -46,26 +46,23 @@ class NoiseHypernetwork:
 
     # -- evaluation ---------------------------------------------------------
 
-    def perturb(self, x0: np.ndarray, condition=None) -> np.ndarray:
+    def perturb(self, x0: np.ndarray) -> np.ndarray:
         """The residual perturbation, for one latent or a batch."""
         x0 = np.asarray(x0, dtype=np.float64)
         if x0.shape[-1] != self.backbone.latent_dim:
             raise ValueError(
                 f"latent has {x0.shape[-1]} entries, expected {self.backbone.latent_dim}")
-        return self.stack.forward(with_condition(x0, condition, self.backbone.condition_dim))
+        return self.stack.forward(x0)
 
-    def delta_node(self, x0: ad.Node, condition: Optional[ad.Node] = None,
+    def delta_node(self, x0: ad.Node,
                    param_nodes: Optional[dict[str, ad.Node]] = None) -> ad.Node:
         """Autodiff trace of `perturb`; pass `param_nodes` to get gradients
         with respect to the adapter parameters."""
-        h = condition_node(x0, condition, self.backbone.condition_dim)
-        return self.stack.trace(h, param_nodes)
+        return self.stack.trace(x0, param_nodes)
 
-    def jacobian_batch(self, x0: np.ndarray, condition=None) -> np.ndarray:
+    def jacobian_batch(self, x0: np.ndarray) -> np.ndarray:
         """Exact Jacobians of the perturbation w.r.t. the latent, (B, d, d)."""
-        x0 = np.atleast_2d(np.asarray(x0, dtype=np.float64))
-        h = with_condition(x0, condition, self.backbone.condition_dim)
-        return self.stack.jacobian(h, self.backbone.latent_dim)
+        return self.stack.jacobian(np.atleast_2d(x0))
 
     # -- Lipschitz auditing -------------------------------------------------
 
@@ -74,8 +71,7 @@ class NoiseHypernetwork:
         activation slope bounds.  Sound input for the log-det error theorem."""
         return self.stack.lipschitz_upper_bound()
 
-    def lipschitz_lower_bound(self, n_pairs: int, seed: int = 0,
-                              condition=None) -> float:
+    def lipschitz_lower_bound(self, n_pairs: int, seed: int = 0) -> float:
         """Max sampled difference quotient; a lower bound of the true constant."""
         if n_pairs < 1:
             raise ValueError("n_pairs must be >= 1")
@@ -83,8 +79,8 @@ class NoiseHypernetwork:
         d = self.backbone.latent_dim
         x = rng.standard_normal((n_pairs, d))
         y = rng.standard_normal((n_pairs, d))
-        fx = self.perturb(x, condition)
-        fy = self.perturb(y, condition)
+        fx = self.perturb(x)
+        fy = self.perturb(y)
         num = np.linalg.norm(fx - fy, axis=1)
         den = np.linalg.norm(x - y, axis=1)
         mask = den > 0

@@ -49,40 +49,6 @@ def lora_adapters(rng: np.random.Generator, layers: list[Layer], rank: int,
     return adapters
 
 
-def _check_condition(condition, condition_dim: Optional[int]):
-    if (condition is None) != (condition_dim is None):
-        raise ValueError("condition must be provided iff the generator is conditional")
-    if condition is not None and np.shape(condition)[-1] != condition_dim:
-        raise ValueError(
-            f"condition has {np.shape(condition)[-1]} entries, expected {condition_dim}")
-
-
-def with_condition(x: np.ndarray, condition, condition_dim: Optional[int]) -> np.ndarray:
-    """`x` with the condition appended to its last axis (one condition is
-    shared by every row of a batch); the condition must be given exactly
-    when the backbone has a `condition_dim`."""
-    _check_condition(condition, condition_dim)
-    if condition is None:
-        return x
-    c = np.asarray(condition, dtype=np.float64)
-    if x.ndim == 2 and c.ndim == 1:
-        c = np.broadcast_to(c, (x.shape[0], c.shape[0]))
-    return np.concatenate([x, c], axis=-1)
-
-
-def condition_node(h: ad.Node, condition: Optional[ad.Node],
-                   condition_dim: Optional[int]) -> ad.Node:
-    """Tape version of `with_condition`."""
-    _check_condition(None if condition is None else condition.value, condition_dim)
-    if condition is None:
-        return h
-    c = condition
-    if h.value.ndim == 2 and c.value.ndim == 1:
-        c = ad.Node(np.broadcast_to(c.value, (h.value.shape[0], c.value.shape[0])),
-                    (c,), (lambda g: g.sum(axis=0),))
-    return ad.concat_last(h, c)
-
-
 class LayerStack:
     """`layers` in order; `adapters[i]` (or None) adds ``scale * up @ down``
     to layer i's weight, and `shift` (or None) is added to the output.
@@ -138,14 +104,12 @@ class LayerStack:
         return [layer.weight if a is None else layer.weight + a.scale * a.up @ a.down
                 for layer, a in zip(self.layers, self.adapters)]
 
-    def jacobian(self, h: np.ndarray, n_wrt: int) -> np.ndarray:
-        """Jacobian of `forward` with respect to the first `n_wrt` inputs
-        (the latent, not the condition): (out, n_wrt) for a vector,
-        (B, out, n_wrt) for a batch."""
+    def jacobian(self, h: np.ndarray) -> np.ndarray:
+        """Jacobian of `forward` with respect to its input: (out, in) for a
+        vector, (B, out, in) for a batch."""
         h = np.asarray(h, dtype=np.float64)
         x = np.atleast_2d(h)
-        jac = np.zeros((x.shape[0], x.shape[1], n_wrt))
-        jac[:, :n_wrt, :] = np.eye(n_wrt)
+        jac = np.broadcast_to(np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1]))
         for layer, w in zip(self.layers, self._effective_weights()):
             act = ad.ACTIVATIONS[layer.activation]
             z = x @ w.T + layer.bias

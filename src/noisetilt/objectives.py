@@ -36,7 +36,7 @@ class KlBreakdown:
 
 
 def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
-                    noise_batch: np.ndarray, conditions=None, alpha: float = 1.0,
+                    noise_batch: np.ndarray, alpha: float = 1.0,
                     generation_steps: int = 1) -> tuple[LossBreakdown, dict[str, np.ndarray]]:
     """Monte-Carlo loss over a noise batch plus gradients for the adapter
     parameters (the backbone is never differentiated into); the generator
@@ -50,10 +50,9 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
 
     param_nodes = {k: ad.param(v, name=k) for k, v in hn.params().items()}
     x_node = ad.constant(x)
-    cond_node = ad.constant(np.asarray(conditions, dtype=np.float64)) if conditions is not None else None
-    delta = hn.delta_node(x_node, cond_node, param_nodes)
+    delta = hn.delta_node(x_node, param_nodes)
     xhat = ad.add(x_node, delta)
-    out = g.node(xhat, cond_node, steps=generation_steps)
+    out = g.node(xhat, steps=generation_steps)
     reward_rows = r.node_rows(out)
     if not np.all(np.isfinite(reward_rows.value)):
         bad = int(np.flatnonzero(~np.isfinite(np.atleast_1d(reward_rows.value)))[0])
@@ -80,13 +79,11 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
 MAX_EXACT_KL_DIM = 64
 
 
-def _reverse_mode_jacobian(hn: NoiseHypernetwork, x: np.ndarray,
-                           condition=None) -> np.ndarray:
+def _reverse_mode_jacobian(hn: NoiseHypernetwork, x: np.ndarray) -> np.ndarray:
     """Jacobian of the perturbation at one point, one backward sweep per row."""
     d = hn.backbone.latent_dim
     x_node = ad.param(x, name="x0")
-    cond = ad.constant(np.asarray(condition, dtype=np.float64)) if condition is not None else None
-    delta = hn.delta_node(x_node, cond)
+    delta = hn.delta_node(x_node)
     rows = []
     for i in range(d):
         seed = np.zeros(d)
@@ -97,7 +94,7 @@ def _reverse_mode_jacobian(hn: NoiseHypernetwork, x: np.ndarray,
 
 
 def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray,
-                   conditions=None, validate_fd: bool = True) -> KlBreakdown:
+                   validate_fd: bool = True) -> KlBreakdown:
     """Exact KL between modulated and base noise, averaged over samples.
 
     Dense Jacobians are computed by reverse-mode rows; the first sample is
@@ -111,24 +108,18 @@ def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray,
     if d > MAX_EXACT_KL_DIM:
         raise ValueError(f"exact KL restricted to latent_dim <= {MAX_EXACT_KL_DIM}")
 
-    def cond_for(i):
-        if conditions is None:
-            return None
-        c = np.asarray(conditions, dtype=np.float64)
-        return c if c.ndim == 1 else c[i]
-
     l2_terms, traces, logdets = [], [], []
     for i in range(x.shape[0]):
-        jac = _reverse_mode_jacobian(hn, x[i], cond_for(i))
+        jac = _reverse_mode_jacobian(hn, x[i])
         if validate_fd and i == 0:
-            ref = jacobian_fd(lambda v: hn.perturb(v, cond_for(0)), x[0])
+            ref = jacobian_fd(hn.perturb, x[0])
             if not np.allclose(jac, ref, rtol=1e-5, atol=1e-6):
                 raise AssertionError("reverse-mode Jacobian disagrees with finite differences")
         try:
             tr, ld = logdet_and_trace(jac)
         except Exception as exc:
             raise type(exc)(f"{exc} (sample index {i})") from exc
-        f = hn.perturb(x[i], cond_for(i))
+        f = hn.perturb(x[i])
         l2_terms.append(0.5 * float(f @ f))
         traces.append(tr)
         logdets.append(ld)

@@ -35,9 +35,9 @@ class TiltedSampleSet:
     def mean(self) -> np.ndarray:
         return self.weights @ self.samples
 
-    def pushforward_moments(self, g: Generator, condition=None):
+    def pushforward_moments(self, g: Generator):
         """Weighted first/second moments of g(samples), with standard errors."""
-        y = g.generate(self.samples, condition=condition)
+        y = g.generate(self.samples)
         return _weighted_moments(y, self.weights)
 
 
@@ -50,13 +50,13 @@ def _weighted_moments(y: np.ndarray, w: np.ndarray):
     return mean, second, se_mean, se_second
 
 
-def _reward_values(g: Generator, r: Reward, x: np.ndarray, condition=None) -> np.ndarray:
-    return r.evaluate_batch(g.generate(x, condition=condition))
+def _reward_values(g: Generator, r: Reward, x: np.ndarray) -> np.ndarray:
+    return r.evaluate_batch(g.generate(x))
 
 
 def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int,
-                        method: str = "snis", envelope: Optional[float] = None,
-                        condition=None) -> TiltedSampleSet:
+                        method: str = "snis",
+                        envelope: Optional[float] = None) -> TiltedSampleSet:
     """Draw from the noise law proportional to p0(x) * exp(r(g(x)) / alpha).
 
     Rejection yields exact i.i.d. samples but needs a finite bound on
@@ -72,7 +72,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
 
     if method == "snis":
         x = rng.standard_normal((n, d))
-        logw = _reward_values(g, r, x, condition) / alpha
+        logw = _reward_values(g, r, x) / alpha
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
@@ -97,7 +97,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
         while sum(len(a) for a in accepted) < n:
             x = rng.standard_normal((batch, d))
             drawn += batch
-            logp = (_reward_values(g, r, x, condition) - envelope) / alpha
+            logp = (_reward_values(g, r, x) - envelope) / alpha
             keep = np.log(rng.random(batch)) < logp
             accepted.append(x[keep])
             got = sum(len(a) for a in accepted)
@@ -127,19 +127,18 @@ class MomentGapReport:
 
 
 def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
-                      method: str = "snis", condition=None,
-                      min_ess: float = 200.0) -> MomentGapReport:
+                      method: str = "snis", min_ess: float = 200.0) -> MomentGapReport:
     """Two independent routes to the tilted output moments must agree:
     (a) push tilted-noise samples through g, (b) importance-weight base
     outputs directly in output space."""
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
-    tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method, condition=condition)
-    mean_a, second_a, se_ma, se_sa = tilted.pushforward_moments(g, condition)
+    tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
+    mean_a, second_a, se_ma, se_sa = tilted.pushforward_moments(g)
 
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, g.latent_dim))
-    y = g.generate(x, condition=condition)
+    y = g.generate(x)
     logw = r.evaluate_batch(y) / alpha
     logw -= logw.max()
     w = np.exp(logw)
@@ -274,7 +273,7 @@ class DpiReport:
 
 
 def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
-              k: int = 5, mode: str = "knn", condition=None) -> DpiReport:
+              k: int = 5, mode: str = "knn") -> DpiReport:
     """The generator cannot increase the KL between noise laws.
 
     `mode="gaussian"` uses closed forms and requires a constant-shift
@@ -283,8 +282,8 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
     if mode == "gaussian":
         if g.variant != "affine":
             raise ValueError("gaussian mode needs an affine generator")
-        shift = hn.perturb(np.zeros(g.latent_dim), condition)
-        probe = hn.perturb(np.ones(g.latent_dim), condition)
+        shift = hn.perturb(np.zeros(g.latent_dim))
+        probe = hn.perturb(np.ones(g.latent_dim))
         if not np.allclose(shift, probe, atol=1e-12):
             raise ValueError("gaussian mode needs a constant-shift network")
         kl_noise = gaussian_shift_kl(shift)
@@ -295,23 +294,21 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
     rng_a = np.random.default_rng(rng_seed[0])
     rng_b = np.random.default_rng(rng_seed[1])
     x_mod = rng_a.standard_normal((n, g.latent_dim))
-    x_mod = x_mod + hn.perturb(x_mod, condition)
+    x_mod = x_mod + hn.perturb(x_mod)
     x_base = rng_b.standard_normal((n, g.latent_dim))
     kl_noise = kl_knn(x_mod, x_base, k)
-    kl_output = kl_knn(g.generate(x_mod, condition=condition),
-                       g.generate(x_base, condition=condition), k)
+    kl_output = kl_knn(g.generate(x_mod), g.generate(x_base), k)
     return DpiReport(kl_noise, kl_output, kl_noise - kl_output, "knn")
 
 
-def bilipschitz_check(hn: NoiseHypernetwork, n_pairs: int, seed: int,
-                      condition=None) -> tuple[float, float]:
+def bilipschitz_check(hn: NoiseHypernetwork, n_pairs: int, seed: int) -> tuple[float, float]:
     """Sampled distortion ratios of the residual transform x -> x + f(x)."""
     rng = np.random.default_rng(seed)
     d = hn.backbone.latent_dim
     x = rng.standard_normal((n_pairs, d))
     y = rng.standard_normal((n_pairs, d))
-    tx = x + hn.perturb(x, condition)
-    ty = y + hn.perturb(y, condition)
+    tx = x + hn.perturb(x)
+    ty = y + hn.perturb(y)
     num = np.linalg.norm(tx - ty, axis=1)
     den = np.linalg.norm(x - y, axis=1)
     mask = den > 0

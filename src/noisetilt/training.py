@@ -127,8 +127,7 @@ def _snapshot(hn: NoiseHypernetwork) -> dict[str, np.ndarray]:
 
 
 def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
-                     cfg: TrainConfig, condition=None,
-                     eval_hook=None) -> TrainHistory:
+                     cfg: TrainConfig, eval_hook=None) -> TrainHistory:
     """Optimize the adapter parameters in place; deterministic in (cfg.seed).
 
     On a non-finite loss or gradient the parameters are rolled back to the
@@ -149,8 +148,7 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
         noise = rng.standard_normal((cfg.batch_size, d))
         try:
             with arena:
-                breakdown, grads = hypernoise_loss(hn, g, r, noise, conditions=condition,
-                                                   alpha=cfg.alpha,
+                breakdown, grads = hypernoise_loss(hn, g, r, noise, alpha=cfg.alpha,
                                                    generation_steps=cfg.generation_steps)
         except FloatingPointError as exc:
             hn.set_params(last_good)

@@ -109,6 +109,25 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     assert "[generator] condition_dim: unknown key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("section,line", [
+    ("train", "optimizer = adamw"),        # failed at run time, exit 1
+    ("direct_ft", "optimizer = adamw"),    # silently ran SGD
+    ("direct_ft", "eval_every = 0"),       # modulo by zero
+    ("noise_opt", "steps = 0"),
+    ("best_of_n", "counts = 0 4"),
+])
+def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
+    text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
+    if section == "train":
+        text = AFFINE_TRAIN.replace("[train]", f"[train]\n{line}")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+    key = line.split(" = ")[0]
+    assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
 DECODER_TRAIN = """
 [run]
 method = hypernoise

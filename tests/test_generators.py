@@ -69,21 +69,9 @@ def test_input_validation():
     with pytest.raises(ValueError):
         g.generate(np.zeros(3), steps=0)
     with pytest.raises(ValueError):
-        g.generate(np.zeros(3), condition=np.zeros(2))
-    with pytest.raises(ValueError):
         make_generator({"variant": "mlp", "latent_dim": 0, "output_dim": 2}, seed=0)
     with pytest.raises(ValueError):
         make_generator({"variant": "nope", "latent_dim": 2}, seed=0)
-
-
-def test_conditional_generator():
-    g = make_generator({"variant": "mlp", "latent_dim": 2, "output_dim": 2,
-                        "hidden": [5], "condition_dim": 3}, seed=0)
-    c = np.array([0.1, 0.2, 0.3])
-    y = g.generate(np.zeros((4, 2)), condition=c)
-    assert y.shape == (4, 2)
-    with pytest.raises(ValueError):
-        g.generate(np.zeros(2))
 
 
 def test_node_matches_generate_and_fd():

@@ -98,15 +98,3 @@ def test_set_params_validation():
         hn.set_params({"nope": np.zeros(2)})
     with pytest.raises(ValueError):
         hn.set_params({"head.bias": np.zeros(7)})
-
-
-def test_conditional_pathway():
-    g = make_generator({"variant": "mlp", "latent_dim": 3, "output_dim": 3,
-                        "hidden": [6], "condition_dim": 2}, seed=0)
-    hn = init_hypernet(g, rank=2, alpha=1.0, seed=0)
-    hn.randomize_adapters(1)
-    c = np.array([0.5, -0.5])
-    out = hn.perturb(np.zeros((4, 3)), condition=c)
-    assert out.shape == (4, 3)
-    with pytest.raises(ValueError):
-        hn.perturb(np.zeros(3))

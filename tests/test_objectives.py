@@ -109,19 +109,18 @@ def test_loss_step_allocation_peak_in_arena():
 
 
 ARENA_CASES = {
-    "decoder-sigmoid": ({"variant": "decoder", "activation": "sigmoid"}, 1, None),
-    "decoder-tanh": ({"variant": "decoder", "activation": "tanh"}, 1, None),
-    "decoder-silu": ({"variant": "decoder", "activation": "silu"}, 1, None),
+    "decoder-sigmoid": ({"variant": "decoder", "activation": "sigmoid"}, 1),
+    "decoder-tanh": ({"variant": "decoder", "activation": "tanh"}, 1),
+    "decoder-silu": ({"variant": "decoder", "activation": "silu"}, 1),
     # the refiner is traced twice in one tape and takes separate buffers
-    "decoder-two-steps": ({"variant": "decoder", "activation": "tanh"}, 2, None),
-    "conditional-mlp": ({"variant": "mlp", "output_dim": 3, "condition_dim": 2},
-                        1, [0.5, -0.5]),
+    "decoder-two-steps": ({"variant": "decoder", "activation": "tanh"}, 2),
+    "mlp": ({"variant": "mlp", "output_dim": 3}, 1),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ARENA_CASES))
 def test_arena_steps_equal_plain_steps(case):
-    extra, gen_steps, cond = ARENA_CASES[case]
+    extra, gen_steps = ARENA_CASES[case]
     g = make_generator({"latent_dim": 3, "height": 2, "width": 3, "hidden": [6],
                         **extra}, seed=1)
     hn = init_hypernet(g, rank=2, alpha=2.0, seed=1)
@@ -131,8 +130,7 @@ def test_arena_steps_equal_plain_steps(case):
     xs = np.random.default_rng(3).standard_normal((3, 5, 3))
 
     def step(x):
-        b, grads = hypernoise_loss(hn, g, r, x, conditions=cond,
-                                   generation_steps=gen_steps)
+        b, grads = hypernoise_loss(hn, g, r, x, generation_steps=gen_steps)
         return [b.total, b.l2_term, b.reward_term, *grads.values()]
 
     plain = [step(x) for x in xs]
