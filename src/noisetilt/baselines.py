@@ -156,6 +156,16 @@ class DirectFinetuneConfig:
     eval_every: int = 25
     eval_samples: int = 2000
 
+    def validate(self):
+        if self.steps < 1:
+            raise ValueError("steps must be >= 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if self.optimizer not in ("sgd", "adam"):
+            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
+
 
 @dataclass
 class DirectFinetuneHistory:
@@ -165,27 +175,37 @@ class DirectFinetuneHistory:
     drift_estimator: str = "closed_form"
 
 
-def _output_drift(adapted: AdaptedGenerator, n: int, seed: int) -> float:
+def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig,
+                  step: int) -> float:
+    """KL(adapted || base) of the outputs after `step`, from fresh draws fixed
+    by (cfg.seed, step)."""
     g = adapted.backbone
     if adapted.bias_delta is not None:
         # affine case in closed form: equal covariances, shifted means
         a = g.layers[0].weight
         mu = adapted.bias_delta
         return 0.5 * float(mu @ np.linalg.pinv(a @ a.T) @ mu)
-    seqs = np.random.SeedSequence(seed).spawn(2)
+    n = cfg.eval_samples
+    seqs = np.random.SeedSequence(cfg.seed + 1000 + step).spawn(2)
     xa = np.random.default_rng(seqs[0]).standard_normal((n, g.latent_dim))
     xb = np.random.default_rng(seqs[1]).standard_normal((n, g.latent_dim))
     return kl_knn(adapted.generate(xa), g.generate(xb))
 
 
-def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig
-                          ) -> tuple[AdaptedGenerator, DirectFinetuneHistory]:
+def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
+                          eval_hook=None) -> tuple[AdaptedGenerator, DirectFinetuneHistory]:
     """Maximize mean reward by adapting generator weights directly.
 
     No closeness term: the point of this baseline is to expose the output
     drift that the noise-space method avoids, so drift is measured and
-    logged rather than penalized.
+    logged rather than penalized.  At every evaluated step the drift is
+    eval_hook(step, adapted), by default `measure_drift` with this config;
+    a hook lets the caller time the evaluation apart from the training.
     """
+    cfg.validate()
+    if eval_hook is None:
+        def eval_hook(step, net):
+            return measure_drift(net, cfg, step)
     adapted = AdaptedGenerator(g, rank=cfg.rank, seed=cfg.seed)
     opt = (Adam(cfg.learning_rate) if cfg.optimizer == "adam"
            else Sgd(cfg.learning_rate))
@@ -211,6 +231,5 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig
         if step % cfg.eval_every == 0 or step == cfg.steps - 1:
             history.steps.append(step)
             history.mean_reward.append(mean_reward)
-            history.output_drift.append(
-                _output_drift(adapted, cfg.eval_samples, cfg.seed + 1000 + step))
+            history.output_drift.append(eval_hook(step, adapted))
     return adapted, history

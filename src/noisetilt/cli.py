@@ -20,7 +20,8 @@ from typing import Optional
 import numpy as np
 
 from . import oracles, reporting
-from .baselines import best_of_n, noise_opt, train_direct_finetune
+from .baselines import (DirectFinetuneConfig, best_of_n, measure_drift, noise_opt,
+                        train_direct_finetune)
 from .config import ConfigError, ExperimentConfig, load_config
 from .generators import Generator, make_generator
 from .hypernet import init_hypernet
@@ -127,6 +128,15 @@ def _fidelity(y_ref: Optional[np.ndarray], delta: np.ndarray,
     return kl_knn(y_mod, y_ref)
 
 
+def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
+    """`train_direct_finetune`'s drift measurement, charged to the evaluate
+    phase instead of the training loop it runs in."""
+    def hook(step, adapted):
+        with ctx.phase("evaluate"):
+            return measure_drift(adapted, cfg, step)
+    return hook
+
+
 def _reward_stats(r: Reward, y: np.ndarray) -> tuple[float, float]:
     vals = r.evaluate_batch(y)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -224,7 +234,9 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
         ctx.log(f"best_of_n: best reward {res.best_rewards[-1]:.6g} "
                 f"at n={res.counts[-1]}")
     elif cfg.method == "direct_ft":
-        adapted, hist = train_direct_finetune(g, r, cfg.direct_ft_config())
+        d = cfg.direct_ft_config()
+        with ctx.phase("train"):
+            _, hist = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
         base_mean = float(r.evaluate_batch(g.generate(x)).mean())
         for step, rew, drift in zip(hist.steps, hist.mean_reward, hist.output_drift):
             rows.append(["direct_ft", step, 1, rew, 0.0, base_mean, drift, "", ""])
@@ -264,13 +276,12 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
             curve_h.append((step, float(r.evaluate_batch(y).mean()),
                             _fidelity(y_ref, delta, y)))
 
-    # the direct fine-tune measures its output drift inside its own loop,
-    # so its evaluations count as training here
     with ctx.phase("train"):
         history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
         if history.aborted_reason:
             raise RuntimeError(f"training aborted: {history.aborted_reason}")
-        _, hist_d = train_direct_finetune(g, r, cfg_d.direct_ft_config())
+        d = cfg_d.direct_ft_config()
+        _, hist_d = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
     curve_d = list(zip(hist_d.steps, hist_d.mean_reward, hist_d.output_drift))
 
     steps = sorted({s for s, _, _ in curve_h} | {s for s, _, _ in curve_d})
@@ -391,6 +402,9 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
+    if args.command in ("validate-theory", "train", "baseline", "tradeoff"):
+        # their wall times depend on how many threads the kNN queries had
+        ctx.log(f"knn workers {oracles.KNN_WORKERS}")
     try:
         if args.command == "validate-theory":
             code = run_validate_theory(cfg, ctx)

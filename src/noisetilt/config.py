@@ -13,6 +13,7 @@ from typing import Any, Optional
 
 from .training import TrainConfig
 from .baselines import DirectFinetuneConfig, NoiseOptConfig
+from .oracles import KNN_K
 
 
 class ConfigError(ValueError):
@@ -229,6 +230,14 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
     run = cfg.values["run"]
     if run["method"] not in _METHODS:
         raise ConfigError(f"[run] method: must be one of {_METHODS}, got {run['method']!r}")
+    th = cfg.values["theory"]
+    if th["n"] < 1000:
+        raise ConfigError("[theory] n: must be >= 1000, the smallest sample the "
+                          "moment checks accept")
+    # its kNN checks estimate from two sets of n // 2 points each
+    if not 1 <= th["knn_k"] < th["n"] // 2:
+        raise ConfigError(f"[theory] knn_k: must be in [1, {th['n'] // 2 - 1}] "
+                          f"for n = {th['n']}")
     if run["method"] == "theory":
         # the theory suite builds its own fixtures; generator/reward optional
         return
@@ -267,8 +276,11 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         if opt not in _OPTIMIZERS:
             raise ConfigError(
                 f"[{section}] optimizer: must be one of {_OPTIMIZERS}, got {opt!r}")
+    d = cfg.values["direct_ft"]
     for key, value in (("[noise_opt] steps", cfg.values["noise_opt"]["steps"]),
-                       ("[direct_ft] eval_every", cfg.values["direct_ft"]["eval_every"])):
+                       ("[direct_ft] steps", d["steps"]),
+                       ("[direct_ft] batch_size", d["batch_size"]),
+                       ("[direct_ft] eval_every", d["eval_every"])):
         if value < 1:
             raise ConfigError(f"{key}: must be >= 1")
     counts = cfg.values["best_of_n"]["counts"]
@@ -279,8 +291,18 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         raise ConfigError(
             f"[evaluation] fidelity_metric: must be one of {_FIDELITY}, "
             f"got {ev['fidelity_metric']!r}")
-    if ev["diversity_seeds"] < 2:
-        raise ConfigError("[evaluation] diversity_seeds: must be >= 2")
+    # reward_se and the mean pairwise distance need two rows; the kNN
+    # estimate needs k + 1 points in each set
+    for key in ("diversity_seeds", "diversity_samples", "heldout"):
+        if ev[key] < 2:
+            raise ConfigError(f"[evaluation] {key}: must be >= 2")
+    knn_points = KNN_K + 1
+    if ev["fidelity_metric"] == "knn_kl" and ev["heldout"] < knn_points:
+        raise ConfigError(f"[evaluation] heldout: must be >= {knn_points} for the "
+                          "knn_kl fidelity")
+    if g["variant"] != "affine" and d["eval_samples"] < knn_points:
+        raise ConfigError(f"[direct_ft] eval_samples: must be >= {knn_points} to "
+                          f"estimate the drift of a {g['variant']} generator")
     # multi-call generation refines the latent with a square map: the
     # decoder's own refiner, or the whole generator when it maps d -> d
     square = g["variant"] == "decoder" or g["output_dim"] in (0, g["latent_dim"])

@@ -8,6 +8,7 @@ autodiff machinery it is checking.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -17,6 +18,14 @@ from scipy.spatial import cKDTree
 from .generators import Generator
 from .hypernet import NoiseHypernetwork
 from .rewards import Reward
+
+
+# the CPUs this process may run on (a `taskset` mask narrows them); the k-d
+# tree queries spread over all of them
+KNN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+               else os.cpu_count() or 1)
+# the neighbor rank of the output fidelity and drift estimates
+KNN_K = 5
 
 
 class SamplerError(RuntimeError):
@@ -198,11 +207,11 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
     q_rot = q_rot @ axes
     p_rot = (p - mean) @ axes
-    return (cKDTree(p_rot).query(p_rot, k=[k + 1])[1][:, 0],    # k-th excluding self
-            cKDTree(q_rot).query(p_rot, k=[k])[1][:, 0])
+    return (cKDTree(p_rot).query(p_rot, k=[k + 1], workers=KNN_WORKERS)[1][:, 0],  # not self
+            cKDTree(q_rot).query(p_rot, k=[k], workers=KNN_WORKERS)[1][:, 0])
 
 
-def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = 5,
+def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
            _retried: bool = False) -> float:
     """k-nearest-neighbor estimate of D(P || Q) from two sample sets.
 
@@ -223,8 +232,12 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = 5,
     only a few of their axes).  A rotation preserves every distance, and the
     trees only pick the neighbors: rho and nu are measured between the
     original points.  The estimate therefore changes only where rounding in
-    the rotated coordinates reorders two neighbors tied to within it.
+    the rotated coordinates reorders two neighbors tied to within it.  Each
+    query point's neighbors are found on their own, so the queries run on
+    KNN_WORKERS threads without changing a bit of the result.
     """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
     p = np.atleast_2d(np.asarray(samples_p, dtype=np.float64))
     q = np.atleast_2d(np.asarray(samples_q, dtype=np.float64))
     if p.shape[1] != q.shape[1]:

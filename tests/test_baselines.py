@@ -4,8 +4,8 @@ import pytest
 
 from noisetilt import autodiff as ad
 from noisetilt.baselines import (AdaptedGenerator, DirectFinetuneConfig,
-                                 NoiseOptConfig, best_of_n, noise_opt,
-                                 train_direct_finetune)
+                                 NoiseOptConfig, best_of_n, measure_drift,
+                                 noise_opt, train_direct_finetune)
 from noisetilt.generators import make_generator
 from noisetilt.rewards import LinearReward, RednessReward
 
@@ -82,6 +82,36 @@ def test_direct_ft_reward_increases_and_drift_grows():
     assert hist.drift_estimator == "knn"
     assert hist.mean_reward[-1] > hist.mean_reward[0]
     assert hist.output_drift[-1] > hist.output_drift[0]
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("optimizer", "adamw", "unknown optimizer"),   # silently ran SGD
+    ("eval_every", 0, "eval_every"),               # modulo by zero
+    ("steps", 0, "steps"),
+    ("batch_size", 0, "batch_size"),
+])
+def test_direct_ft_validates_its_config(field, value, message):
+    cfg = DirectFinetuneConfig(**{"steps": 5, "batch_size": 8, field: value})
+    with pytest.raises(ValueError, match=message):
+        train_direct_finetune(affine_gen(), LinearReward(C), cfg)
+
+
+def test_direct_ft_eval_hook_returns_the_drift():
+    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
+                        "width": 3, "hidden": [8]}, seed=1)
+    cfg = DirectFinetuneConfig(steps=12, batch_size=8, seed=1, eval_every=5,
+                               eval_samples=60)
+    calls = []
+
+    def hook(step, adapted):
+        calls.append(step)
+        return measure_drift(adapted, cfg, step)
+
+    _, plain = train_direct_finetune(g, RednessReward(0.01), cfg)
+    _, hooked = train_direct_finetune(g, RednessReward(0.01), cfg, eval_hook=hook)
+    assert calls == plain.steps == [0, 5, 10, 11]
+    assert hooked.output_drift == plain.output_drift
+    assert hooked.mean_reward == plain.mean_reward
 
 
 def test_adapted_generator_zero_init_identity():

@@ -1,10 +1,12 @@
 """End-to-end runs of the command-line interface."""
 import os
+import time
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import pdist
 
+from noisetilt import cli, oracles
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.reporting import read_csv
 
@@ -115,6 +117,11 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     ("direct_ft", "eval_every = 0"),       # modulo by zero
     ("noise_opt", "steps = 0"),
     ("best_of_n", "counts = 0 4"),
+    ("direct_ft", "steps = 0"),            # empty history, IndexError
+    ("direct_ft", "batch_size = 0"),       # nan reward, empty history
+    ("theory", "n = 999"),                 # "need at least 1e3 samples"
+    ("theory", "knn_k = 0"),               # the k-d tree query crashed
+    ("theory", "knn_k = 10000"),           # more than n // 2 - 1
 ])
 def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
     text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
@@ -126,6 +133,26 @@ def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, li
     assert not os.path.exists(os.path.join(out, "report.csv"))
     key = line.split(" = ")[0]
     assert f"[{section}] {key}:" in capsys.readouterr().err
+
+
+KNN_TRAIN = AFFINE_TRAIN.replace("closed_form_gaussian_kl", "knn_kl")
+
+
+@pytest.mark.parametrize("text,line", [
+    # nan in reward_se and diversity_mean_pairwise, exit 0
+    (AFFINE_TRAIN, "heldout = 1"),
+    # too few points for the kNN fidelity, exit 1
+    (KNN_TRAIN, "heldout = 5"),
+    # nan in diversity_mean_pairwise, exit 0
+    (AFFINE_TRAIN, "heldout = 1000\ndiversity_samples = 1"),
+], ids=["heldout", "heldout-knn_kl", "diversity_samples"])
+def test_unusable_evaluation_counts_exit_2(tmp_path, capsys, text, line):
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "c.ini", text.replace("heldout = 1000", line))
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(os.path.join(out, "report.csv"))
+    key = line.splitlines()[-1].split(" = ")[0]
+    assert f"[evaluation] {key}:" in capsys.readouterr().err
 
 
 DECODER_TRAIN = """
@@ -185,6 +212,49 @@ def test_adapter_rank_checked_at_load_time(tmp_path, section, capsys):
     err = capsys.readouterr().err
     assert f"[{section}] rank: must be >= 1" in err
     assert f"[{section}] rank: 5 exceeds 4" in err
+
+
+def test_drift_eval_samples_checked_at_load_time(tmp_path, capsys):
+    # too few points for the kNN drift of a decoder, exit 1 at run time;
+    # an affine generator measures its drift in closed form
+    text = DECODER_TRAIN.format(steps=1).replace("method = hypernoise",
+                                                 "method = direct_ft")
+    for samples, code in ((5, 2), (6, 0)):
+        cfg = write(tmp_path, f"e{samples}.ini", text + (
+            f"\n[direct_ft]\nsteps = 2\nbatch_size = 4\neval_samples = {samples}\n"))
+        out = str(tmp_path / f"out{samples}")
+        assert main(["baseline", "--config", cfg, "--out", out, "--quiet"]) == code
+    assert "[direct_ft] eval_samples:" in capsys.readouterr().err
+
+
+def test_run_log_names_knn_workers(tmp_path):
+    cfg = write(tmp_path, "t.ini", AFFINE_TRAIN)
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
+    lines = open(os.path.join(out, "run.log")).read().splitlines()
+    assert lines.count(f"knn workers {oracles.KNN_WORKERS}") == 1
+
+
+def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
+    pause = 0.1
+    real = cli.measure_drift
+
+    def slow_drift(adapted, cfg, step):
+        time.sleep(pause)
+        return real(adapted, cfg, step)
+
+    monkeypatch.setattr(cli, "measure_drift", slow_drift)
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
+    runs = {"tradeoff": ["tradeoff", cfg_h, cfg_d],
+            "baseline": ["baseline", "--config", cfg_d]}
+    for name, argv in runs.items():
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out, "--quiet"]) == 0
+        lines = open(os.path.join(out, "run.log")).read().splitlines()
+        walls = {line.split()[1]: float(line.split()[2])
+                 for line in lines if line.startswith("phase ")}
+        # 7 drift evaluations: steps 0, 20, ..., 100 and the last, 119
+        assert walls["evaluate"] >= 7 * pause, name
 
 
 def test_run_log_phase_lines(tmp_path):

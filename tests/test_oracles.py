@@ -1,9 +1,12 @@
 """Sampling oracles, identity checks, and divergence estimators."""
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisetilt import oracles
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import (DpiReport, SamplerError, bilipschitz_check,
@@ -116,6 +119,18 @@ def test_kl_knn_duplicate_jitter():
         kl_knn(np.zeros((3, 2)), np.zeros((3, 2)))   # too few points
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_kl_knn_rejects_k_below_one(k):
+    # the tree query itself crashes the interpreter on such a k
+    pts = np.random.default_rng(9).standard_normal((20, 2))
+    with pytest.raises(ValueError, match="k must be >= 1"):
+        kl_knn(pts, pts + 1.0, k)
+
+
+def test_knn_workers_are_the_affinity_mask():
+    assert oracles.KNN_WORKERS == len(os.sched_getaffinity(0))
+
+
 def test_kl_knn_dimension_mismatch():
     with pytest.raises(ValueError):
         kl_knn(np.zeros((10, 2)), np.zeros((10, 3)))
@@ -174,6 +189,19 @@ def assert_close_estimates(value, reference):
 def test_kl_knn_matches_brute_force(case):
     p, q, k = case
     assert_close_estimates(kl_knn(p, q, k), kl_knn_brute_force(p, q, k))
+
+
+@settings(max_examples=50, deadline=None)
+@given(sample_pairs())
+def test_kl_knn_same_bits_on_one_worker(case):
+    # each query point's neighbors are found on their own; at least two
+    # workers, so that a one-CPU mask still splits the queries
+    p, q, k = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "KNN_WORKERS", max(2, oracles.KNN_WORKERS))
+        parallel = kl_knn(p, q, k)
+        mp.setattr(oracles, "KNN_WORKERS", 1)
+        assert kl_knn(p, q, k) == parallel
 
 
 @settings(max_examples=50, deadline=None)
