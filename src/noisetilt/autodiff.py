@@ -21,8 +21,9 @@ class Arena:
 
     While an arena is active (``with arena:``), the ops that make a step's
     large arrays (`affine`, the activation vjps and the silu forward's
-    sigmoid, the `asum` vjp) take their outputs from it instead of allocating: the i-th request
-    of a step gets the i-th buffer, reallocated only when its shape changes.
+    sigmoid, a frozen layer's input gradient, the `asum` vjp) take their
+    outputs from it instead of allocating: the i-th request of a step gets
+    the i-th buffer, reallocated only when its shape changes.
     Entering rewinds to the first buffer, so whatever one step's tape holds
     is overwritten by the next; `backprop` returns copies, and a forward
     whose output outlives the step must run outside the arena.  Reusing
@@ -287,13 +288,30 @@ def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
     if extra is not None:
         z += extra.value
     y, saved = act.forward(z, z)
-    if x.value.ndim == 1:
-        vjp_x = lambda g: w.T @ act.vjp(g, saved)
-    else:
-        vjp_x = lambda g: act.vjp(g, saved) @ w
+    # backprop calls a node's vjps in parent order with the same g, so when
+    # both parents need gradients, x's vjp leaves the activation gradient
+    # for extra's instead of it being computed twice
+    shared = extra is not None and x.requires_grad and extra.requires_grad
+    kept: list = []     # [g, its activation gradient]
+
+    def vjp_z(g):
+        if kept and kept[0] is g:
+            dz = kept[1]
+            kept.clear()
+            return dz
+        return act.vjp(g, saved)
+
+    def vjp_x(g):
+        dz = vjp_z(g)
+        if shared:
+            kept[:] = g, dz
+        if dz.ndim == 1:
+            return np.matmul(w.T, dz, out=_empty((w.shape[1],)))
+        return np.matmul(dz, w, out=_empty((dz.shape[0], w.shape[1])))
+
     if extra is None:
         return Node(y, (x,), (vjp_x,))
-    return Node(y, (x, extra), (vjp_x, lambda g: act.vjp(g, saved)))
+    return Node(y, (x, extra), (vjp_x, vjp_z))
 
 
 # Tight slope bounds used for compositional Lipschitz estimates.

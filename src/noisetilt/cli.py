@@ -137,6 +137,12 @@ def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
     return hook
 
 
+def _check_train_steps(cfg: ExperimentConfig):
+    """`train` and `tradeoff` need a training step; `diversity` runs with none."""
+    if cfg["train"]["steps"] < 1:
+        raise ConfigError("[train] steps: must be >= 1 to train")
+
+
 def _reward_stats(r: Reward, y: np.ndarray) -> tuple[float, float]:
     vals = r.evaluate_batch(y)
     return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
@@ -149,7 +155,7 @@ def _reward_stats(r: Reward, y: np.ndarray) -> tuple[float, float]:
 def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
     report = oracles.run_theory_suite(seed=cfg.seed, n=cfg["theory"]["n"],
-                                      knn_k=cfg["theory"]["knn_k"])
+                                      knn_k=cfg["theory"]["knn_k"], phase=ctx.phase)
     rows = [[c.name, c.statistic, c.tolerance, c.status] for c in report.checks]
     reporting.write_csv(ctx.path("report.csv"),
                         ["check", "statistic", "tolerance", "status"], rows)
@@ -165,6 +171,7 @@ def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
 def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     if cfg.method != "hypernoise":
         raise ConfigError(f"[run] method: train expects hypernoise, got {cfg.method!r}")
+    _check_train_steps(cfg)
     _echo_config(ctx, cfg)
     with ctx.phase("build"):
         g, r = _build(cfg)
@@ -257,6 +264,7 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
             raise ConfigError(f"tradeoff configs disagree in [{section}]")
     if cfg_h.seed != cfg_d.seed:
         raise ConfigError("tradeoff configs disagree on [run] seed")
+    _check_train_steps(cfg_h)
     if cfg_h["train"]["steps"] != cfg_d["direct_ft"]["steps"]:
         raise ConfigError("tradeoff configs disagree on the step budget")
     _echo_config(ctx, cfg_h)

@@ -276,8 +276,14 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         if opt not in _OPTIMIZERS:
             raise ConfigError(
                 f"[{section}] optimizer: must be one of {_OPTIMIZERS}, got {opt!r}")
+    t = cfg.values["train"]
+    for key in ("learning_rate", "alpha"):
+        if not t[key] > 0:
+            raise ConfigError(f"[train] {key}: must be > 0")
     d = cfg.values["direct_ft"]
-    for key, value in (("[noise_opt] steps", cfg.values["noise_opt"]["steps"]),
+    for key, value in (("[train] batch_size", t["batch_size"]),
+                       ("[train] log_every", t["log_every"]),
+                       ("[noise_opt] steps", cfg.values["noise_opt"]["steps"]),
                        ("[direct_ft] steps", d["steps"]),
                        ("[direct_ft] batch_size", d["batch_size"]),
                        ("[direct_ft] eval_every", d["eval_every"])):
@@ -306,7 +312,7 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
     # multi-call generation refines the latent with a square map: the
     # decoder's own refiner, or the whole generator when it maps d -> d
     square = g["variant"] == "decoder" or g["output_dim"] in (0, g["latent_dim"])
-    for key, steps in (("[train] generation_steps", [cfg.values["train"]["generation_steps"]]),
+    for key, steps in (("[train] generation_steps", [t["generation_steps"]]),
                        ("[evaluation] multi_step", ev["multi_step"])):
         if any(s < 1 for s in steps):
             raise ConfigError(f"{key}: entries must be >= 1")

@@ -82,7 +82,9 @@ class LayerStack:
         for layer, a in zip(self.layers, self.adapters):
             z = ad.affine(h, layer.weight, layer.bias)
             if a is not None:
-                z += ad.affine(ad.affine(h, a.down, None), a.up, None) * a.scale
+                t = ad.affine(ad.affine(h, a.down, None), a.up, None)
+                t *= a.scale
+                z += t
             h, _ = ad.ACTIVATIONS[layer.activation].forward(z, z)
         return h if self.shift is None else h + self.shift
 

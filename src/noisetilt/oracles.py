@@ -9,8 +9,9 @@ autodiff machinery it is checking.
 from __future__ import annotations
 
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, ContextManager, Optional
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -26,6 +27,13 @@ KNN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
+# rows per block of the streamed forward passes: a 4096 x 48 decoder output
+# is 1.5 MB, where the whole 100,000-row batch would be 38 MB
+ROW_BLOCK = 4096
+# the fewest rows a block may hold: OpenBLAS can take another path for a
+# product of very few rows (one to four), whose last bits differ from the
+# one-shot product's
+MIN_BLOCK_ROWS = 64
 
 
 class SamplerError(RuntimeError):
@@ -51,16 +59,43 @@ class TiltedSampleSet:
 
 
 def _weighted_moments(y: np.ndarray, w: np.ndarray):
+    """Weighted mean and second moment of the rows of `y` with their SNIS
+    standard errors sqrt(sum_i w_i^2 (v_i - m)^2), v_i being y_i or y_i^2
+    (the plain formula for uniform w).  One scratch array of y's shape
+    holds every term."""
     mean = w @ y
-    second = w @ (y * y)
-    # SNIS variance approximation; reduces to the plain formula for uniform w
-    se_mean = np.sqrt(np.sum(w[:, None] ** 2 * (y - mean) ** 2, axis=0))
-    se_second = np.sqrt(np.sum(w[:, None] ** 2 * (y * y - second) ** 2, axis=0))
+    w2 = (w * w)[:, None]
+    tmp = np.multiply(y, y)
+    second = w @ tmp
+    tmp -= second
+    np.square(tmp, out=tmp)
+    tmp *= w2
+    se_second = np.sqrt(np.sum(tmp, axis=0))
+    np.subtract(y, mean, out=tmp)
+    np.square(tmp, out=tmp)
+    tmp *= w2
+    se_mean = np.sqrt(np.sum(tmp, axis=0))
     return mean, second, se_mean, se_second
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices that cover rows 0..n-1 in order, ROW_BLOCK rows each; a tail
+    shorter than MIN_BLOCK_ROWS joins the block before it.
+
+    A row-wise map evaluated block by block gives the same bits as one call
+    on all n rows, and its temporaries stay small enough for the cache."""
+    starts = list(range(0, n, ROW_BLOCK))
+    if len(starts) > 1 and n - starts[-1] < MIN_BLOCK_ROWS:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
 def _reward_values(g: Generator, r: Reward, x: np.ndarray) -> np.ndarray:
-    return r.evaluate_batch(g.generate(x))
+    """r(g(x)) per row of `x`, one row block at a time."""
+    out = np.empty(len(x))
+    for rows in _row_blocks(len(x)):
+        out[rows] = r.evaluate_batch(g.generate(x[rows]))
+    return out
 
 
 def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int,
@@ -177,20 +212,26 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
                 eps: float = 1e-5) -> tuple[float, float, float]:
     """E[x . f(x)] versus E[tr J_f(x)] for standard Gaussian x.
 
-    `f` must accept an (n, d) batch.  The Jacobian trace is estimated by
-    central differences along each coordinate, which keeps this route
-    independent of any reverse-mode machinery.
+    `f` must accept an (m, d) batch of any m and be row-wise: row i of its
+    output depends on row i of its input alone.  It is evaluated one row
+    block at a time.  The Jacobian trace is estimated by central
+    differences along each coordinate, which keeps this route independent
+    of any reverse-mode machinery.
     """
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
-    lhs_terms = np.sum(x * f(x), axis=1)
+    lhs_terms = np.empty(n)
     trace_terms = np.zeros(n)
-    for j in range(d):
-        step = np.zeros(d)
-        step[j] = eps
-        trace_terms += (f(x + step)[:, j] - f(x - step)[:, j]) / (2 * eps)
+    for rows in _row_blocks(n):
+        xb = x[rows]
+        lhs_terms[rows] = np.sum(xb * f(xb), axis=1)
+        trace = trace_terms[rows]
+        for j in range(d):
+            step = np.zeros(d)
+            step[j] = eps
+            trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * eps)
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
     se = float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n))
@@ -354,8 +395,11 @@ class TheoryReport:
         return all(c.status == "pass" for c in self.checks)
 
 
-def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = 5) -> TheoryReport:
-    """Every theoretical claim exercised once at default scale."""
+def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = 5,
+                     phase: Callable[[str], ContextManager] = lambda name: nullcontext()
+                     ) -> TheoryReport:
+    """Every theoretical claim exercised once at default scale.  Each group
+    of checks runs inside ``phase(group)``, so that a caller can time it."""
     from .generators import make_generator
     from .hypernet import init_hypernet
     from .objectives import error_term, exact_noise_kl, theorem_bound
@@ -374,74 +418,83 @@ def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = 5) -> TheoryRep
     r_lin = LinearReward(c)
 
     # tilted sampler: mean of the tilted noise law is A^T c in closed form
-    tilted = sample_tilted_noise(g_aff, r_lin, 1.0, n, seed, method="snis")
-    target = a.T @ c
-    gap = float(np.linalg.norm(tilted.mean() - target))
-    tol = 4.0 * float(np.linalg.norm(np.ones(d))) / np.sqrt(tilted.ess)
-    report.add("tilted_sampler_mean", gap, tol, gap <= tol)
+    with phase("tilted_sampler"):
+        tilted = sample_tilted_noise(g_aff, r_lin, 1.0, n, seed, method="snis")
+        target = a.T @ c
+        gap = float(np.linalg.norm(tilted.mean() - target))
+        tol = 4.0 * float(np.linalg.norm(np.ones(d))) / np.sqrt(tilted.ess)
+        report.add("tilted_sampler_mean", gap, tol, gap <= tol)
 
     # pushforward identity, affine/linear and decoder/redness
-    pf = pushforward_check(g_aff, r_lin, 1.0, n, seed + 1)
-    report.add("pushforward_affine", pf.max_z, 4.0, pf.max_z <= 4.0, pf.inconclusive)
-    g_dec = make_generator({"variant": "decoder", "latent_dim": 6, "height": 4,
-                            "width": 4, "hidden": [16]}, seed=seed + 2)
-    r_red = RednessReward(0.01)
-    pf2 = pushforward_check(g_dec, r_red, 0.005, n, seed + 2, method="rejection")
-    report.add("pushforward_decoder", pf2.max_z, 4.0, pf2.max_z <= 4.0, pf2.inconclusive)
+    with phase("pushforward"):
+        pf = pushforward_check(g_aff, r_lin, 1.0, n, seed + 1)
+        report.add("pushforward_affine", pf.max_z, 4.0, pf.max_z <= 4.0, pf.inconclusive)
+        g_dec = make_generator({"variant": "decoder", "latent_dim": 6, "height": 4,
+                                "width": 4, "hidden": [16]}, seed=seed + 2)
+        r_red = RednessReward(0.01)
+        pf2 = pushforward_check(g_dec, r_red, 0.005, n, seed + 2, method="rejection")
+        report.add("pushforward_decoder", pf2.max_z, 4.0, pf2.max_z <= 4.0,
+                   pf2.inconclusive)
 
     # Gaussian integration-by-parts identity on random small-slope networks
-    worst = 0.0
-    for trial in range(5):
-        g_mlp = make_generator({"variant": "mlp", "latent_dim": d, "output_dim": d,
-                                "hidden": [8]}, seed=seed + 10 + trial)
-        hn = init_hypernet(g_mlp, rank=2, alpha=2.0, seed=seed + trial)
-        hn.randomize_adapters(seed + 20 + trial)
-        hn.set_lipschitz_budget(0.5)
-        lhs, rhs, se = stein_check(lambda xb: hn.perturb(xb), d, n, seed + 30 + trial)
-        worst = max(worst, abs(lhs - rhs) / (4.0 * se))
-    report.add("stein_identity", worst, 1.0, worst <= 1.0)
+    with phase("stein"):
+        worst = 0.0
+        for trial in range(5):
+            g_mlp = make_generator({"variant": "mlp", "latent_dim": d, "output_dim": d,
+                                    "hidden": [8]}, seed=seed + 10 + trial)
+            hn = init_hypernet(g_mlp, rank=2, alpha=2.0, seed=seed + trial)
+            hn.randomize_adapters(seed + 20 + trial)
+            hn.set_lipschitz_budget(0.5)
+            lhs, rhs, se = stein_check(lambda xb: hn.perturb(xb), d, n, seed + 30 + trial)
+            worst = max(worst, abs(lhs - rhs) / (4.0 * se))
+        report.add("stein_identity", worst, 1.0, worst <= 1.0)
 
     # k-NN estimator ground truths
-    rng = np.random.default_rng(seed + 40)
-    est0 = kl_knn(rng.standard_normal((n // 2, 2)), rng.standard_normal((n // 2, 2)), knn_k)
-    report.add("knn_null", abs(est0), 0.05, abs(est0) <= 0.05)
-    shift = np.array([1.0, 0.0])
-    est1 = kl_knn(rng.standard_normal((n // 2, 2)) + shift,
-                  rng.standard_normal((n // 2, 2)), knn_k)
-    report.add("knn_shift", abs(est1 - 0.5), 0.1, abs(est1 - 0.5) <= 0.1)
+    with phase("knn"):
+        rng = np.random.default_rng(seed + 40)
+        est0 = kl_knn(rng.standard_normal((n // 2, 2)), rng.standard_normal((n // 2, 2)),
+                      knn_k)
+        report.add("knn_null", abs(est0), 0.05, abs(est0) <= 0.05)
+        shift = np.array([1.0, 0.0])
+        est1 = kl_knn(rng.standard_normal((n // 2, 2)) + shift,
+                      rng.standard_normal((n // 2, 2)), knn_k)
+        report.add("knn_shift", abs(est1 - 0.5), 0.1, abs(est1 - 0.5) <= 0.1)
 
     # DPI: closed form on a projection generator, estimator on the MLP
-    g_proj = make_generator({"variant": "affine", "latent_dim": 3, "output_dim": 1,
-                             "matrix": [[1.0, 0.0, 0.0]], "bias": [0.0]}, seed=0)
-    hn_c = init_hypernet(g_proj, rank=1, alpha=1.0, seed=0)
-    cshift = np.array([0.6, 0.8, -0.5])
-    hn_c.set_constant(cshift)
-    dpi_cf = dpi_check(hn_c, g_proj, n, seed + 50, mode="gaussian")
-    expected_margin = 0.5 * float(cshift[1:] @ cshift[1:])
-    report.add("dpi_closed_form", abs(dpi_cf.margin - expected_margin), 1e-12,
-               abs(dpi_cf.margin - expected_margin) <= 1e-12)
-    g_mlp = make_generator({"variant": "mlp", "latent_dim": d, "output_dim": d,
-                            "hidden": [8]}, seed=seed + 60)
-    hn = init_hypernet(g_mlp, rank=2, alpha=2.0, seed=seed + 60)
-    hn.randomize_adapters(seed + 61)
-    hn.set_lipschitz_budget(0.4)
-    dpi_est = dpi_check(hn, g_mlp, min(n, 8000), seed + 62, k=knn_k)
-    report.add("dpi_estimated", dpi_est.margin, -0.05, dpi_est.margin >= -0.05)
+    with phase("dpi"):
+        g_proj = make_generator({"variant": "affine", "latent_dim": 3, "output_dim": 1,
+                                 "matrix": [[1.0, 0.0, 0.0]], "bias": [0.0]}, seed=0)
+        hn_c = init_hypernet(g_proj, rank=1, alpha=1.0, seed=0)
+        cshift = np.array([0.6, 0.8, -0.5])
+        hn_c.set_constant(cshift)
+        dpi_cf = dpi_check(hn_c, g_proj, n, seed + 50, mode="gaussian")
+        expected_margin = 0.5 * float(cshift[1:] @ cshift[1:])
+        report.add("dpi_closed_form", abs(dpi_cf.margin - expected_margin), 1e-12,
+                   abs(dpi_cf.margin - expected_margin) <= 1e-12)
+        g_mlp = make_generator({"variant": "mlp", "latent_dim": d, "output_dim": d,
+                                "hidden": [8]}, seed=seed + 60)
+        hn = init_hypernet(g_mlp, rank=2, alpha=2.0, seed=seed + 60)
+        hn.randomize_adapters(seed + 61)
+        hn.set_lipschitz_budget(0.4)
+        dpi_est = dpi_check(hn, g_mlp, min(n, 8000), seed + 62, k=knn_k)
+        report.add("dpi_estimated", dpi_est.margin, -0.05, dpi_est.margin >= -0.05)
 
     # bi-Lipschitz distortion stays inside [1 - L, 1 + L]
-    lo, hi = bilipschitz_check(hn, 2000, seed + 70)
-    lip = hn.lipschitz_upper_bound()
-    ok = (lo >= 1.0 - lip - 1e-9) and (hi <= 1.0 + lip + 1e-9)
-    report.add("bilipschitz_band", max(1.0 - lip - lo, hi - (1.0 + lip)), 0.0, ok)
+    with phase("bilipschitz"):
+        lo, hi = bilipschitz_check(hn, 2000, seed + 70)
+        lip = hn.lipschitz_upper_bound()
+        ok = (lo >= 1.0 - lip - 1e-9) and (hi <= 1.0 + lip + 1e-9)
+        report.add("bilipschitz_band", max(1.0 - lip - lo, hi - (1.0 + lip)), 0.0, ok)
 
     # log-det error bound and the KL/L2 approximation on a budgeted network
-    rngx = np.random.default_rng(seed + 80)
-    xs = rngx.standard_normal((50, d))
-    bound = theorem_bound(d, lip)
-    worst_err = max(abs(error_term(j)) for j in hn.jacobian_batch(xs))
-    report.add("logdet_error_bound", worst_err, bound, worst_err <= bound)
-    kb = exact_noise_kl(hn, xs[:20])
-    report.add("kl_l2_approximation", abs(kb.approx_error), bound,
-               abs(kb.approx_error) <= bound)
+    with phase("logdet"):
+        rngx = np.random.default_rng(seed + 80)
+        xs = rngx.standard_normal((50, d))
+        bound = theorem_bound(d, lip)
+        worst_err = max(abs(error_term(j)) for j in hn.jacobian_batch(xs))
+        report.add("logdet_error_bound", worst_err, bound, worst_err <= bound)
+        kb = exact_noise_kl(hn, xs[:20])
+        report.add("kl_l2_approximation", abs(kb.approx_error), bound,
+                   abs(kb.approx_error) <= bound)
 
     return report

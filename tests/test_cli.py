@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line interface."""
 import os
+import re
 import time
 
 import numpy as np
@@ -122,11 +123,18 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     ("theory", "n = 999"),                 # "need at least 1e3 samples"
     ("theory", "knn_k = 0"),               # the k-d tree query crashed
     ("theory", "knn_k = 10000"),           # more than n // 2 - 1
+    ("train", "learning_rate = 0"),        # each [train] case: FAILED, exit 1
+    ("train", "alpha = 0"),
+    ("train", "log_every = 0"),
+    ("train", "batch_size = 0"),
 ])
 def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
     text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
     if section == "train":
-        text = AFFINE_TRAIN.replace("[train]", f"[train]\n{line}")
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", line, AFFINE_TRAIN, flags=re.M)
+        if line not in text:
+            text = text.replace("[train]", f"[train]\n{line}")
     out = str(tmp_path / "out")
     assert main(["train", "--config", write(tmp_path, "c.ini", text),
                  "--out", out, "--quiet"]) == 2
@@ -272,6 +280,19 @@ def test_run_log_phase_lines(tmp_path):
             assert rest == ["minor", "page", "faults"]
 
 
+def test_zero_train_steps_rejected_before_training(tmp_path, capsys):
+    # diversity runs with no training step; train and tradeoff need one
+    text = AFFINE_TRAIN.replace("steps = 120", "steps = 0")
+    cfg_h = write(tmp_path, "h0.ini", text)
+    cfg_d = write(tmp_path, "d0.ini", text.replace("method = hypernoise", "method = direct_ft")
+                  + "\n[direct_ft]\nsteps = 1\n")
+    for argv in (["train", "--config", cfg_h], ["tradeoff", cfg_h, cfg_d]):
+        out = str(tmp_path / argv[0])
+        assert main(argv + ["--out", out, "--quiet"]) == 2, argv[0]
+        assert os.listdir(out) == []
+    assert capsys.readouterr().err.count("[train] steps: must be >= 1") == 2
+
+
 def test_runtime_failure_exit_1_with_marker(tmp_path):
     text = AFFINE_TRAIN.replace("learning_rate = 0.1", "learning_rate = 80.0")
     text = text.replace("[train]", "[train]\nclip_norm = 0\n")
@@ -289,6 +310,20 @@ def test_validate_theory(tmp_path):
     header, rows = read_csv(os.path.join(out, "report.csv"))
     assert header == ["check", "statistic", "tolerance", "status"]
     assert rows and all(r[3] in ("pass", "inconclusive") for r in rows)
+
+
+def test_validate_theory_logs_each_check_group(tmp_path):
+    cfg = write(tmp_path, "th.ini", "[run]\nmethod = theory\nseed = 0\n"
+                "[theory]\nn = 2000\n")
+    out = str(tmp_path / "out")
+    assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
+    lines = open(os.path.join(out, "run.log")).read().splitlines()
+    phases = [line.split() for line in lines if line.startswith("phase ")]
+    assert [p[1] for p in phases] == ["tilted_sampler", "pushforward", "stein", "knn",
+                                      "dpi", "bilipschitz", "logdet"]
+    for _, _, wall, unit, faults, *rest in phases:
+        assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
+        assert rest == ["minor", "page", "faults"]
 
 
 def test_baseline_best_of_n(tmp_path):

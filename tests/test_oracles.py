@@ -101,6 +101,87 @@ def test_stein_linear_field_exact():
     assert rhs == pytest.approx(np.trace(b), abs=1e-6)
 
 
+def decoder_and_redness(seed=2):
+    g = make_generator({"variant": "decoder", "latent_dim": 6, "height": 4,
+                        "width": 4, "hidden": [16]}, seed=seed)
+    return g, RednessReward(0.01)
+
+
+def reward_values_one_shot(g, r, x):
+    return r.evaluate_batch(g.generate(x))
+
+
+def stein_one_shot(f, d, n, seed, eps=1e-5):
+    """stein_check with every pass over all n rows at once."""
+    x = np.random.default_rng(seed).standard_normal((n, d))
+    lhs_terms = np.sum(x * f(x), axis=1)
+    trace_terms = np.zeros(n)
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = eps
+        trace_terms += (f(x + step)[:, j] - f(x - step)[:, j]) / (2 * eps)
+    return (float(lhs_terms.mean()), float(trace_terms.mean()),
+            float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n)))
+
+
+def weighted_moments_one_shot(y, w):
+    mean = w @ y
+    second = w @ (y * y)
+    se_mean = np.sqrt(np.sum(w[:, None] ** 2 * (y - mean) ** 2, axis=0))
+    se_second = np.sqrt(np.sum(w[:, None] ** 2 * (y * y - second) ** 2, axis=0))
+    return mean, second, se_mean, se_second
+
+
+B = oracles.ROW_BLOCK
+# one block, the tails that join the last full block, and three blocks
+STREAMED_ROWS = [1, 5, B - 1, B, B + 1, B + 2, B + 3, B + 4, 2 * B + 1696]
+
+
+@pytest.mark.parametrize("n", STREAMED_ROWS)
+def test_streamed_reward_values_same_bits(n):
+    blocks = oracles._row_blocks(n)
+    assert np.array_equal(np.concatenate([np.arange(n)[s] for s in blocks]), np.arange(n))
+    assert all(s.stop - s.start >= min(n, oracles.MIN_BLOCK_ROWS) for s in blocks)
+    x = np.random.default_rng(n).standard_normal((n, 6))
+    for g, r in (decoder_and_redness(),
+                 (make_generator({"variant": "mlp", "latent_dim": 6, "output_dim": 5,
+                                  "hidden": [9]}, seed=1),
+                  LinearReward(np.linspace(-1.0, 1.0, 5)))):
+        assert np.array_equal(oracles._reward_values(g, r, x),
+                              reward_values_one_shot(g, r, x))
+
+
+@pytest.mark.parametrize("n", [B + 3, 2 * B + 1696])
+def test_streamed_stein_check_same_bits(n):
+    g = make_generator({"variant": "mlp", "latent_dim": 4, "output_dim": 4,
+                        "hidden": [8]}, seed=10)
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=0)
+    hn.randomize_adapters(20)
+    hn.set_lipschitz_budget(0.5)
+    assert stein_check(hn.perturb, 4, n, seed=30) == stein_one_shot(hn.perturb, 4, n, 30)
+
+
+@pytest.mark.parametrize("n", [B + 3, 2 * B + 1696])
+@pytest.mark.parametrize("method", ["snis", "rejection"])
+def test_streamed_tilted_sampling_same_bits(n, method, monkeypatch):
+    g, r = decoder_and_redness()
+    streamed = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
+    monkeypatch.setattr(oracles, "_reward_values", reward_values_one_shot)
+    one_shot = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
+    assert np.array_equal(streamed.samples, one_shot.samples)
+    assert np.array_equal(streamed.weights, one_shot.weights)
+    assert (streamed.ess, streamed.acceptance_rate) == (one_shot.ess, one_shot.acceptance_rate)
+
+
+def test_weighted_moments_same_bits():
+    rng = np.random.default_rng(11)
+    y = rng.standard_normal((3000, 48))
+    w = rng.random(3000)
+    w /= w.sum()
+    for got, want in zip(oracles._weighted_moments(y, w), weighted_moments_one_shot(y, w)):
+        assert np.array_equal(got, want)
+
+
 def test_kl_knn_ground_truths():
     rng = np.random.default_rng(6)
     p = rng.standard_normal((8000, 3))
