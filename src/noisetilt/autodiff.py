@@ -7,6 +7,7 @@ values are 64-bit floats; shapes are either vectors ``(n,)`` or batches
 """
 from __future__ import annotations
 
+import threading
 from typing import Callable, Optional
 
 import numpy as np
@@ -44,26 +45,26 @@ class Arena:
         return self._buffers[i]
 
     def __enter__(self) -> "Arena":
-        global _active
         self._next = 0
-        _active = self
+        _slot.active = self
         return self
 
     def __exit__(self, *exc):
-        global _active
-        _active = None
+        _slot.active = None
 
 
-# The arena the running step draws from; ops reach it here because the
-# traced entry points (`Generator.node`, `Reward.node_rows`, ...) take no
-# arena argument.
-_active: Optional[Arena] = None
+# The arena the running step draws from, one slot per thread; ops reach it
+# here because the traced entry points (`Generator.node`,
+# `Reward.node_rows`, ...) take no arena argument.  A forward pass on
+# another thread therefore never takes a buffer of this thread's arena.
+_slot = threading.local()
 
 
 def _empty(shape: tuple) -> np.ndarray:
-    """An uninitialised float64 array: the active arena's next buffer, or a
-    fresh one."""
-    return np.empty(shape) if _active is None else _active.take(shape)
+    """An uninitialised float64 array: this thread's active arena's next
+    buffer, or a fresh one."""
+    arena = getattr(_slot, "active", None)
+    return np.empty(shape) if arena is None else arena.take(shape)
 
 
 class Node:

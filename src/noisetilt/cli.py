@@ -107,14 +107,17 @@ def _mean_pairwise(y: np.ndarray) -> float:
     return float(np.mean(np.concatenate(dists))) if dists else float("nan")
 
 
-def _fidelity_reference(cfg: ExperimentConfig, g: Generator) -> Optional[np.ndarray]:
-    """Base-model outputs the kNN fidelity is measured against, or None for
-    the closed-form metric.  The draw is fixed by the seed, so a run makes
-    it once and reuses it at every evaluation."""
+def _fidelity_reference(cfg: ExperimentConfig, g: Generator,
+                        steps: int = 1) -> Optional[np.ndarray]:
+    """Base-model outputs at `steps` generation steps that the kNN fidelity
+    is measured against, or None for the closed-form metric.  The draw is
+    fixed by the seed, so a run makes it once per step count and reuses it
+    at every evaluation."""
     if cfg["evaluation"]["fidelity_metric"] == "closed_form_gaussian_kl":
         return None
     rng = np.random.default_rng(cfg.seed + 910_000)
-    return g.generate(rng.standard_normal((cfg["evaluation"]["heldout"], g.latent_dim)))
+    return g.generate(rng.standard_normal((cfg["evaluation"]["heldout"], g.latent_dim)),
+                      steps=steps)
 
 
 def _fidelity(y_ref: Optional[np.ndarray], delta: np.ndarray,
@@ -195,14 +198,13 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     with ctx.phase("evaluate"):
         x = _heldout_noise(cfg, g)
         delta = hn.perturb(x)
-        y_ref = _fidelity_reference(cfg, g)
-        fidelity = _fidelity(y_ref, delta, None if y_ref is None else g.generate(x + delta))
         lip = hn.lipschitz_upper_bound()
         final_step = history.steps[-1] if history.steps else 0
         rows = []
         for gen_steps in cfg["evaluation"]["multi_step"]:
             y_mod = g.generate(x + delta, steps=gen_steps)
             y_base = g.generate(x, steps=gen_steps)
+            fidelity = _fidelity(_fidelity_reference(cfg, g, gen_steps), delta, y_mod)
             mean, se = _reward_stats(r, y_mod)
             base_mean = float(r.evaluate_batch(y_base).mean())
             div = _mean_pairwise(y_mod[:cfg["evaluation"]["diversity_samples"]])
@@ -411,8 +413,9 @@ def main(argv=None) -> int:
         return 2
 
     if args.command in ("validate-theory", "train", "baseline", "tradeoff"):
-        # their wall times depend on how many threads the kNN queries had
-        ctx.log(f"knn workers {oracles.KNN_WORKERS}")
+        # their wall times depend on how many threads the kNN queries and
+        # the theory suite's row blocks had
+        ctx.log(f"workers {oracles.WORKERS}")
     try:
         if args.command == "validate-theory":
             code = run_validate_theory(cfg, ctx)

@@ -8,7 +8,9 @@ autodiff machinery it is checking.
 """
 from __future__ import annotations
 
+import functools
 import os
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
@@ -22,9 +24,9 @@ from .rewards import Reward
 
 
 # the CPUs this process may run on (a `taskset` mask narrows them); the k-d
-# tree queries spread over all of them
-KNN_WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
+# tree queries and the row blocks spread over all of them
+WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+           else os.cpu_count() or 1)
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
 # rows per block of the streamed forward passes: a 4096 x 48 decoder output
@@ -52,20 +54,15 @@ class TiltedSampleSet:
     def mean(self) -> np.ndarray:
         return self.weights @ self.samples
 
-    def pushforward_moments(self, g: Generator):
-        """Weighted first/second moments of g(samples), with standard errors."""
-        y = g.generate(self.samples)
-        return _weighted_moments(y, self.weights)
 
-
-def _weighted_moments(y: np.ndarray, w: np.ndarray):
+def _weighted_moments(y: np.ndarray, w: np.ndarray, tmp: Optional[np.ndarray] = None):
     """Weighted mean and second moment of the rows of `y` with their SNIS
     standard errors sqrt(sum_i w_i^2 (v_i - m)^2), v_i being y_i or y_i^2
     (the plain formula for uniform w).  One scratch array of y's shape
-    holds every term."""
+    holds every term: `tmp` if given, else a new one."""
     mean = w @ y
     w2 = (w * w)[:, None]
-    tmp = np.multiply(y, y)
+    tmp = np.multiply(y, y, out=tmp)
     second = w @ tmp
     tmp -= second
     np.square(tmp, out=tmp)
@@ -90,12 +87,44 @@ def _row_blocks(n: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+def _run_blocks(fn: Callable[[slice], None], n: int) -> None:
+    """Call fn(rows) for every slice of _row_blocks(n), on WORKERS threads
+    (serially when there is one worker or one block); an exception raised
+    in any block is raised here.
+
+    Each call must write only its own rows, so the result has the same bits
+    however the blocks are scheduled."""
+    blocks = _row_blocks(n)
+    if WORKERS == 1 or len(blocks) == 1:
+        for rows in blocks:
+            fn(rows)
+        return
+    for _ in _pool(WORKERS).map(fn, blocks):
+        pass
+
+
+@functools.cache
+def _pool(workers: int) -> ThreadPoolExecutor:
+    """One pool per worker count, kept for the life of the process: making
+    its threads anew costs about 0.3 ms a call, as much as a cheap map's
+    whole pass.  A block must not call _run_blocks itself, or it could wait
+    on a block queued behind it."""
+    return ThreadPoolExecutor(workers)
+
+
+def _map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+              out: np.ndarray) -> np.ndarray:
+    """The row-wise map h over the rows of `x`, written into `out` one row
+    block at a time."""
+    def block(rows):
+        out[rows] = h(x[rows])
+    _run_blocks(block, len(x))
+    return out
+
+
 def _reward_values(g: Generator, r: Reward, x: np.ndarray) -> np.ndarray:
     """r(g(x)) per row of `x`, one row block at a time."""
-    out = np.empty(len(x))
-    for rows in _row_blocks(len(x)):
-        out[rows] = r.evaluate_batch(g.generate(x[rows]))
-    return out
+    return _map_rows(lambda xb: r.evaluate_batch(g.generate(xb)), x, np.empty(len(x)))
 
 
 def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int,
@@ -174,21 +203,25 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
                       method: str = "snis", min_ess: float = 200.0) -> MomentGapReport:
     """Two independent routes to the tilted output moments must agree:
     (a) push tilted-noise samples through g, (b) importance-weight base
-    outputs directly in output space."""
+    outputs directly in output space.  Route (b) reuses route (a)'s output
+    and scratch arrays once (a)'s moments are taken."""
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
     tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
-    mean_a, second_a, se_ma, se_sa = tilted.pushforward_moments(g)
+    y = np.empty((n, g.output_dim))
+    tmp = np.empty_like(y)
+    mean_a, second_a, se_ma, se_sa = _weighted_moments(
+        _map_rows(g.generate, tilted.samples, y), tilted.weights, tmp)
 
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, g.latent_dim))
-    y = g.generate(x)
+    _map_rows(g.generate, x, y)
     logw = r.evaluate_batch(y) / alpha
     logw -= logw.max()
     w = np.exp(logw)
     w /= w.sum()
     ess_ref = 1.0 / float(np.sum(w * w))
-    mean_b, second_b, se_mb, se_sb = _weighted_moments(y, w)
+    mean_b, second_b, se_mb, se_sb = _weighted_moments(y, w, tmp)
 
     mean_gap = mean_a - mean_b
     second_gap = second_a - second_b
@@ -214,9 +247,10 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
 
     `f` must accept an (m, d) batch of any m and be row-wise: row i of its
     output depends on row i of its input alone.  It is evaluated one row
-    block at a time.  The Jacobian trace is estimated by central
-    differences along each coordinate, which keeps this route independent
-    of any reverse-mode machinery.
+    block at a time, on WORKERS threads, so it must also be safe to call
+    from several threads at once.  The Jacobian trace is estimated by
+    central differences along each coordinate, which keeps this route
+    independent of any reverse-mode machinery.
     """
     if n < 1000:
         raise ValueError("need at least 1e3 samples")
@@ -224,7 +258,8 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
     x = rng.standard_normal((n, d))
     lhs_terms = np.empty(n)
     trace_terms = np.zeros(n)
-    for rows in _row_blocks(n):
+
+    def block(rows):
         xb = x[rows]
         lhs_terms[rows] = np.sum(xb * f(xb), axis=1)
         trace = trace_terms[rows]
@@ -232,6 +267,7 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
             step = np.zeros(d)
             step[j] = eps
             trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * eps)
+    _run_blocks(block, n)
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
     se = float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n))
@@ -248,8 +284,8 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
     q_rot = q_rot @ axes
     p_rot = (p - mean) @ axes
-    return (cKDTree(p_rot).query(p_rot, k=[k + 1], workers=KNN_WORKERS)[1][:, 0],  # not self
-            cKDTree(q_rot).query(p_rot, k=[k], workers=KNN_WORKERS)[1][:, 0])
+    return (cKDTree(p_rot).query(p_rot, k=[k + 1], workers=WORKERS)[1][:, 0],  # not self
+            cKDTree(q_rot).query(p_rot, k=[k], workers=WORKERS)[1][:, 0])
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
@@ -275,7 +311,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
     original points.  The estimate therefore changes only where rounding in
     the rotated coordinates reorders two neighbors tied to within it.  Each
     query point's neighbors are found on their own, so the queries run on
-    KNN_WORKERS threads without changing a bit of the result.
+    WORKERS threads without changing a bit of the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

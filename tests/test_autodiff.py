@@ -1,5 +1,7 @@
 """Gradient checks for every primitive, the fused frozen layer, and the
 reverse sweep's bookkeeping."""
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -211,6 +213,21 @@ def test_arena_hands_out_buffers_in_request_order():
         assert ad.affine(x[0], w, None) is first[1]
     np.testing.assert_array_equal(first[0], x @ w.T + b)
     assert ad.affine(x, w, b) is not first[0]   # no arena active: fresh arrays
+
+
+def test_arena_serves_only_the_thread_that_entered_it():
+    rng = np.random.default_rng(10)
+    x, w, b = rng.standard_normal((4, 3)), rng.standard_normal((5, 3)), rng.standard_normal(5)
+    arena = ad.Arena()
+    with arena:
+        own = ad.affine(x, w, b)
+        held = len(arena._buffers)
+        with ThreadPoolExecutor(1) as pool:
+            other = pool.submit(ad.affine, x, w, b).result()
+        assert len(arena._buffers) == held
+    assert other is not own
+    assert not any(other is buf for buf in arena._buffers)
+    np.testing.assert_array_equal(other, own)
 
 
 def test_gradients_outlive_the_arena_step():

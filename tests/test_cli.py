@@ -9,7 +9,11 @@ from scipy.spatial.distance import pdist
 
 from noisetilt import cli, oracles
 from noisetilt.cli import _mean_pairwise, main
+from noisetilt.config import load_config
+from noisetilt.hypernet import init_hypernet
+from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
+from noisetilt.training import load_checkpoint
 
 AFFINE_TRAIN = """
 [run]
@@ -201,6 +205,27 @@ def test_train_generation_steps_reaches_training(tmp_path):
     assert reports[0] != reports[1]
 
 
+def test_multi_step_rows_measure_their_own_fidelity(tmp_path):
+    text = DECODER_TRAIN.format(steps=1).replace("closed_form_gaussian_kl", "knn_kl")
+    cfg_path = write(tmp_path, "m.ini", text + "multi_step = 1 2\n")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", cfg_path, "--out", out, "--quiet"]) == 0
+    _, rows = read_csv(os.path.join(out, "report.csv"))
+    assert [r[2] for r in rows] == ["1", "2"]
+    cfg = load_config(cfg_path)
+    g, _ = cli._build(cfg)
+    hn = init_hypernet(g, rank=cfg["train"]["rank"], alpha=cfg["train"]["adapter_alpha"],
+                       seed=cfg.seed)
+    load_checkpoint(os.path.join(out, "checkpoint.bin"), hn)
+    x = cli._heldout_noise(cfg, g)
+    ref = np.random.default_rng(cfg.seed + 910_000).standard_normal(
+        (cfg["evaluation"]["heldout"], g.latent_dim))
+    fidelity = [kl_knn(g.generate(x + hn.perturb(x), steps=s), g.generate(ref, steps=s))
+                for s in (1, 2)]
+    assert [float(r[6]) for r in rows] == fidelity
+    assert fidelity[1] != fidelity[0]
+
+
 @pytest.mark.parametrize("section", ["train", "direct_ft"])
 def test_adapter_rank_checked_at_load_time(tmp_path, section, capsys):
     # the bound is 4: the decoder's 8x4 first layer and, for the
@@ -240,7 +265,7 @@ def test_run_log_names_knn_workers(tmp_path):
     out = str(tmp_path / "out")
     assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
     lines = open(os.path.join(out, "run.log")).read().splitlines()
-    assert lines.count(f"knn workers {oracles.KNN_WORKERS}") == 1
+    assert lines.count(f"workers {oracles.WORKERS}") == 1
 
 
 def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
@@ -310,6 +335,19 @@ def test_validate_theory(tmp_path):
     header, rows = read_csv(os.path.join(out, "report.csv"))
     assert header == ["check", "statistic", "tolerance", "status"]
     assert rows and all(r[3] in ("pass", "inconclusive") for r in rows)
+
+
+def test_validate_theory_same_bytes_on_one_and_many_workers(tmp_path, monkeypatch):
+    cfg = write(tmp_path, "th.ini", "[run]\nmethod = theory\nseed = 0\n"
+                "[theory]\nn = 20000\n")
+    reports = []
+    for workers in (1, max(2, oracles.WORKERS)):
+        monkeypatch.setattr(oracles, "WORKERS", workers)
+        out = str(tmp_path / f"out{workers}")
+        assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
+        reports.append(open(os.path.join(out, "report.csv"), "rb").read())
+        assert f"workers {workers}" in open(os.path.join(out, "run.log")).read()
+    assert reports[0] == reports[1]
 
 
 def test_validate_theory_logs_each_check_group(tmp_path):

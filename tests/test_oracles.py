@@ -1,11 +1,14 @@
 """Sampling oracles, identity checks, and divergence estimators."""
 import os
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from noisetilt import autodiff as ad
 from noisetilt import oracles
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
@@ -173,13 +176,105 @@ def test_streamed_tilted_sampling_same_bits(n, method, monkeypatch):
     assert (streamed.ess, streamed.acceptance_rate) == (one_shot.ess, one_shot.acceptance_rate)
 
 
+def on_one_and_many_workers(fn):
+    """fn() with the row blocks on one worker and on at least two, so that a
+    one-CPU mask still runs them side by side."""
+    results = []
+    with pytest.MonkeyPatch.context() as mp:
+        for workers in (1, max(2, oracles.WORKERS)):
+            mp.setattr(oracles, "WORKERS", workers)
+            results.append(fn())
+    return results
+
+
+POOLED_ROWS = 2 * B + 1696
+
+
+def test_pooled_reward_values_same_bits():
+    g, r = decoder_and_redness()
+    x = np.random.default_rng(12).standard_normal((POOLED_ROWS, 6))
+    one, many = on_one_and_many_workers(lambda: oracles._reward_values(g, r, x))
+    assert np.array_equal(one, many)
+    assert np.array_equal(many, reward_values_one_shot(g, r, x))
+    one, many = on_one_and_many_workers(
+        lambda: oracles._map_rows(g.generate, x, np.empty((POOLED_ROWS, g.output_dim))))
+    assert np.array_equal(one, many)
+    assert np.array_equal(many, g.generate(x))
+
+
+def test_pooled_stein_check_same_bits():
+    g = make_generator({"variant": "mlp", "latent_dim": 4, "output_dim": 4,
+                        "hidden": [8]}, seed=10)
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=0)
+    hn.randomize_adapters(20)
+    hn.set_lipschitz_budget(0.5)
+    one, many = on_one_and_many_workers(lambda: stein_check(hn.perturb, 4, POOLED_ROWS, 30))
+    assert one == many
+
+
+@pytest.mark.parametrize("method", ["snis", "rejection"])
+def test_pooled_tilted_sampling_same_bits(method):
+    g, r = decoder_and_redness()
+    one, many = on_one_and_many_workers(
+        lambda: sample_tilted_noise(g, r, 0.005, POOLED_ROWS, seed=4, method=method))
+    assert np.array_equal(one.samples, many.samples)
+    assert np.array_equal(one.weights, many.weights)
+    assert (one.ess, one.acceptance_rate) == (many.ess, many.acceptance_rate)
+
+
+def test_pooled_pushforward_check_same_bits():
+    g, r = decoder_and_redness()
+    one, many = on_one_and_many_workers(
+        lambda: pushforward_check(g, r, 0.005, POOLED_ROWS, seed=5, method="rejection"))
+    for name in ("mean_gap", "mean_se", "second_gap", "second_se"):
+        assert np.array_equal(getattr(one, name), getattr(many, name)), name
+    assert ((one.max_z, one.ess_sampler, one.ess_reference, one.inconclusive)
+            == (many.max_z, many.ess_sampler, many.ess_reference, many.inconclusive))
+
+
+def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
+    # more workers than CPUs, switching threads as often as the interpreter
+    # allows, while this thread holds an arena: a block that wrote another
+    # block's rows or took an arena buffer would change the values
+    monkeypatch.setattr(oracles, "WORKERS", 4 * oracles.WORKERS + 1)
+    g, r = decoder_and_redness()
+    x = np.random.default_rng(13).standard_normal((6 * B + 100, 6))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ad.Arena(), ThreadPoolExecutor(1) as runner:
+            got = runner.submit(oracles._reward_values, g, r, x).result(timeout=120)
+            held = ad.affine(x, np.eye(6), None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(got, reward_values_one_shot(g, r, x))
+    assert np.array_equal(held, x)
+
+
+@pytest.mark.parametrize("workers", [1, max(2, oracles.WORKERS)])
+def test_run_blocks_raises_a_block_exception(workers, monkeypatch):
+    monkeypatch.setattr(oracles, "WORKERS", workers)
+    seen = []
+
+    def block(rows):
+        seen.append(rows)
+        if rows.start == B:
+            raise RuntimeError(f"block at row {rows.start}")
+    with pytest.raises(RuntimeError, match=f"block at row {B}"):
+        oracles._run_blocks(block, POOLED_ROWS)
+    assert seen[0] == slice(0, B)
+
+
 def test_weighted_moments_same_bits():
     rng = np.random.default_rng(11)
     y = rng.standard_normal((3000, 48))
     w = rng.random(3000)
     w /= w.sum()
-    for got, want in zip(oracles._weighted_moments(y, w), weighted_moments_one_shot(y, w)):
-        assert np.array_equal(got, want)
+    want = weighted_moments_one_shot(y, w)
+    # a reused scratch array's old contents are never read
+    for tmp in (None, np.full_like(y, np.nan)):
+        for got, ref in zip(oracles._weighted_moments(y, w, tmp), want):
+            assert np.array_equal(got, ref)
 
 
 def test_kl_knn_ground_truths():
@@ -209,7 +304,7 @@ def test_kl_knn_rejects_k_below_one(k):
 
 
 def test_knn_workers_are_the_affinity_mask():
-    assert oracles.KNN_WORKERS == len(os.sched_getaffinity(0))
+    assert oracles.WORKERS == len(os.sched_getaffinity(0))
 
 
 def test_kl_knn_dimension_mismatch():
@@ -279,9 +374,9 @@ def test_kl_knn_same_bits_on_one_worker(case):
     # workers, so that a one-CPU mask still splits the queries
     p, q, k = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "KNN_WORKERS", max(2, oracles.KNN_WORKERS))
+        mp.setattr(oracles, "WORKERS", max(2, oracles.WORKERS))
         parallel = kl_knn(p, q, k)
-        mp.setattr(oracles, "KNN_WORKERS", 1)
+        mp.setattr(oracles, "WORKERS", 1)
         assert kl_knn(p, q, k) == parallel
 
 
