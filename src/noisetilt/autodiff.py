@@ -212,12 +212,14 @@ class Activation:
     ``vjp(g, saved)`` returns the input gradient in one new array (or arena
     buffer), or ``g`` itself for the identity.  The arithmetic order is
     fixed, so a frozen layer and the separate linear and activation ops
-    agree bit for bit.
+    agree bit for bit.  ``slope_bound`` is a tight bound on the slope, for
+    compositional Lipschitz estimates.
     """
 
-    def __init__(self, forward, vjp):
+    def __init__(self, forward, vjp, slope_bound: float):
         self.forward = forward
         self.vjp = vjp
+        self.slope_bound = slope_bound
 
     def __call__(self, a) -> Node:
         a = _as_node(a)
@@ -267,10 +269,11 @@ def _silu_vjp(g, saved):
     return np.multiply(g, tmp, out=tmp)
 
 
-tanh = Activation(_tanh_forward, _tanh_vjp)
-sigmoid = Activation(_sigmoid_forward, _sigmoid_vjp)
-silu = Activation(_silu_forward, _silu_vjp)
-identity = Activation(lambda z, out: (z, None), lambda g, saved: g)
+tanh = Activation(_tanh_forward, _tanh_vjp, 1.0)
+sigmoid = Activation(_sigmoid_forward, _sigmoid_vjp, 0.25)
+# silu's slope peaks at 1.0998393 (z = 2.3994)
+silu = Activation(_silu_forward, _silu_vjp, 1.09984)
+identity = Activation(lambda z, out: (z, None), lambda g, saved: g, 1.0)
 
 ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "silu": silu, "identity": identity}
 
@@ -313,15 +316,6 @@ def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
     if extra is None:
         return Node(y, (x,), (vjp_x,))
     return Node(y, (x, extra), (vjp_x, vjp_z))
-
-
-# Tight slope bounds used for compositional Lipschitz estimates.
-ACTIVATION_SLOPE_BOUND = {
-    "tanh": 1.0,
-    "sigmoid": 0.25,
-    "silu": 1.0998,
-    "identity": 1.0,
-}
 
 
 def asum(a, axis: Optional[int] = None) -> Node:

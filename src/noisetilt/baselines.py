@@ -14,7 +14,7 @@ from .generators import Generator
 from .layers import LayerStack, lora_adapters
 from .oracles import kl_knn
 from .rewards import Reward
-from .training import Adam, Sgd, clip_global_norm
+from .training import OPTIMIZERS, check_optimizer, clip_global_norm
 
 
 # ---------------------------------------------------------------------------
@@ -27,6 +27,10 @@ class NoiseOptConfig:
     learning_rate: float = 0.05
     prior_weight: float = 1.0    # lambda in r(g(x)) - lambda/2 ||x||^2
     seed: int = 0
+
+    def validate(self):
+        if self.steps < 1:
+            raise ValueError("steps: must be >= 1")
 
 
 @dataclass
@@ -44,8 +48,7 @@ def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
     Keeps the best iterate seen; a non-finite step falls back to it instead
     of failing.
     """
-    if cfg.steps < 1:
-        raise ValueError("steps must be >= 1")
+    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     x = (rng.standard_normal(g.latent_dim) if init is None
          else np.asarray(init, dtype=np.float64).copy())
@@ -158,13 +161,14 @@ class DirectFinetuneConfig:
 
     def validate(self):
         if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+            raise ValueError("steps: must be >= 1")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError("batch_size: must be >= 1")
+        check_optimizer(self.optimizer)
+        if self.rank < 1:
+            raise ValueError("rank: must be >= 1")
         if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+            raise ValueError("eval_every: must be >= 1")
 
 
 @dataclass
@@ -207,8 +211,7 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
         def eval_hook(step, net):
             return measure_drift(net, cfg, step)
     adapted = AdaptedGenerator(g, rank=cfg.rank, seed=cfg.seed)
-    opt = (Adam(cfg.learning_rate) if cfg.optimizer == "adam"
-           else Sgd(cfg.learning_rate))
+    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     history = DirectFinetuneHistory(
         drift_estimator="closed_form" if adapted.bias_delta is not None else "knn")

@@ -3,17 +3,24 @@
 Unknown sections or keys are hard errors (they are almost always typos),
 every default the run ends up using appears in the resolved echo, and the
 echo itself parses back to an identical configuration.
+Every config `load_config` accepts runs; others raise a ConfigError naming
+section and key (exit 2).  Validation builds what the run builds, so each
+rule lives once, in the constructor or `validate()` that needs it.
 """
 from __future__ import annotations
 
 import configparser
+import contextlib
 import io
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from .training import TrainConfig
-from .baselines import DirectFinetuneConfig, NoiseOptConfig
+from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig
+from .generators import make_generator
+from .hypernet import init_hypernet
 from .oracles import KNN_K
+from .rewards import make_reward
+from .training import TrainConfig
 
 
 class ConfigError(ValueError):
@@ -96,7 +103,6 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
 
 _METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
 _FIDELITY = ("knn_kl", "closed_form_gaussian_kl")
-_OPTIMIZERS = ("sgd", "adam")
 
 
 def _parse_value(section: str, key: str, kind: str, raw: str):
@@ -115,8 +121,11 @@ def _parse_value(section: str, key: str, kind: str, raw: str):
         if kind == "matrix":
             if not raw:
                 return []
-            return [[float(t) for t in row.replace(",", " ").split()]
+            rows = [[float(t) for t in row.replace(",", " ").split()]
                     for row in raw.split(";")]
+            if len({len(row) for row in rows}) > 1:
+                raise ValueError("rows differ in length")
+            return rows
     except ValueError as exc:
         raise ConfigError(f"[{section}] {key}: {exc}") from None
     raise ConfigError(f"[{section}] {key}: unknown type {kind!r}")
@@ -171,13 +180,9 @@ class ExperimentConfig:
 
     def reward_spec(self) -> dict:
         r = self.values["reward"]
-        if r["variant"] == "linear":
-            return {"variant": "linear", "c": r["c"]}
-        if r["variant"] == "quadratic":
-            return {"variant": "quadratic", "q": r["q"], "sign": r["sign"]}
-        if r["variant"] == "redness":
-            return {"variant": "redness", "scale": r["scale"]}
-        raise ConfigError(f"[reward] variant: unknown value {r['variant']!r}")
+        keys = {"linear": ["c"], "quadratic": ["q", "sign"],
+                "redness": ["scale"]}.get(r["variant"], [])
+        return {"variant": r["variant"], **{k: r[k] for k in keys}}
 
     def train_config(self, seed: Optional[int] = None) -> TrainConfig:
         t = self.values["train"]
@@ -215,15 +220,13 @@ class ExperimentConfig:
         return out.getvalue()
 
 
-def _layer_shapes(spec: dict) -> list[tuple[int, int]]:
-    """(out, in) of each generator layer, as `make_generator` builds them
-    from `spec` (a `generator_spec()`)."""
-    d = spec["latent_dim"]
-    if spec["variant"] == "affine":
-        return [(spec.get("output_dim", d), d)]
-    out = spec.get("output_dim") or spec["height"] * spec["width"] * 3
-    dims = [d] + spec["hidden"] + [out]
-    return list(zip(dims[1:], dims))
+@contextlib.contextmanager
+def _section(name: str):
+    """Re-raise a ValueError, led by its key, as a ConfigError naming `name`."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"[{name}] {exc}") from None
 
 
 def _validate(cfg: ExperimentConfig, missing: list[str]):
@@ -244,51 +247,21 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
     if missing:
         raise ConfigError(f"{missing[0]}: required key is missing")
     g = cfg.values["generator"]
-    if g["variant"] not in ("affine", "mlp", "decoder"):
-        raise ConfigError(f"[generator] variant: unknown value {g['variant']!r}")
-    if g["latent_dim"] < 1:
-        raise ConfigError("[generator] latent_dim: must be >= 1")
-    r = cfg.values["reward"]
-    if r["variant"] not in ("linear", "quadratic", "redness"):
-        raise ConfigError(f"[reward] variant: unknown value {r['variant']!r}")
-    if r["variant"] == "linear" and not r["c"]:
-        raise ConfigError("[reward] c: required for the linear reward")
-    if r["variant"] == "quadratic" and not r["q"]:
-        raise ConfigError("[reward] q: required for the quadratic reward")
-    # an adapter's rank can be at most the smaller side of its layer: the
-    # hypernetwork adapts the generator's layers but the last, plus a
-    # latent x last-hidden head; direct_ft adapts every layer of a
-    # non-affine generator
-    shapes = _layer_shapes(cfg.generator_spec())
-    adapted = {"train": shapes[:-1] + [(g["latent_dim"], shapes[-1][1])],
-               "direct_ft": [] if g["variant"] == "affine" else shapes}
-    for section, layers in adapted.items():
-        rank = cfg.values[section]["rank"]
-        if rank < 1:
-            raise ConfigError(f"[{section}] rank: must be >= 1")
-        bound = min((min(shape) for shape in layers), default=rank)
-        if rank > bound:
-            raise ConfigError(
-                f"[{section}] rank: {rank} exceeds {bound}, the smallest "
-                "dimension of a layer that gets an adapter")
-    for section in ("train", "direct_ft"):
-        opt = cfg.values[section]["optimizer"]
-        if opt not in _OPTIMIZERS:
-            raise ConfigError(
-                f"[{section}] optimizer: must be one of {_OPTIMIZERS}, got {opt!r}")
     t = cfg.values["train"]
-    for key in ("learning_rate", "alpha"):
-        if not t[key] > 0:
-            raise ConfigError(f"[train] {key}: must be > 0")
     d = cfg.values["direct_ft"]
-    for key, value in (("[train] batch_size", t["batch_size"]),
-                       ("[train] log_every", t["log_every"]),
-                       ("[noise_opt] steps", cfg.values["noise_opt"]["steps"]),
-                       ("[direct_ft] steps", d["steps"]),
-                       ("[direct_ft] batch_size", d["batch_size"]),
-                       ("[direct_ft] eval_every", d["eval_every"])):
-        if value < 1:
-            raise ConfigError(f"{key}: must be >= 1")
+    with _section("generator"):
+        gen = make_generator(cfg.generator_spec(), g["weight_seed"])
+    with _section("reward"):
+        make_reward(cfg.reward_spec()).evaluate_batch([[0.0] * gen.output_dim])
+    with _section("train"):
+        init_hypernet(gen, t["rank"], t["adapter_alpha"])
+        # diversity runs with no training step; train and tradeoff check for one
+        cfg.train_config().validate(min_steps=0)
+    with _section("direct_ft"):
+        AdaptedGenerator(gen, d["rank"])
+        cfg.direct_ft_config().validate()
+    with _section("noise_opt"):
+        cfg.noise_opt_config().validate()
     counts = cfg.values["best_of_n"]["counts"]
     if not counts or min(counts) < 1:
         raise ConfigError("[best_of_n] counts: needs at least one entry, all >= 1")

@@ -109,39 +109,55 @@ def _init_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
     return Layer(_freeze(w), _freeze(b), activation)
 
 
+def _positive(spec: dict, key: str, default=None) -> int:
+    value = int(spec.get(key, default))
+    if value < 1:
+        raise ValueError(f"{key}: must be >= 1, got {value}")
+    return value
+
+
+def _shaped(spec: dict, key: str, shape: tuple) -> np.ndarray:
+    arr = np.asarray(spec[key], dtype=np.float64)
+    if arr.shape != shape:
+        raise ValueError(f"{key}: must have shape {shape}, got {arr.shape}")
+    return arr
+
+
 def make_generator(spec: dict, seed: int = 0) -> Generator:
-    """Reproducible construction: the same (spec, seed) yields identical weights."""
+    """Reproducible construction: the same (spec, seed) yields identical weights.
+
+    A spec it cannot build raises ValueError, led by the offending key."""
     spec = dict(spec)
     variant = spec.get("variant")
-    latent_dim = int(spec.get("latent_dim", 0))
-    if latent_dim < 1:
-        raise ValueError("latent_dim must be a positive integer")
+    latent_dim = _positive(spec, "latent_dim", 0)
     step_mix = float(spec.get("step_mix", 0.5))
     rng = np.random.default_rng(seed)
 
     if variant == "affine":
-        output_dim = int(spec.get("output_dim", latent_dim))
+        output_dim = _positive(spec, "output_dim", latent_dim)
         if "matrix" in spec:
-            a = np.asarray(spec["matrix"], dtype=np.float64).reshape(output_dim, latent_dim)
+            a = _shaped(spec, "matrix", (output_dim, latent_dim))
         else:
             a = rng.standard_normal((output_dim, latent_dim)) / np.sqrt(latent_dim)
-        if "bias" in spec:
-            b = np.asarray(spec["bias"], dtype=np.float64).reshape(output_dim)
-        else:
-            b = np.zeros(output_dim)
+        b = (_shaped(spec, "bias", (output_dim,)) if "bias" in spec
+             else np.zeros(output_dim))
         layers = [Layer(_freeze(a), _freeze(b), "identity")]
         return Generator("affine", latent_dim, layers, step_mix=step_mix, spec=spec)
 
     if variant not in ("mlp", "decoder"):
-        raise ValueError(f"unknown generator variant {variant!r}")
+        raise ValueError("variant: must be one of ('affine', 'mlp', 'decoder'), "
+                         f"got {variant!r}")
     hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
+    if min(hidden, default=1) < 1:
+        raise ValueError(f"hidden: entries must be >= 1, got {hidden}")
     activation = spec.get("activation", "tanh")
     if activation not in ad.ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
+        raise ValueError(f"activation: must be one of {tuple(ad.ACTIVATIONS)}, "
+                         f"got {activation!r}")
     if variant == "mlp":
-        output_dim, last = int(spec["output_dim"]), "identity"
+        output_dim, last = _positive(spec, "output_dim"), "identity"
     else:
-        output_dim = int(spec.get("height", 8)) * int(spec.get("width", 8)) * 3
+        output_dim = _positive(spec, "height", 8) * _positive(spec, "width", 8) * 3
         last = "sigmoid"
     dims = [latent_dim] + hidden + [output_dim]
     activations = [activation] * len(hidden) + [last]

@@ -38,12 +38,13 @@ def lora_adapters(rng: np.random.Generator, layers: list[Layer], rank: int,
     """Zero-output adapters for `layers`, drawn in layer order: down
     Gaussian, up zero, scale alpha / rank."""
     if rank < 1:
-        raise ValueError("rank must be >= 1")
+        raise ValueError("rank: must be >= 1")
     adapters = []
     for layer in layers:
         m, n = layer.weight.shape
         if rank > min(m, n):
-            raise ValueError(f"rank {rank} too large for a {m}x{n} layer")
+            raise ValueError(f"rank: {rank} exceeds {min(m, n)}, the smaller side "
+                             f"of a {m}x{n} layer that gets an adapter")
         adapters.append(LoraAdapter(down=rng.standard_normal((rank, n)) / np.sqrt(n),
                                     up=np.zeros((m, rank)), scale=alpha / rank))
     return adapters
@@ -125,5 +126,5 @@ class LayerStack:
         activations' slope bounds."""
         bound = 1.0
         for layer, w in zip(self.layers, self._effective_weights()):
-            bound *= ad.ACTIVATION_SLOPE_BOUND[layer.activation] * spectral_norm(w)
+            bound *= ad.ACTIVATIONS[layer.activation].slope_bound * spectral_norm(w)
         return bound

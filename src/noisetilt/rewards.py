@@ -59,7 +59,7 @@ class LinearReward(Reward):
 
     def _check(self, x):
         if x.shape[-1] != self.c.shape[0]:
-            raise ValueError(f"input has {x.shape[-1]} entries, expected {self.c.shape[0]}")
+            raise ValueError(f"c: {len(self.c)} entries for an input of {x.shape[-1]}")
 
     def _rows(self, x):
         return x @ self.c
@@ -80,14 +80,14 @@ class QuadraticReward(Reward):
     def __init__(self, q, sign: int = -1):
         self.q = np.asarray(q, dtype=np.float64)
         if self.q.ndim != 2 or self.q.shape[0] != self.q.shape[1]:
-            raise ValueError("Q must be square")
+            raise ValueError(f"q: must be a square matrix, got shape {self.q.shape}")
         if not np.allclose(self.q, self.q.T):
-            raise ValueError("Q must be symmetric")
+            raise ValueError("q: must be symmetric")
         self.sign = int(sign)
 
     def _check(self, x):
         if x.shape[-1] != self.q.shape[0]:
-            raise ValueError(f"input has {x.shape[-1]} entries, expected {self.q.shape[0]}")
+            raise ValueError(f"q: {len(self.q)} rows for an input of {x.shape[-1]}")
 
     def _rows(self, x):
         return 0.5 * self.sign * np.einsum("bi,ij,bj->b", x, self.q, x)
@@ -146,4 +146,5 @@ def make_reward(spec: dict) -> Reward:
         return QuadraticReward(spec["q"], int(spec.get("sign", -1)))
     if variant == "redness":
         return RednessReward(float(spec.get("scale", 0.01)))
-    raise ValueError(f"unknown reward variant {variant!r}")
+    raise ValueError("variant: must be one of ('linear', 'quadratic', 'redness'), "
+                     f"got {variant!r}")

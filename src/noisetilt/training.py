@@ -37,19 +37,19 @@ class TrainConfig:
     # training aborts once E 1/2||f||^2 exceeds this multiple of the latent dim
     divergence_factor: float = 10.0
 
-    def validate(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+    def validate(self, min_steps: int = 1):
+        """Raise ValueError, led by the field, on values the loop cannot run."""
+        if self.steps < min_steps:
+            raise ValueError(f"steps: must be >= {min_steps}")
         if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.optimizer not in ("sgd", "adam"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
+            raise ValueError("batch_size: must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate: must be > 0")
+        check_optimizer(self.optimizer)
+        if not self.alpha > 0:
+            raise ValueError("alpha: must be > 0")
         if self.log_every < 1:
-            raise ValueError("log_every must be >= 1")
+            raise ValueError("log_every: must be >= 1")
 
 
 @dataclass
@@ -111,6 +111,16 @@ class Adam:
             p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
 
 
+# name -> constructor(learning_rate, momentum); Adam keeps its own moments
+OPTIMIZERS = {"sgd": Sgd, "adam": lambda lr, momentum=0.0: Adam(lr)}
+
+
+def check_optimizer(name: str):
+    if name not in OPTIMIZERS:
+        raise ValueError(f"optimizer: unknown optimizer {name!r}, "
+                         f"must be one of {tuple(OPTIMIZERS)}")
+
+
 def clip_global_norm(grads: dict[str, np.ndarray], ceiling: float) -> float:
     """Scale all gradients jointly so their stacked norm is at most `ceiling`.
     Returns the pre-clip norm."""
@@ -136,8 +146,7 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
     """
     cfg.validate()
     rng = np.random.default_rng(cfg.seed)
-    opt = (Adam(cfg.learning_rate) if cfg.optimizer == "adam"
-           else Sgd(cfg.learning_rate, cfg.momentum))
+    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.momentum)
     history = TrainHistory()
     d = g.latent_dim
     ceiling = cfg.divergence_factor * d

@@ -33,6 +33,17 @@ def test_activation_gradients(name):
     check_unary(ad.ACTIVATIONS[name], rng.standard_normal((3, 5)))
 
 
+@pytest.mark.parametrize("name", sorted(ad.ACTIVATIONS))
+def test_slope_bound_is_tight(name):
+    # the Lipschitz audit multiplies these; a loose bound weakens it, a low
+    # one makes it unsound
+    act = ad.ACTIVATIONS[name]
+    z = np.linspace(-10.0, 10.0, 200_001)
+    _, saved = act.forward(z, z.copy())
+    slope = np.abs(act.vjp(np.ones_like(z), saved))
+    assert act.slope_bound - 1e-4 <= slope.max() <= act.slope_bound
+
+
 def test_neg_gradient():
     check_unary(ad.neg, np.random.default_rng(1).standard_normal(4))
 

@@ -89,11 +89,17 @@ def test_direct_ft_reward_increases_and_drift_grows():
     ("eval_every", 0, "eval_every"),               # modulo by zero
     ("steps", 0, "steps"),
     ("batch_size", 0, "batch_size"),
+    ("rank", 0, "rank"),                           # ignored on an affine map
 ])
 def test_direct_ft_validates_its_config(field, value, message):
     cfg = DirectFinetuneConfig(**{"steps": 5, "batch_size": 8, field: value})
     with pytest.raises(ValueError, match=message):
         train_direct_finetune(affine_gen(), LinearReward(C), cfg)
+
+
+def test_noise_opt_validates_its_config():
+    with pytest.raises(ValueError, match="^steps: must be >= 1"):
+        noise_opt(affine_gen(), LinearReward(C), NoiseOptConfig(steps=0))
 
 
 def test_direct_ft_eval_hook_returns_the_drift():

@@ -1,15 +1,19 @@
 """End-to-end runs of the command-line interface."""
 import os
 import re
+import tempfile
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
+from noisetilt import autodiff as ad
 from noisetilt import cli, oracles
 from noisetilt.cli import _mean_pairwise, main
-from noisetilt.config import load_config
+from noisetilt.config import ConfigError, load_config
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
@@ -165,6 +169,168 @@ def test_unusable_evaluation_counts_exit_2(tmp_path, capsys, text, line):
     assert not os.path.exists(os.path.join(out, "report.csv"))
     key = line.splitlines()[-1].split(" = ")[0]
     assert f"[evaluation] {key}:" in capsys.readouterr().err
+
+
+SMALL_TRAIN = """
+[run]
+method = hypernoise
+seed = 1
+
+[generator]
+{generator}
+
+[reward]
+{reward}
+
+[train]
+{train}
+batch_size = 4
+
+[direct_ft]
+{direct_ft}
+
+[evaluation]
+heldout = 8
+fidelity_metric = closed_form_gaussian_kl
+diversity_samples = 2
+"""
+
+
+def small_train(generator, reward, train="steps = 2", direct_ft=""):
+    return SMALL_TRAIN.format(generator=generator, reward=reward, train=train,
+                              direct_ft=direct_ft)
+
+
+@pytest.mark.parametrize("generator,reward,key", [
+    ("variant = mlp\nlatent_dim = 2\nhidden = 4\nactivation = relu",
+     "variant = linear\nc = 1 -1", "[generator] activation"),
+    ("variant = mlp\nlatent_dim = 2\nhidden = 0",
+     "variant = linear\nc = 1 -1", "[generator] hidden"),
+    ("variant = decoder\nlatent_dim = 2\nheight = 0",
+     "variant = redness", "[generator] height"),
+    ("variant = affine\nlatent_dim = 3\nmatrix = 1 0; 0 1",
+     "variant = linear\nc = 1 -1 0.5", "[generator] matrix"),
+    ("variant = affine\nlatent_dim = 3\nbias = 1 2",
+     "variant = linear\nc = 1 -1 0.5", "[generator] bias"),
+    ("variant = affine\nlatent_dim = 2\noutput_dim = -2",
+     "variant = linear\nc = 1 -1", "[generator] output_dim"),
+    ("variant = affine\nlatent_dim = 3",
+     "variant = linear\nc = 1 -1", "[reward] c"),
+    ("variant = affine\nlatent_dim = 2",
+     "variant = quadratic\nq = 1 2; 0 1", "[reward] q"),
+], ids=["activation", "hidden", "height", "matrix", "bias", "output_dim",
+        "linear_c", "nonsymmetric_q"])
+def test_unbuildable_configs_rejected_at_load_exit_2(tmp_path, capsys, generator,
+                                                     reward, key):
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "c.ini", small_train(generator, reward))
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    assert f"config error: {key}:" in capsys.readouterr().err
+
+
+def test_negative_train_steps_rejected_at_load(tmp_path, capsys):
+    # diversity treated a negative step count as none; at zero steps it
+    # runs, and every other [train] rule still applies
+    generator, reward = "variant = affine\nlatent_dim = 2", "variant = linear\nc = 1 -1"
+    for train in ("steps = -3", "steps = 0\noptimizer = adamw"):
+        out = str(tmp_path / "out")
+        cfg = write(tmp_path, "c.ini", small_train(generator, reward, train))
+        assert main(["diversity", "--config", cfg, "--out", out, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "[train] steps: must be >= 0" in err
+    assert "[train] optimizer:" in err
+
+
+def _ints(values):
+    return " ".join(str(v) for v in values)
+
+
+def _rows(matrix):
+    return "; ".join(_ints(row) for row in matrix)
+
+
+@st.composite
+def small_configs(draw):
+    """(INI text of a small `train` config, its [train] steps, clean).  At
+    most two knobs draw from wide ranges, the rest from the ranges their
+    generator, reward and adapters can be built from; a clean config has
+    no wide knob."""
+    wide = draw(st.sets(st.sampled_from(
+        ["output_dim", "sizes", "activation", "matrix", "bias", "reward", "q",
+         "steps", "optimizer", "rank"]), max_size=2))
+
+    def pick(knob, buildable, wider):
+        return draw(wider if knob in wide else buildable)
+
+    sizes = st.integers(1, 3), st.integers(0, 3)
+    variant = draw(st.sampled_from(["affine", "mlp", "decoder"]))
+    latent = draw(st.integers(1, 4))
+    output_dim = pick("output_dim", st.integers(0, 4), st.integers(-1, 4))
+    height, width = pick("sizes", *sizes), pick("sizes", *sizes)
+    activations = sorted(ad.ACTIVATIONS)
+    activation = pick("activation", st.sampled_from(activations),
+                      st.sampled_from(activations + ["relu"]))
+    generator = [f"variant = {variant}", f"latent_dim = {latent}",
+                 f"output_dim = {output_dim}", f"hidden = {pick('sizes', *sizes)}",
+                 f"height = {height}", f"width = {width}", f"activation = {activation}"]
+    out = height * width * 3 if variant == "decoder" else max(output_dim, 0) or latent
+    entries = st.integers(-2, 2)
+
+    def matrix(rows, cols):
+        return draw(st.lists(st.lists(entries, min_size=cols, max_size=cols),
+                             min_size=rows, max_size=rows))
+
+    if draw(st.booleans()):
+        shape = pick("matrix", st.just((out, latent)),
+                     st.tuples(st.integers(1, 4), st.integers(1, 4)))
+        generator.append(f"matrix = {_rows(matrix(*shape))}")
+    if draw(st.booleans()):
+        n = pick("bias", st.just(out), st.integers(1, 4))
+        generator.append(f"bias = {_ints(matrix(1, n)[0])}")
+    rewards = ["linear", "quadratic", "redness"]
+    if "reward" not in wide and out % 3:
+        rewards.remove("redness")       # it reads an image: three channels
+    if out > 4:
+        rewards.remove("quadratic")     # a decoder's q would be up to 27 x 27
+    reward = draw(st.sampled_from(rewards))
+    n = pick("reward", st.just(out), st.integers(0, 4))
+    payload = ""
+    if reward == "linear":
+        payload = f"c = {_ints(matrix(1, n)[0])}"
+    elif reward == "quadratic":
+        q = np.array(matrix(n, n), dtype=int).reshape(n, n)
+        if pick("q", st.just(True), st.booleans()):
+            q = q + q.T
+        payload = f"q = {_rows(q.tolist())}"
+    steps = pick("steps", st.integers(0, 2), st.integers(-1, 2))
+    optimizer = pick("optimizer", st.sampled_from(["sgd", "adam"]),
+                     st.sampled_from(["sgd", "adam", "adamw"]))
+    ranks = "rank", st.just(1), st.integers(0, 5)
+    train = f"steps = {steps}\noptimizer = {optimizer}\nrank = {pick(*ranks)}"
+    text = small_train("\n".join(generator), f"variant = {reward}\n{payload}", train,
+                       f"rank = {pick(*ranks)}")
+    return text, steps, not wide
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_configs())
+def test_every_accepted_config_runs(case):
+    text, steps, clean = case
+    try:
+        load_config(text, is_text=True)
+        accepted = True
+    except ConfigError:
+        accepted = False
+    assert accepted or not clean, text
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = os.path.join(tmp, "c.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        code = main(["train", "--config", cfg, "--out", os.path.join(tmp, "out"),
+                     "--quiet"])
+    # train needs a step; every other config is rejected or runs
+    assert code == (0 if accepted and steps != 0 else 2), text
 
 
 DECODER_TRAIN = """

@@ -90,7 +90,8 @@ def test_echo_round_trips():
     assert "fidelity_metric = knn_kl" in echo
 
 
-NONSQUARE = GOOD.replace("variant = affine", "variant = mlp\noutput_dim = 3")
+NONSQUARE = (GOOD.replace("variant = affine", "variant = mlp\noutput_dim = 3")
+             .replace("c = 1.0 -2.0", "c = 1.0 -2.0 0.5"))
 
 
 @pytest.mark.parametrize("section,key", [("train", "generation_steps"),

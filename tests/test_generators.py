@@ -74,6 +74,25 @@ def test_input_validation():
         make_generator({"variant": "nope", "latent_dim": 2}, seed=0)
 
 
+@pytest.mark.parametrize("spec,key", [
+    ({"variant": "mlp", "output_dim": 2, "hidden": [3, 0]}, "hidden"),
+    ({"variant": "mlp", "output_dim": 2, "activation": "relu"}, "activation"),
+    ({"variant": "mlp", "output_dim": -2}, "output_dim"),
+    ({"variant": "decoder", "height": 0}, "height"),
+    ({"variant": "decoder", "width": 0}, "width"),
+    ({"variant": "affine", "output_dim": -2}, "output_dim"),
+    ({"variant": "affine", "matrix": [[1.0, 0.0], [0.0, 1.0]]}, "matrix"),
+    ({"variant": "affine", "matrix": [[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]},
+     "matrix"),
+    ({"variant": "affine", "bias": [1.0, 2.0]}, "bias"),
+])
+def test_unbuildable_spec_names_its_key(spec, key):
+    # hidden or height 0 failed later as an adapter rank, a wrong-size
+    # matrix or bias with numpy's reshape message
+    with pytest.raises(ValueError, match=rf"^{key}: "):
+        make_generator({"latent_dim": 3, **spec}, seed=0)
+
+
 def test_node_matches_generate_and_fd():
     g = make_generator(MLP_SPEC, seed=3)
     x = np.random.default_rng(4).standard_normal(3)
