@@ -179,10 +179,13 @@ class DirectFinetuneHistory:
     drift_estimator: str = "closed_form"
 
 
-def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig,
-                  step: int) -> float:
-    """KL(adapted || base) of the outputs after `step`, from fresh draws fixed
-    by (cfg.seed, step)."""
+def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: int,
+                  estimate=None):
+    """KL(adapted || base) of the outputs after `step`: a float in closed form
+    for an affine generator, else estimate(adapted outputs, base outputs)
+    of fresh draws fixed by (cfg.seed, step), drawn and generated now.  The
+    default estimate is kl_knn's float; a KnnEvaluator's `submit` returns
+    an Estimate to resolve later instead."""
     g = adapted.backbone
     if adapted.bias_delta is not None:
         # affine case in closed form: equal covariances, shifted means
@@ -193,7 +196,7 @@ def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig,
     seqs = np.random.SeedSequence(cfg.seed + 1000 + step).spawn(2)
     xa = np.random.default_rng(seqs[0]).standard_normal((n, g.latent_dim))
     xb = np.random.default_rng(seqs[1]).standard_normal((n, g.latent_dim))
-    return kl_knn(adapted.generate(xa), g.generate(xb))
+    return (estimate or kl_knn)(adapted.generate(xa), g.generate(xb))
 
 
 def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
@@ -204,7 +207,11 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
     drift that the noise-space method avoids, so drift is measured and
     logged rather than penalized.  At every evaluated step the drift is
     eval_hook(step, adapted), by default `measure_drift` with this config;
-    a hook lets the caller time the evaluation apart from the training.
+    a hook lets the caller time the evaluation apart from the training.  A
+    hook may return an Estimate still running on a KnnEvaluator (one in
+    flight, its error re-raised by the next submission), so training goes
+    on beside it; every drift is resolved to a float, in submission order,
+    before this returns.
     """
     cfg.validate()
     if eval_hook is None:
@@ -235,4 +242,5 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
             history.steps.append(step)
             history.mean_reward.append(mean_reward)
             history.output_drift.append(eval_hook(step, adapted))
+    history.output_drift = [float(d) for d in history.output_drift]
     return adapted, history

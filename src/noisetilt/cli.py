@@ -25,7 +25,7 @@ from .baselines import (DirectFinetuneConfig, best_of_n, measure_drift, noise_op
 from .config import ConfigError, ExperimentConfig, load_config
 from .generators import Generator, make_generator
 from .hypernet import init_hypernet
-from .oracles import kl_knn
+from .oracles import kl_knn  # noqa: F401  (bench/test_bench.py: the tracer rebinds it)
 from .rewards import Reward, make_reward
 from .training import save_checkpoint, train_hypernoise
 
@@ -43,6 +43,8 @@ class RunContext:
         self.phases: dict[str, list] = {}   # name -> [wall s, minor page faults]
         self._open: list[str] = []
         self._mark = (self.t0, 0)
+        # the run's kNN estimates; waiting for one counts as evaluate
+        self.evaluator = oracles.KnnEvaluator(wait=lambda: self.phase("evaluate"))
 
     @contextlib.contextmanager
     def phase(self, name: str):
@@ -74,6 +76,9 @@ class RunContext:
             print(msg)
 
     def finish(self):
+        if self.evaluator.estimates:
+            self.log_lines.append(f"evaluator {self.evaluator.estimates} estimates, "
+                                  f"busy {self.evaluator.busy_s:.3f} s")
         for name, (wall, faults) in self.phases.items():
             self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults")
         self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
@@ -120,23 +125,25 @@ def _fidelity_reference(cfg: ExperimentConfig, g: Generator,
                       steps=steps)
 
 
-def _fidelity(y_ref: Optional[np.ndarray], delta: np.ndarray,
-              y_mod: Optional[np.ndarray]) -> float:
+def _fidelity(ctx: RunContext, y_ref: Optional[np.ndarray], delta: np.ndarray,
+              y_mod: Optional[np.ndarray]) -> float | oracles.Estimate:
     """Distributional closeness of the modulated run to the base run, from
     the noise perturbation `delta` and the modulated outputs `y_mod` (only
-    read when there is a reference set)."""
+    read when there is a reference set): a float, or the kNN estimate
+    running on the run's evaluator, which float() resolves."""
     if y_ref is None:
         # noise-space KL in its L2 form; exact for constant shifts
         return float(0.5 * np.mean(np.sum(delta * delta, axis=1)))
-    return kl_knn(y_mod, y_ref)
+    return ctx.evaluator.submit(y_mod, y_ref)
 
 
 def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
     """`train_direct_finetune`'s drift measurement, charged to the evaluate
-    phase instead of the training loop it runs in."""
+    phase instead of the training loop it runs in; its kNN estimate runs on
+    the run's evaluator while training goes on."""
     def hook(step, adapted):
         with ctx.phase("evaluate"):
-            return measure_drift(adapted, cfg, step)
+            return measure_drift(adapted, cfg, step, ctx.evaluator.submit)
     return hook
 
 
@@ -204,12 +211,15 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
         for gen_steps in cfg["evaluation"]["multi_step"]:
             y_mod = g.generate(x + delta, steps=gen_steps)
             y_base = g.generate(x, steps=gen_steps)
-            fidelity = _fidelity(_fidelity_reference(cfg, g, gen_steps), delta, y_mod)
+            fidelity = _fidelity(ctx, _fidelity_reference(cfg, g, gen_steps), delta, y_mod)
             mean, se = _reward_stats(r, y_mod)
             base_mean = float(r.evaluate_batch(y_base).mean())
             div = _mean_pairwise(y_mod[:cfg["evaluation"]["diversity_samples"]])
             rows.append(["hypernoise", final_step, gen_steps, mean, se,
                          base_mean, fidelity, div, lip])
+        for row in rows:    # the estimates, resolved in submission order
+            row[6] = float(row[6])
+            _, _, gen_steps, mean, _, base_mean, fidelity, _, _ = row
             ctx.log(f"steps={gen_steps}: reward {mean:.6g} (base {base_mean:.6g}), "
                     f"fidelity {fidelity:.6g}")
 
@@ -277,14 +287,14 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
         hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg_h.seed)
     with ctx.phase("evaluate"):
         y_ref = _fidelity_reference(cfg_h, g)
-    curve_h: list[tuple[int, float, float]] = []
+    curve_h: list[tuple] = []      # (step, reward, fidelity or its Estimate)
 
     def hook(step, net):
         with ctx.phase("evaluate"):
             delta = net.perturb(x)
             y = g.generate(x + delta)
             curve_h.append((step, float(r.evaluate_batch(y).mean()),
-                            _fidelity(y_ref, delta, y)))
+                            _fidelity(ctx, y_ref, delta, y)))
 
     with ctx.phase("train"):
         history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
@@ -292,6 +302,7 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
             raise RuntimeError(f"training aborted: {history.aborted_reason}")
         d = cfg_d.direct_ft_config()
         _, hist_d = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
+    curve_h = [(s, rw, float(fi)) for s, rw, fi in curve_h]
     curve_d = list(zip(hist_d.steps, hist_d.mean_reward, hist_d.output_drift))
 
     steps = sorted({s for s, _, _ in curve_h} | {s for s, _, _ in curve_d})
@@ -417,18 +428,23 @@ def main(argv=None) -> int:
         # the theory suite's row blocks had
         ctx.log(f"workers {oracles.WORKERS}")
     try:
-        if args.command == "validate-theory":
-            code = run_validate_theory(cfg, ctx)
-        elif args.command == "train":
-            code = run_train(cfg, ctx)
-        elif args.command == "baseline":
-            code = run_baseline(cfg, ctx)
-        elif args.command == "tradeoff":
-            code = run_tradeoff(cfg, cfg_d, ctx)
-        elif args.command == "diversity":
-            code = run_diversity(cfg, ctx)
-        else:  # pragma: no cover
-            raise AssertionError(args.command)
+        try:
+            if args.command == "validate-theory":
+                code = run_validate_theory(cfg, ctx)
+            elif args.command == "train":
+                code = run_train(cfg, ctx)
+            elif args.command == "baseline":
+                code = run_baseline(cfg, ctx)
+            elif args.command == "tradeoff":
+                code = run_tradeoff(cfg, cfg_d, ctx)
+            elif args.command == "diversity":
+                code = run_diversity(cfg, ctx)
+            else:  # pragma: no cover
+                raise AssertionError(args.command)
+        finally:
+            # an estimate still in flight was submitted before anything
+            # raised here, so its error is the one to report
+            ctx.evaluator.close()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

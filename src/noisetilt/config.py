@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import contextlib
 import io
+import math
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
@@ -105,23 +106,32 @@ _METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
 _FIDELITY = ("knn_kl", "closed_form_gaussian_kl")
 
 
+def _finite(token: str) -> float:
+    """A float that is neither nan nor infinite: no key has a use for one
+    (a nan `clip_norm` silently turned clipping off)."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ValueError(f"{token} is not a finite number")
+    return value
+
+
 def _parse_value(section: str, key: str, kind: str, raw: str):
     raw = raw.strip()
     try:
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "str":
             return raw
         if kind == "ints":
             return [int(t) for t in raw.replace(",", " ").split()] if raw else []
         if kind == "floats":
-            return [float(t) for t in raw.replace(",", " ").split()] if raw else []
+            return [_finite(t) for t in raw.replace(",", " ").split()] if raw else []
         if kind == "matrix":
             if not raw:
                 return []
-            rows = [[float(t) for t in row.replace(",", " ").split()]
+            rows = [[_finite(t) for t in row.replace(",", " ").split()]
                     for row in raw.split(";")]
             if len({len(row) for row in rows}) > 1:
                 raise ValueError("rows differ in length")

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import functools
 import os
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
@@ -108,7 +109,8 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     """One pool per worker count, kept for the life of the process: making
     its threads anew costs about 0.3 ms a call, as much as a cheap map's
     whole pass.  A block must not call _run_blocks itself, or it could wait
-    on a block queued behind it."""
+    on a block queued behind it.  The KnnEvaluator's one thread is _pool(1),
+    started by its first estimate."""
     return ThreadPoolExecutor(workers)
 
 
@@ -326,8 +328,18 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
         if not np.all(np.isfinite(s)):
             raise ValueError(f"{name} contains non-finite values")
     near_p, near_q = _kth_neighbors(p, q, k)
-    rho = np.linalg.norm(p[near_p] - p, axis=1)
-    nu = np.linalg.norm(q[near_q] - p, axis=1)
+    # |x[near] - p| row by row through one buffer: the same bits as
+    # np.linalg.norm(x[near] - p, axis=1) without its temporaries ("clip"
+    # skips take's own buffering; every index is in range, as each set holds
+    # more than k points)
+    buf = np.empty_like(p)
+    dists = []
+    for x, near in ((p, near_p), (q, near_q)):
+        np.take(x, near, axis=0, out=buf, mode="clip")
+        buf -= p
+        np.square(buf, out=buf)
+        dists.append(np.sqrt(buf.sum(axis=1)))
+    rho, nu = dists
     if np.any(rho == 0.0) or np.any(nu == 0.0):
         if _retried:
             raise ValueError("duplicate points persist after jitter; cannot estimate")
@@ -336,6 +348,63 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
         return kl_knn(p + jitter * rng.standard_normal(p.shape),
                       q + jitter * rng.standard_normal(q.shape), k, _retried=True)
     return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1)))
+
+
+class Estimate:
+    """A kl_knn estimate submitted to a KnnEvaluator.  float() of it waits
+    for the estimate and returns it, or re-raises the error it raised."""
+
+    def __init__(self, future: Future, wait: Callable[[], ContextManager]):
+        self._future = future
+        self._wait = wait
+
+    def __float__(self) -> float:
+        with self._wait():
+            return self._future.result()
+
+
+class KnnEvaluator:
+    """Runs kl_knn estimates on one background thread, so the caller can go
+    on (training, say) while the k-d tree queries, which release the GIL,
+    run beside it.
+
+    `submit` first waits for the estimate submitted before it, so at most
+    one is in flight and at most one pair of point sets is held for it; the
+    callers resolve their estimates in submission order.  An estimate's
+    error is re-raised by the next `submit`, by `close` or by float() of it,
+    whichever comes first, so errors surface in submission order.  Every
+    wait runs inside `wait()`, so a caller can charge it to a phase.  The
+    thread is _pool(1)'s, started by the first estimate, and it calls
+    kl_knn through this module's global at call time, so a wrapper bound to
+    `oracles.kl_knn` sees every estimate."""
+
+    def __init__(self, wait: Callable[[], ContextManager] = nullcontext):
+        self._wait = wait
+        self._last: Optional[Estimate] = None
+        self.estimates = 0
+        self.busy_s = 0.0     # the thread's wall seconds inside kl_knn
+
+    def _estimate(self, p: np.ndarray, q: np.ndarray) -> float:
+        t0 = time.perf_counter()
+        try:
+            return kl_knn(p, q)
+        finally:
+            self.busy_s += time.perf_counter() - t0
+
+    def submit(self, samples_p: np.ndarray, samples_q: np.ndarray) -> Estimate:
+        """Start kl_knn(samples_p, samples_q); the caller must not change
+        either array until the estimate is resolved."""
+        self.close()
+        self._last = Estimate(_pool(1).submit(self._estimate, samples_p, samples_q),
+                              self._wait)
+        self.estimates += 1
+        return self._last
+
+    def close(self):
+        """Wait for the estimate in flight, if any, and re-raise its error."""
+        last, self._last = self._last, None
+        if last is not None:
+            float(last)
 
 
 def gaussian_shift_kl(shift: np.ndarray) -> float:

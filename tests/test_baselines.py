@@ -7,6 +7,7 @@ from noisetilt.baselines import (AdaptedGenerator, DirectFinetuneConfig,
                                  NoiseOptConfig, best_of_n, measure_drift,
                                  noise_opt, train_direct_finetune)
 from noisetilt.generators import make_generator
+from noisetilt.oracles import KnnEvaluator
 from noisetilt.rewards import LinearReward, RednessReward
 
 A = np.array([[1.0, 0.3], [0.0, 0.9]])
@@ -118,6 +119,13 @@ def test_direct_ft_eval_hook_returns_the_drift():
     assert calls == plain.steps == [0, 5, 10, 11]
     assert hooked.output_drift == plain.output_drift
     assert hooked.mean_reward == plain.mean_reward
+    # estimates left running on an evaluator come back as the same floats
+    evaluator = KnnEvaluator()
+    _, deferred = train_direct_finetune(
+        g, RednessReward(0.01), cfg,
+        eval_hook=lambda step, adapted: measure_drift(adapted, cfg, step, evaluator.submit))
+    assert deferred.output_drift == plain.output_drift and evaluator.estimates == 4
+    assert all(type(d) is float for d in deferred.output_drift)
 
 
 def test_adapted_generator_zero_init_identity():

@@ -2,7 +2,9 @@
 import os
 import re
 import tempfile
+import threading
 import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from noisetilt import autodiff as ad
-from noisetilt import cli, oracles
+from noisetilt import cli, oracles, training
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
 from noisetilt.hypernet import init_hypernet
@@ -242,6 +244,20 @@ def test_negative_train_steps_rejected_at_load(tmp_path, capsys):
     assert "[train] optimizer:" in err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["clip_norm", "learning_rate", "adapter_alpha"])
+def test_non_finite_train_floats_rejected_at_load_exit_2(tmp_path, capsys, key, value):
+    # clip_norm = nan silently turned clipping off (exit 0); learning_rate =
+    # inf and adapter_alpha = nan failed the run with exit 1
+    text = re.sub(rf"^{key} = .*\n", "", AFFINE_TRAIN, flags=re.M)
+    text = text.replace("[train]", f"[train]\n{key} = {value}")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    assert f"[train] {key}: {value} is not a finite number" in capsys.readouterr().err
+
+
 def _ints(values):
     return " ".join(str(v) for v in values)
 
@@ -258,7 +274,7 @@ def small_configs(draw):
     no wide knob."""
     wide = draw(st.sets(st.sampled_from(
         ["output_dim", "sizes", "activation", "matrix", "bias", "reward", "q",
-         "steps", "optimizer", "rank"]), max_size=2))
+         "steps", "optimizer", "rank", "float"]), max_size=2))
 
     def pick(knob, buildable, wider):
         return draw(wider if knob in wide else buildable)
@@ -308,6 +324,9 @@ def small_configs(draw):
                      st.sampled_from(["sgd", "adam", "adamw"]))
     ranks = "rank", st.just(1), st.integers(0, 5)
     train = f"steps = {steps}\noptimizer = {optimizer}\nrank = {pick(*ranks)}"
+    float_key = draw(st.sampled_from(["clip_norm", "learning_rate", "adapter_alpha"]))
+    train += f"\n{float_key} = " + pick("float", st.just("0.5"),
+                                         st.sampled_from(["0.5", "nan", "inf", "-inf"]))
     text = small_train("\n".join(generator), f"variant = {reward}\n{payload}", train,
                        f"rank = {pick(*ranks)}")
     return text, steps, not wide
@@ -438,9 +457,9 @@ def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
     pause = 0.1
     real = cli.measure_drift
 
-    def slow_drift(adapted, cfg, step):
+    def slow_drift(*args):
         time.sleep(pause)
-        return real(adapted, cfg, step)
+        return real(*args)
 
     monkeypatch.setattr(cli, "measure_drift", slow_drift)
     cfg_h, cfg_d = tradeoff_configs(tmp_path)
@@ -454,6 +473,152 @@ def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
                  for line in lines if line.startswith("phase ")}
         # 7 drift evaluations: steps 0, 20, ..., 100 and the last, 119
         assert walls["evaluate"] >= 7 * pause, name
+
+
+KNN_DECODER = (DECODER_TRAIN.format(steps=1).replace("closed_form_gaussian_kl", "knn_kl")
+               + "multi_step = 1 2 4\n")
+
+
+def knn_runs(tmp_path):
+    """argv of each subcommand whose kNN estimates run on the evaluator:
+    train's 3 multi-step rows, tradeoff's 4 + 4 logged steps and the
+    direct_ft baseline's 4 drift evaluations."""
+    hyper = write(tmp_path, "h.ini", KNN_DECODER)
+    direct = write(tmp_path, "d.ini", KNN_DECODER.replace(
+        "method = hypernoise", "method = direct_ft") + (
+        "\n[direct_ft]\nsteps = 30\nbatch_size = 8\neval_every = 10\n"
+        "eval_samples = 100\n"))
+    return {"train": ["train", "--config", hyper], "tradeoff": ["tradeoff", hyper, direct],
+            "baseline": ["baseline", "--config", direct]}
+
+
+class InlineExecutor:
+    """Runs each submitted call at once, on the submitting thread."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+def artifacts(out):
+    """Relative path -> bytes of every file a run wrote but run.log."""
+    found = {}
+    for root, _, files in os.walk(out):
+        for name in files:
+            path = os.path.join(root, name)
+            if name != "run.log":
+                found[os.path.relpath(path, out)] = open(path, "rb").read()
+    return found
+
+
+def test_background_estimates_write_the_same_bytes_as_inline(tmp_path, monkeypatch):
+    runs = knn_runs(tmp_path)
+    written = {}
+    for mode in ("background", "inline"):
+        if mode == "inline":
+            monkeypatch.setattr(oracles, "_pool", lambda workers: InlineExecutor())
+        for name, argv in runs.items():
+            out = str(tmp_path / mode / name)
+            assert main(argv + ["--out", out, "--quiet"]) == 0, (mode, name)
+            written[mode, name] = artifacts(out)
+            estimates = {"train": 3, "tradeoff": 8, "baseline": 4}[name]
+            assert f"evaluator {estimates} estimates, busy " in open(
+                os.path.join(out, "run.log")).read()
+    for name in runs:
+        assert "config-resolved.ini" in written["background", name]
+        assert written["background", name] == written["inline", name], name
+
+
+def counting_kl_knn(monkeypatch, fail_on=None, pause=0.005):
+    """Rebind oracles.kl_knn to a wrapper that counts its calls and the most
+    running at once, and raises on call number `fail_on`."""
+    state = {"calls": 0, "running": 0, "most": 0}
+    lock = threading.Lock()
+    real = oracles.kl_knn
+
+    def wrapper(*args, **kwargs):
+        with lock:
+            state["calls"] += 1
+            state["running"] += 1
+            state["most"] = max(state["most"], state["running"])
+            call = state["calls"]
+        try:
+            time.sleep(pause)
+            if call == fail_on:
+                raise ValueError(f"estimate {call} failed")
+            return real(*args, **kwargs)
+        finally:
+            with lock:
+                state["running"] -= 1
+
+    monkeypatch.setattr(oracles, "kl_knn", wrapper)
+    return state
+
+
+def test_one_estimate_in_flight_and_none_after_main(tmp_path, monkeypatch):
+    state = counting_kl_knn(monkeypatch)
+    for name, argv in knn_runs(tmp_path).items():
+        assert main(argv + ["--out", str(tmp_path / name), "--quiet"]) == 0
+        assert state["running"] == 0, name
+    assert state["calls"] == 3 + 8 + 4 and state["most"] == 1
+
+
+def abort_training_at(monkeypatch, step):
+    """Make train_hypernoise's loss raise FloatingPointError at `step`, which
+    aborts the training."""
+    real, calls = training.hypernoise_loss, []
+
+    def loss(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == step + 1:
+            raise FloatingPointError("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(training, "hypernoise_loss", loss)
+
+
+@pytest.mark.parametrize("abort", [False, True], ids=["runs-on", "training-aborts"])
+def test_failed_estimate_reported_as_when_made_inline(tmp_path, monkeypatch, abort):
+    # inline, the third estimate raised where it was made; the run stops at
+    # it, and an abort of the training after that step does not hide it
+    runs = knn_runs(tmp_path)
+    if abort:
+        # tradeoff's third estimate is step 20's; the fourth would be 29's
+        runs = {"tradeoff": runs["tradeoff"]}
+        abort_training_at(monkeypatch, 25)
+    state = counting_kl_knn(monkeypatch, fail_on=3)
+    for name, argv in runs.items():
+        state["calls"] = 0
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out, "--quiet"]) == 1, name
+        assert open(os.path.join(out, "FAILED")).read() == "ValueError: estimate 3 failed\n"
+        assert state["calls"] == 3 and state["running"] == 0, name
+        assert "FAILED: ValueError: estimate 3 failed" in open(
+            os.path.join(out, "run.log")).read()
+
+
+def test_training_abort_waits_for_the_estimate_in_flight(tmp_path, monkeypatch):
+    abort_training_at(monkeypatch, 25)
+    state = counting_kl_knn(monkeypatch, pause=0.2)
+    out = str(tmp_path / "out")
+    assert main(knn_runs(tmp_path)["tradeoff"] + ["--out", out, "--quiet"]) == 1
+    assert state["running"] == 0 and state["calls"] == 3
+    assert open(os.path.join(out, "FAILED")).read() == (
+        "RuntimeError: training aborted: step 25: injected\n")
+
+
+def test_closed_form_train_starts_no_evaluator(tmp_path, monkeypatch):
+    pools = []
+    monkeypatch.setattr(oracles, "_pool", pools.append)
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "d.ini", DECODER_TRAIN.format(steps=1))
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert pools == []
+    assert "evaluator" not in open(os.path.join(out, "run.log")).read()
 
 
 def test_run_log_phase_lines(tmp_path):

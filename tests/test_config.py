@@ -55,6 +55,17 @@ def test_type_errors_name_the_field():
         load_config(GOOD.replace("steps = 25", "steps = many"), is_text=True)
 
 
+@pytest.mark.parametrize("old,new,key", [
+    ("learning_rate = 0.2", "learning_rate = inf", r"\[train\] learning_rate"),
+    ("c = 1.0 -2.0", "c = 1.0 nan", r"\[reward\] c"),
+    ("matrix = 1 0.5; 0 1", "matrix = 1 0.5; -inf 1", r"\[generator\] matrix"),
+])
+def test_non_finite_floats_name_the_field(old, new, key):
+    # each float kind: float, floats, matrix
+    with pytest.raises(ConfigError, match=key + ": .* is not a finite number"):
+        load_config(GOOD.replace(old, new), is_text=True)
+
+
 def test_missing_required_key():
     with pytest.raises(ConfigError, match="latent_dim"):
         load_config(GOOD.replace("latent_dim = 2\n", ""), is_text=True)

@@ -1,6 +1,7 @@
 """Sampling oracles, identity checks, and divergence estimators."""
 import os
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -321,6 +322,78 @@ def test_kl_knn_nonfinite_names_the_set(bad):
         kl_knn(spoiled, good)
     with pytest.raises(ValueError, match="samples_q"):
         kl_knn(good, spoiled)
+
+
+def test_kl_knn_same_bits_as_norm_distances():
+    # the one-buffer distances change no bit of the estimate
+    rng = np.random.default_rng(12)
+    for n, d in ((300, 48), (200, 3)):
+        p = rng.standard_normal((n, d))
+        q = 1.1 * rng.standard_normal((n + 50, d))
+        near_p, near_q = oracles._kth_neighbors(p, q, 5)
+        rho = np.linalg.norm(p[near_p] - p, axis=1)
+        nu = np.linalg.norm(q[near_q] - p, axis=1)
+        expected = float(d * np.mean(np.log(nu / rho)) + np.log(len(q) / (n - 1)))
+        assert kl_knn(p, q) == expected
+
+
+def _point_pairs(count, seed=13):
+    rng = np.random.default_rng(seed)
+    return [(rng.standard_normal((60, 3)) + 0.1 * i, rng.standard_normal((60, 3)))
+            for i in range(count)]
+
+
+def test_evaluator_estimates_off_the_calling_thread(monkeypatch):
+    threads, waits = [], []
+    real = oracles.kl_knn
+
+    def recording(p, q):
+        threads.append(threading.get_ident())
+        return real(p, q)
+
+    class Wait:
+        def __enter__(self):
+            waits.append(1)
+
+        def __exit__(self, *exc):
+            pass
+
+    monkeypatch.setattr(oracles, "kl_knn", recording)     # looked up at call time
+    evaluator = oracles.KnnEvaluator(wait=Wait)
+    pairs = _point_pairs(3)
+    estimates = [evaluator.submit(p, q) for p, q in pairs]
+    assert [float(e) for e in estimates] == [real(p, q) for p, q in pairs]
+    evaluator.close()
+    assert evaluator.estimates == 3 and evaluator.busy_s > 0
+    assert len(threads) == 3 and threading.get_ident() not in threads
+    assert waits    # each wait ran inside the caller's context
+
+
+def test_evaluator_reraises_in_submission_order(monkeypatch):
+    calls = []
+    real = oracles.kl_knn
+
+    def failing(p, q):
+        calls.append(len(calls) + 1)
+        if len(calls) in (2, 3):
+            raise ValueError(f"estimate {len(calls)} failed")
+        return real(p, q)
+
+    monkeypatch.setattr(oracles, "kl_knn", failing)
+    evaluator = oracles.KnnEvaluator()
+    (p, q), = _point_pairs(1)
+    first = evaluator.submit(p, q)
+    second = evaluator.submit(p, q)
+    with pytest.raises(ValueError, match="estimate 2 failed"):
+        evaluator.submit(p, q)      # waits for the second, which failed
+    assert calls == [1, 2] and float(first) == real(p, q)
+    with pytest.raises(ValueError, match="estimate 2 failed"):
+        float(second)
+    evaluator.submit(p, q)
+    with pytest.raises(ValueError, match="estimate 3 failed"):
+        evaluator.close()
+    evaluator.close()               # nothing left in flight
+    assert calls == [1, 2, 3]
 
 
 def kl_knn_brute_force(p, q, k):
