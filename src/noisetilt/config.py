@@ -1,8 +1,9 @@
 """Experiment configuration: a flat INI file with typed sections.
 
-Unknown sections or keys are hard errors (they are almost always typos),
-every default the run ends up using appears in the resolved echo, and the
-echo itself parses back to an identical configuration.
+Unknown sections or keys are hard errors (they are almost always typos), and
+so is a key set outside its scope: the variants or optimizer it acts under.
+The resolved echo holds every key that applies, defaults included, and
+parses back to an identical configuration.
 Every config `load_config` accepts runs; others raise a ConfigError naming
 section and key (exit 2).  Validation builds what the run builds, so each
 rule lives once, in the constructor or `validate()` that needs it.
@@ -13,7 +14,7 @@ import configparser
 import contextlib
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig
@@ -30,9 +31,10 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
-# section -> key -> (type, default). Types: int, float, str,
-# ints/floats (comma-separated), matrix (semicolon-separated rows).
-_SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
+# section -> key -> (type, default[, scope]). Types: int, float, str,
+# ints/floats (comma-separated), matrix (semicolon-separated rows).  A key
+# with a scope (section, owner key, owner values) acts only under those values.
+_SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "method": ("str", "hypernoise"),   # hypernoise | direct_ft | noise_opt | best_of_n | theory
         "seed": ("int", 0),
@@ -41,29 +43,29 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
     "generator": {
         "variant": ("str", _REQUIRED),     # affine | mlp | decoder
         "latent_dim": ("int", _REQUIRED),
-        "output_dim": ("int", 0),          # 0 = derived
-        "hidden": ("ints", []),
-        "activation": ("str", "tanh"),
-        "height": ("int", 8),
-        "width": ("int", 8),
-        "matrix": ("matrix", []),
-        "bias": ("floats", []),
+        "output_dim": ("int", 0, ("generator", "variant", ("affine", "mlp"))),  # 0: derived
+        "hidden": ("ints", [], ("generator", "variant", ("mlp", "decoder"))),
+        "activation": ("str", "tanh", ("generator", "variant", ("mlp", "decoder"))),
+        "height": ("int", 8, ("generator", "variant", ("decoder",))),
+        "width": ("int", 8, ("generator", "variant", ("decoder",))),
+        "matrix": ("matrix", [], ("generator", "variant", ("affine",))),
+        "bias": ("floats", [], ("generator", "variant", ("affine",))),
         "step_mix": ("float", 0.5),
         "weight_seed": ("int", 0),
     },
     "reward": {
         "variant": ("str", _REQUIRED),     # linear | quadratic | redness
-        "c": ("floats", []),
-        "q": ("matrix", []),
-        "sign": ("int", -1),
-        "scale": ("float", 0.01),
+        "c": ("floats", [], ("reward", "variant", ("linear",))),
+        "q": ("matrix", [], ("reward", "variant", ("quadratic",))),
+        "sign": ("int", -1, ("reward", "variant", ("quadratic",))),
+        "scale": ("float", 0.01, ("reward", "variant", ("redness",))),
     },
     "train": {
         "steps": ("int", 500),
         "batch_size": ("int", 64),
         "learning_rate": ("float", 0.05),
         "optimizer": ("str", "sgd"),
-        "momentum": ("float", 0.0),
+        "momentum": ("float", 0.0, ("train", "optimizer", ("sgd",))),
         "clip_norm": ("float", 1.0),
         "alpha": ("float", 1.0),
         "log_every": ("int", 10),
@@ -85,9 +87,10 @@ _SCHEMA: dict[str, dict[str, tuple[str, Any]]] = {
         "learning_rate": ("float", 0.05),
         "optimizer": ("str", "adam"),
         "clip_norm": ("float", 1.0),
-        "rank": ("int", 2),
+        # an affine generator's adapter is a bias shift, its drift closed form
+        "rank": ("int", 2, ("generator", "variant", ("mlp", "decoder"))),
         "eval_every": ("int", 25),
-        "eval_samples": ("int", 2000),
+        "eval_samples": ("int", 2000, ("generator", "variant", ("mlp", "decoder"))),
     },
     "evaluation": {
         "heldout": ("int", 2000),
@@ -148,7 +151,7 @@ def _format_value(kind: str, value) -> str:
         return "; ".join(" ".join(repr(x) for x in row) for row in value)
     if kind == "float":
         return repr(float(value))
-    return "" if value is None else str(value)
+    return str(value)
 
 
 @dataclass
@@ -166,66 +169,50 @@ class ExperimentConfig:
     def seed(self) -> int:
         return self.values["run"]["seed"]
 
+    def applying(self, section: str) -> list[str]:
+        """The keys of `section` that act under this config's variants and optimizer."""
+        return [key for key, (_, _, *scope) in _SCHEMA[section].items()
+                if all(self.values[s][owner] in allowed for s, owner, allowed in scope)]
+
     def generator_spec(self) -> dict:
+        """The [generator] keys that apply, but weight_seed.  An unset (0 or
+        empty) MLP output_dim or network hidden is derived here; an unset affine
+        output_dim, matrix or bias is left out for make_generator to derive."""
         g = self.values["generator"]
-        spec = {"variant": g["variant"], "latent_dim": g["latent_dim"],
-                "step_mix": g["step_mix"]}
-        if g["variant"] == "affine":
-            if g["output_dim"]:
-                spec["output_dim"] = g["output_dim"]
-            if g["matrix"]:
-                spec["matrix"] = g["matrix"]
-            if g["bias"]:
-                spec["bias"] = g["bias"]
-        elif g["variant"] == "mlp":
-            spec["output_dim"] = g["output_dim"] or g["latent_dim"]
-            spec["hidden"] = g["hidden"] or [2 * g["latent_dim"]]
-            spec["activation"] = g["activation"]
-        elif g["variant"] == "decoder":
-            spec["height"] = g["height"]
-            spec["width"] = g["width"]
-            spec["hidden"] = g["hidden"] or [2 * g["latent_dim"]]
-            spec["activation"] = g["activation"]
-        return spec
+        latent = g["latent_dim"] or 0       # unset in a theory config
+        derived = {"output_dim": latent if g["variant"] == "mlp" else 0,
+                   "hidden": [2 * latent], "matrix": [], "bias": []}
+        spec = {key: g[key] or derived.get(key, g[key])
+                for key in self.applying("generator") if key != "weight_seed"}
+        return {key: value for key, value in spec.items() if value or key not in derived}
 
     def reward_spec(self) -> dict:
-        r = self.values["reward"]
-        keys = {"linear": ["c"], "quadratic": ["q", "sign"],
-                "redness": ["scale"]}.get(r["variant"], [])
-        return {"variant": r["variant"], **{k: r[k] for k in keys}}
+        return {key: self.values["reward"][key] for key in self.applying("reward")}
+
+    def _settings(self, cls, section: str, seed: Optional[int]):
+        """`cls` from the keys of `section` it has a field for, and the seed."""
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in self.values[section].items() if k in names},
+                   seed=self.seed if seed is None else seed)
 
     def train_config(self, seed: Optional[int] = None) -> TrainConfig:
-        t = self.values["train"]
-        return TrainConfig(
-            steps=t["steps"], batch_size=t["batch_size"],
-            learning_rate=t["learning_rate"], optimizer=t["optimizer"],
-            momentum=t["momentum"], clip_norm=t["clip_norm"], alpha=t["alpha"],
-            seed=self.seed if seed is None else seed, log_every=t["log_every"],
-            generation_steps=t["generation_steps"])
+        return self._settings(TrainConfig, "train", seed)
 
     def noise_opt_config(self, seed: Optional[int] = None) -> NoiseOptConfig:
-        n = self.values["noise_opt"]
-        return NoiseOptConfig(
-            steps=n["steps"], learning_rate=n["learning_rate"],
-            prior_weight=n["prior_weight"],
-            seed=self.seed if seed is None else seed)
+        return self._settings(NoiseOptConfig, "noise_opt", seed)
 
     def direct_ft_config(self, seed: Optional[int] = None) -> DirectFinetuneConfig:
-        d = self.values["direct_ft"]
-        return DirectFinetuneConfig(
-            steps=d["steps"], batch_size=d["batch_size"],
-            learning_rate=d["learning_rate"], optimizer=d["optimizer"],
-            clip_norm=d["clip_norm"], rank=d["rank"],
-            seed=self.seed if seed is None else seed,
-            eval_every=d["eval_every"], eval_samples=d["eval_samples"])
+        return self._settings(DirectFinetuneConfig, "direct_ft", seed)
 
     def resolved_echo(self) -> str:
-        """INI text with every key the run will use, defaults included."""
+        """INI text with every key that applies, defaults included."""
         out = io.StringIO()
         for section in _SCHEMA:
             out.write(f"[{section}]\n")
-            for key, (kind, _) in _SCHEMA[section].items():
-                out.write(f"{key} = {_format_value(kind, self.values[section][key])}\n")
+            for key in self.applying(section):
+                value = self.values[section][key]
+                if value is not None:   # a required key a theory run need not set
+                    out.write(f"{key} = {_format_value(_SCHEMA[section][key][0], value)}\n")
             out.write("\n")
         return out.getvalue()
 
@@ -289,7 +276,7 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
     if ev["fidelity_metric"] == "knn_kl" and ev["heldout"] < knn_points:
         raise ConfigError(f"[evaluation] heldout: must be >= {knn_points} for the "
                           "knn_kl fidelity")
-    if g["variant"] != "affine" and d["eval_samples"] < knn_points:
+    if d["eval_samples"] < knn_points:     # on affine it holds its default
         raise ConfigError(f"[direct_ft] eval_samples: must be >= {knn_points} to "
                           f"estimate the drift of a {g['variant']} generator")
     # multi-call generation refines the latent with a square map: the
@@ -297,6 +284,8 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
     square = g["variant"] == "decoder" or g["output_dim"] in (0, g["latent_dim"])
     for key, steps in (("[train] generation_steps", [t["generation_steps"]]),
                        ("[evaluation] multi_step", ev["multi_step"])):
+        if not steps:
+            raise ConfigError(f"{key}: needs at least one entry")
         if any(s < 1 for s in steps):
             raise ConfigError(f"{key}: entries must be >= 1")
         if not square and any(s > 1 for s in steps):
@@ -318,18 +307,11 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
     except configparser.Error as exc:
         raise ConfigError(f"config does not parse: {exc}") from None
 
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"[{section}] {key}: unknown key")
-
     values: dict[str, dict[str, Any]] = {}
     missing: list[str] = []
     for section, keys in _SCHEMA.items():
         values[section] = {}
-        for key, (kind, default) in keys.items():
+        for key, (kind, default, *_) in keys.items():
             if parser.has_option(section, key):
                 values[section][key] = _parse_value(section, key, kind,
                                                    parser.get(section, key))
@@ -339,5 +321,15 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
             else:
                 values[section][key] = default if not isinstance(default, list) else list(default)
     cfg = ExperimentConfig(values)
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown section [{section}]")
+        for key in parser[section]:
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"[{section}] {key}: unknown key")
+            if key not in cfg.applying(section):
+                owner_section, owner, allowed = _SCHEMA[section][key][2]
+                raise ConfigError(f"[{section}] {key}: applies only when [{owner_section}] "
+                                  f"{owner} is {' or '.join(allowed)}")
     _validate(cfg, missing)
     return cfg

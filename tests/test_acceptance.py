@@ -5,6 +5,7 @@ Each test computes its statistic, prints "[ACCEPTANCE] n name: PASS/FAIL
 assertion fires.
 """
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,8 +400,8 @@ def test_10_determinism(tmp_path):
                          "--quiet"]) == 0
     pairs = []
     for name in ("report.csv", "history.csv"):
-        a = open(os.path.join(outs[0], name), "rb").read()
-        b = open(os.path.join(outs[1], name), "rb").read()
+        a = Path(outs[0], name).read_bytes()
+        b = Path(outs[1], name).read_bytes()
         pairs.append(a == b)
     verdict(10, "determinism", all(pairs),
             "report.csv and history.csv byte-identical across re-runs")

@@ -5,6 +5,7 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -74,8 +75,8 @@ def test_rerun_byte_identical(tmp_path):
     assert main(["train", "--config", cfg, "--out", out1, "--quiet"]) == 0
     assert main(["train", "--config", cfg, "--out", out2, "--quiet"]) == 0
     for name in ("report.csv", "history.csv", os.path.join("plots", "history.svg")):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
 
 
@@ -85,8 +86,8 @@ def test_seed_override_changes_report(tmp_path):
     assert main(["train", "--config", cfg, "--out", out1, "--quiet"]) == 0
     assert main(["train", "--config", cfg, "--out", out2, "--quiet",
                  "--seed-override", "99"]) == 0
-    a = open(os.path.join(out1, "report.csv")).read()
-    b = open(os.path.join(out2, "report.csv")).read()
+    a = Path(out1, "report.csv").read_text()
+    b = Path(out2, "report.csv").read_text()
     assert a != b
 
 
@@ -231,6 +232,64 @@ def test_unbuildable_configs_rejected_at_load_exit_2(tmp_path, capsys, generator
     assert f"config error: {key}:" in capsys.readouterr().err
 
 
+# a buildable generator and reward under each variant or optimizer
+OWNERS = {
+    "affine": ("variant = affine\nlatent_dim = 2", "variant = linear\nc = 1 -1"),
+    "mlp": ("variant = mlp\nlatent_dim = 2", "variant = linear\nc = 1 -1"),
+    "decoder": ("variant = decoder\nlatent_dim = 2\nheight = 1\nwidth = 1",
+                "variant = redness"),
+    "quadratic": ("variant = affine\nlatent_dim = 2", "variant = quadratic\nq = 1 0; 0 1"),
+}
+OWNERS.update(linear=OWNERS["affine"], redness=OWNERS["decoder"], adam=OWNERS["affine"])
+
+
+@pytest.mark.parametrize("owner,section,line", [
+    ("decoder", "generator", "output_dim = 3"),
+    ("affine", "generator", "hidden = 5"),
+    ("affine", "generator", "activation = relu"),
+    ("affine", "generator", "height = 99"),
+    ("mlp", "generator", "height = 2"),
+    ("affine", "generator", "width = 2"),
+    ("mlp", "generator", "width = 2"),
+    ("mlp", "generator", "matrix = 1 0; 0 1"),
+    ("decoder", "generator", "matrix = 1 0; 0 1; 1 1"),
+    ("mlp", "generator", "bias = 0 0"),
+    ("decoder", "generator", "bias = 0 0 0"),
+    ("quadratic", "reward", "c = 1 -1"),
+    ("redness", "reward", "c = 1 -1 1"),
+    ("linear", "reward", "q = 1 0; 0 1"),
+    ("redness", "reward", "q = 1"),
+    ("linear", "reward", "sign = 1"),
+    ("redness", "reward", "sign = 1"),
+    ("linear", "reward", "scale = 0.5"),
+    ("quadratic", "reward", "scale = 0.5"),
+    ("adam", "train", "momentum = 0.9"),
+    ("affine", "direct_ft", "rank = 7"),
+    ("affine", "direct_ft", "eval_samples = 1"),
+])
+def test_keys_outside_their_scope_exit_2(tmp_path, capsys, owner, section, line):
+    # each loaded, ran and was echoed, but did nothing
+    generator, reward = OWNERS[owner]
+    parts = {"generator": generator, "reward": reward, "direct_ft": "",
+             "train": "steps = 2\noptimizer = " + ("adam" if owner == "adam" else "sgd")}
+    parts[section] += "\n" + line
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "c.ini", small_train(**parts))
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    key = line.split(" = ")[0]
+    assert f"config error: [{section}] {key}: applies only when" in capsys.readouterr().err
+
+
+def test_empty_multi_step_rejected_at_load_exit_2(tmp_path, capsys):
+    # exited 0 and wrote a report.csv of only its header
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "c.ini", AFFINE_TRAIN + "multi_step =\n")
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    assert "[evaluation] multi_step: needs at least one entry" in capsys.readouterr().err
+
+
 def test_negative_train_steps_rejected_at_load(tmp_path, capsys):
     # diversity treated a negative step count as none; at zero steps it
     # runs, and every other [train] rule still applies
@@ -271,13 +330,19 @@ def small_configs(draw):
     """(INI text of a small `train` config, its [train] steps, clean).  At
     most two knobs draw from wide ranges, the rest from the ranges their
     generator, reward and adapters can be built from; a clean config has
-    no wide knob."""
+    no wide knob and sets only keys that apply to its variants and
+    optimizer (the "scope" knob may set others)."""
     wide = draw(st.sets(st.sampled_from(
         ["output_dim", "sizes", "activation", "matrix", "bias", "reward", "q",
-         "steps", "optimizer", "rank", "float"]), max_size=2))
+         "steps", "optimizer", "rank", "float", "scope"]), max_size=2))
 
     def pick(knob, buildable, wider):
         return draw(wider if knob in wide else buildable)
+
+    def keep(applies):
+        """Whether to set a key: always where it applies, and under the
+        scope knob sometimes where it does not."""
+        return applies or ("scope" in wide and draw(st.booleans()))
 
     sizes = st.integers(1, 3), st.integers(0, 3)
     variant = draw(st.sampled_from(["affine", "mlp", "decoder"]))
@@ -287,9 +352,8 @@ def small_configs(draw):
     activations = sorted(ad.ACTIVATIONS)
     activation = pick("activation", st.sampled_from(activations),
                       st.sampled_from(activations + ["relu"]))
-    generator = [f"variant = {variant}", f"latent_dim = {latent}",
-                 f"output_dim = {output_dim}", f"hidden = {pick('sizes', *sizes)}",
-                 f"height = {height}", f"width = {width}", f"activation = {activation}"]
+    keys = {"output_dim": output_dim, "hidden": pick("sizes", *sizes),
+            "height": height, "width": width, "activation": activation}
     out = height * width * 3 if variant == "decoder" else max(output_dim, 0) or latent
     entries = st.integers(-2, 2)
 
@@ -300,10 +364,15 @@ def small_configs(draw):
     if draw(st.booleans()):
         shape = pick("matrix", st.just((out, latent)),
                      st.tuples(st.integers(1, 4), st.integers(1, 4)))
-        generator.append(f"matrix = {_rows(matrix(*shape))}")
+        keys["matrix"] = _rows(matrix(*shape))
     if draw(st.booleans()):
         n = pick("bias", st.just(out), st.integers(1, 4))
-        generator.append(f"bias = {_ints(matrix(1, n)[0])}")
+        keys["bias"] = _ints(matrix(1, n)[0])
+    scoped = {"affine": ("output_dim", "matrix", "bias"),
+              "mlp": ("output_dim", "hidden", "activation"),
+              "decoder": ("hidden", "activation", "height", "width")}[variant]
+    generator = [f"variant = {variant}", f"latent_dim = {latent}"] + [
+        f"{key} = {value}" for key, value in keys.items() if keep(key in scoped)]
     rewards = ["linear", "quadratic", "redness"]
     if "reward" not in wide and out % 3:
         rewards.remove("redness")       # it reads an image: three channels
@@ -311,24 +380,29 @@ def small_configs(draw):
         rewards.remove("quadratic")     # a decoder's q would be up to 27 x 27
     reward = draw(st.sampled_from(rewards))
     n = pick("reward", st.just(out), st.integers(0, 4))
-    payload = ""
+    payload = {"c": "1", "q": "1", "sign": "1", "scale": "0.5"}
     if reward == "linear":
-        payload = f"c = {_ints(matrix(1, n)[0])}"
+        payload["c"] = _ints(matrix(1, n)[0])
     elif reward == "quadratic":
         q = np.array(matrix(n, n), dtype=int).reshape(n, n)
         if pick("q", st.just(True), st.booleans()):
             q = q + q.T
-        payload = f"q = {_rows(q.tolist())}"
+        payload["q"] = _rows(q.tolist())
+    scoped = {"linear": ("c",), "quadratic": ("q", "sign"), "redness": ("scale",)}[reward]
+    payload = [f"{key} = {value}" for key, value in payload.items() if keep(key in scoped)]
     steps = pick("steps", st.integers(0, 2), st.integers(-1, 2))
     optimizer = pick("optimizer", st.sampled_from(["sgd", "adam"]),
                      st.sampled_from(["sgd", "adam", "adamw"]))
     ranks = "rank", st.just(1), st.integers(0, 5)
-    train = f"steps = {steps}\noptimizer = {optimizer}\nrank = {pick(*ranks)}"
+    train = [f"steps = {steps}", f"optimizer = {optimizer}", f"rank = {pick(*ranks)}"]
+    if keep(optimizer == "sgd"):
+        train.append("momentum = 0.5")
     float_key = draw(st.sampled_from(["clip_norm", "learning_rate", "adapter_alpha"]))
-    train += f"\n{float_key} = " + pick("float", st.just("0.5"),
-                                         st.sampled_from(["0.5", "nan", "inf", "-inf"]))
-    text = small_train("\n".join(generator), f"variant = {reward}\n{payload}", train,
-                       f"rank = {pick(*ranks)}")
+    train.append(f"{float_key} = " + pick("float", st.just("0.5"),
+                                          st.sampled_from(["0.5", "nan", "inf", "-inf"])))
+    direct_ft = f"rank = {pick(*ranks)}" if keep(variant != "affine") else ""
+    text = small_train("\n".join(generator), "\n".join([f"variant = {reward}"] + payload),
+                       "\n".join(train), direct_ft)
     return text, steps, not wide
 
 
@@ -386,7 +460,7 @@ def test_train_generation_steps_reaches_training(tmp_path):
         cfg = write(tmp_path, f"d{steps}.ini", DECODER_TRAIN.format(steps=steps))
         out = str(tmp_path / f"out{steps}")
         assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
-        reports.append(open(os.path.join(out, "report.csv"), "rb").read())
+        reports.append(Path(out, "report.csv").read_bytes())
     assert reports[0] != reports[1]
 
 
@@ -449,7 +523,7 @@ def test_run_log_names_knn_workers(tmp_path):
     cfg = write(tmp_path, "t.ini", AFFINE_TRAIN)
     out = str(tmp_path / "out")
     assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
-    lines = open(os.path.join(out, "run.log")).read().splitlines()
+    lines = Path(out, "run.log").read_text().splitlines()
     assert lines.count(f"workers {oracles.WORKERS}") == 1
 
 
@@ -468,7 +542,7 @@ def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
     for name, argv in runs.items():
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 0
-        lines = open(os.path.join(out, "run.log")).read().splitlines()
+        lines = Path(out, "run.log").read_text().splitlines()
         walls = {line.split()[1]: float(line.split()[2])
                  for line in lines if line.startswith("phase ")}
         # 7 drift evaluations: steps 0, 20, ..., 100 and the last, 119
@@ -511,7 +585,7 @@ def artifacts(out):
         for name in files:
             path = os.path.join(root, name)
             if name != "run.log":
-                found[os.path.relpath(path, out)] = open(path, "rb").read()
+                found[os.path.relpath(path, out)] = Path(path).read_bytes()
     return found
 
 
@@ -526,8 +600,8 @@ def test_background_estimates_write_the_same_bytes_as_inline(tmp_path, monkeypat
             assert main(argv + ["--out", out, "--quiet"]) == 0, (mode, name)
             written[mode, name] = artifacts(out)
             estimates = {"train": 3, "tradeoff": 8, "baseline": 4}[name]
-            assert f"evaluator {estimates} estimates, busy " in open(
-                os.path.join(out, "run.log")).read()
+            assert f"evaluator {estimates} estimates, busy " in Path(
+                out, "run.log").read_text()
     for name in runs:
         assert "config-resolved.ini" in written["background", name]
         assert written["background", name] == written["inline", name], name
@@ -595,10 +669,9 @@ def test_failed_estimate_reported_as_when_made_inline(tmp_path, monkeypatch, abo
         state["calls"] = 0
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 1, name
-        assert open(os.path.join(out, "FAILED")).read() == "ValueError: estimate 3 failed\n"
+        assert Path(out, "FAILED").read_text() == "ValueError: estimate 3 failed\n"
         assert state["calls"] == 3 and state["running"] == 0, name
-        assert "FAILED: ValueError: estimate 3 failed" in open(
-            os.path.join(out, "run.log")).read()
+        assert "FAILED: ValueError: estimate 3 failed" in Path(out, "run.log").read_text()
 
 
 def test_training_abort_waits_for_the_estimate_in_flight(tmp_path, monkeypatch):
@@ -607,7 +680,7 @@ def test_training_abort_waits_for_the_estimate_in_flight(tmp_path, monkeypatch):
     out = str(tmp_path / "out")
     assert main(knn_runs(tmp_path)["tradeoff"] + ["--out", out, "--quiet"]) == 1
     assert state["running"] == 0 and state["calls"] == 3
-    assert open(os.path.join(out, "FAILED")).read() == (
+    assert Path(out, "FAILED").read_text() == (
         "RuntimeError: training aborted: step 25: injected\n")
 
 
@@ -618,7 +691,7 @@ def test_closed_form_train_starts_no_evaluator(tmp_path, monkeypatch):
     cfg = write(tmp_path, "d.ini", DECODER_TRAIN.format(steps=1))
     assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
     assert pools == []
-    assert "evaluator" not in open(os.path.join(out, "run.log")).read()
+    assert "evaluator" not in Path(out, "run.log").read_text()
 
 
 def test_run_log_phase_lines(tmp_path):
@@ -627,7 +700,7 @@ def test_run_log_phase_lines(tmp_path):
     for name, argv in runs.items():
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 0
-        lines = open(os.path.join(out, "run.log")).read().splitlines()
+        lines = Path(out, "run.log").read_text().splitlines()
         phases = {line.split()[1]: line for line in lines if line.startswith("phase ")}
         assert sorted(phases) == ["build", "evaluate", "train", "write"], name
         for line in phases.values():
@@ -676,8 +749,8 @@ def test_validate_theory_same_bytes_on_one_and_many_workers(tmp_path, monkeypatc
         monkeypatch.setattr(oracles, "WORKERS", workers)
         out = str(tmp_path / f"out{workers}")
         assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
-        reports.append(open(os.path.join(out, "report.csv"), "rb").read())
-        assert f"workers {workers}" in open(os.path.join(out, "run.log")).read()
+        reports.append(Path(out, "report.csv").read_bytes())
+        assert f"workers {workers}" in Path(out, "run.log").read_text()
     assert reports[0] == reports[1]
 
 
@@ -686,7 +759,7 @@ def test_validate_theory_logs_each_check_group(tmp_path):
                 "[theory]\nn = 2000\n")
     out = str(tmp_path / "out")
     assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
-    lines = open(os.path.join(out, "run.log")).read().splitlines()
+    lines = Path(out, "run.log").read_text().splitlines()
     phases = [line.split() for line in lines if line.startswith("phase ")]
     assert [p[1] for p in phases] == ["tilted_sampler", "pushforward", "stein", "knn",
                                       "dpi", "bilipschitz", "logdet"]
@@ -735,7 +808,7 @@ def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):
     cfg_d = write(tmp_path, "d.ini", text
                   .replace("method = hypernoise", "method = direct_ft")
                   + "\n[direct_ft]\nsteps = 120\neval_every = 20\n"
-                    "optimizer = sgd\nlearning_rate = 0.01\neval_samples = 500\n")
+                    "optimizer = sgd\nlearning_rate = 0.01\n")
     return cfg_h, cfg_d
 
 
@@ -755,8 +828,8 @@ def test_tradeoff_rerun_byte_identical(tmp_path):
     for out in (out1, out2):
         assert main(["tradeoff", cfg_h, cfg_d, "--out", out, "--quiet"]) == 0
     for name in ("tradeoff.csv", os.path.join("plots", "tradeoff.svg")):
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(out1, name).read_bytes()
+        b = Path(out2, name).read_bytes()
         assert a == b, name
 
 

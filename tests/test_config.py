@@ -1,4 +1,8 @@
 """Config parsing, validation, and echo round-trips."""
+import glob
+import itertools
+import os
+
 import pytest
 
 from noisetilt.config import ConfigError, load_config
@@ -96,12 +100,103 @@ def test_echo_round_trips():
     cfg2 = load_config(echo, is_text=True)
     assert cfg.values == cfg2.values
     assert cfg2.resolved_echo() == echo
-    # every schema key appears in the echo, defaults included
+    # every key that applies appears in the echo, defaults included
     assert "batch_size = 64" in echo
     assert "fidelity_metric = knn_kl" in echo
 
 
+# the keys that act only under some variants or optimizers, and where
+SCOPED = {"generator": ("output_dim", "hidden", "activation", "height", "width",
+                        "matrix", "bias"),
+          "reward": ("c", "q", "sign", "scale"), "train": ("momentum",),
+          "direct_ft": ("rank", "eval_samples")}
+APPLIES = {"affine": {"generator": ("output_dim", "matrix", "bias")},
+           "mlp": {"generator": ("output_dim", "hidden", "activation"),
+                   "direct_ft": ("rank", "eval_samples")},
+           "decoder": {"generator": ("hidden", "activation", "height", "width"),
+                       "direct_ft": ("rank", "eval_samples")},
+           "linear": {"reward": ("c",)}, "quadratic": {"reward": ("q", "sign")},
+           "redness": {"reward": ("scale",)}, "sgd": {"train": ("momentum",)}, "adam": {}}
+
+
+def echoed_keys(echo):
+    keys, section = {}, None
+    for line in echo.splitlines():
+        if line.startswith("["):
+            section = keys.setdefault(line.strip("[]"), [])
+        elif line:
+            section.append(line.split(" = ")[0])
+    return keys
+
+
+@pytest.mark.parametrize("generator,reward,optimizer", itertools.product(
+    ["affine", "mlp", "decoder"], ["linear", "quadratic", "redness"], ["sgd", "adam"]))
+def test_echo_lists_exactly_the_keys_that_apply(generator, reward, optimizer):
+    # every variant here maps latent 3 to 3 outputs
+    text = (f"[generator]\nvariant = {generator}\nlatent_dim = 3\n"
+            + {"affine": "", "mlp": "hidden = 4\n", "decoder": "height = 1\nwidth = 1\n"}[
+                generator]
+            + f"[reward]\nvariant = {reward}\n"
+            + {"linear": "c = 1 0 -1\n", "quadratic": "q = 1 0 0; 0 1 0; 0 0 1\n",
+               "redness": ""}[reward]
+            + f"[train]\noptimizer = {optimizer}\n")
+    cfg = load_config(text, is_text=True)
+    echo = cfg.resolved_echo()
+    cfg2 = load_config(echo, is_text=True)
+    assert cfg.values == cfg2.values
+    assert cfg2.resolved_echo() == echo
+    full = echoed_keys(load_config(GOOD, is_text=True).resolved_echo())
+    applying = {}
+    for owner in (generator, reward, optimizer):
+        applying.update(APPLIES[owner])
+    for section, keys in echoed_keys(echo).items():
+        scoped = SCOPED.get(section, ())
+        expected = [key for key in full[section] if key not in scoped]
+        expected += [key for key in scoped if key in applying.get(section, ())]
+        assert sorted(keys) == sorted(expected), section
+
+
+def test_theory_echo_round_trips():
+    # a theory config needs no generator or reward; its echo wrote their
+    # required keys empty, and `latent_dim =` did not parse
+    cfg = load_config("[run]\nmethod = theory\nseed = 3\n", is_text=True)
+    echo = cfg.resolved_echo()
+    assert load_config(echo, is_text=True).values == cfg.values
+    assert "[reward]\n\n" in echo
+
+
+BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "configs")
+PAPER_SMALL_GENERATOR = {"variant": "decoder", "latent_dim": 6, "step_mix": 0.5,
+                         "height": 4, "width": 4, "hidden": [16], "activation": "tanh"}
+REDNESS = {"variant": "redness", "scale": 0.01}
+SPECS = {
+    "best_of_n.ini": (PAPER_SMALL_GENERATOR, REDNESS),
+    "direct_ft.ini": (PAPER_SMALL_GENERATOR, REDNESS),
+    "noise_opt.ini": (PAPER_SMALL_GENERATOR, REDNESS),
+    "paper_small.ini": (PAPER_SMALL_GENERATOR, REDNESS),
+    "theory_audit.ini": ({"variant": None, "latent_dim": None, "step_mix": 0.5},
+                         {"variant": None}),
+    "train_wide.ini": ({"variant": "decoder", "latent_dim": 64, "step_mix": 0.5,
+                        "height": 32, "width": 32, "hidden": [256],
+                        "activation": "tanh"}, REDNESS),
+}
+
+
+def test_specs_keep_their_values():
+    # the generator spec is hashed into checkpoint.bin
+    paths = sorted(glob.glob(os.path.join(BENCH_CONFIGS, "*.ini")))
+    assert [os.path.basename(p) for p in paths] == sorted(SPECS)
+    for path in paths:
+        cfg = load_config(path)
+        assert (cfg.generator_spec(), cfg.reward_spec()) == SPECS[os.path.basename(path)]
+    cfg = load_config(GOOD, is_text=True)
+    assert cfg.generator_spec() == {"variant": "affine", "latent_dim": 2, "step_mix": 0.5,
+                                    "matrix": [[1.0, 0.5], [0.0, 1.0]], "bias": [0.1, 0.2]}
+    assert cfg.reward_spec() == {"variant": "linear", "c": [1.0, -2.0]}
+
+
 NONSQUARE = (GOOD.replace("variant = affine", "variant = mlp\noutput_dim = 3")
+             .replace("matrix = 1 0.5; 0 1\nbias = 0.1 0.2\n", "")
              .replace("c = 1.0 -2.0", "c = 1.0 -2.0 0.5"))
 
 

@@ -1,5 +1,6 @@
 """CSV and SVG emitters: determinism, schemas, atomicity."""
 import os
+from pathlib import Path
 
 import pytest
 
@@ -14,9 +15,9 @@ def test_csv_round_trip_and_bytes(tmp_path):
     header, got = read_csv(path)
     assert header == ["x", "y", "tag"]
     assert got == [["1", "0.1", "a"], ["2", "0.25", "b"]]
-    first = open(path, "rb").read()
+    first = Path(path).read_bytes()
     write_csv(path, ["x", "y", "tag"], rows)
-    assert open(path, "rb").read() == first
+    assert Path(path).read_bytes() == first
 
 
 def test_csv_float_formatting_round_trips(tmp_path):
@@ -42,7 +43,7 @@ def test_read_csv_empty_file(tmp_path):
 def test_atomic_write_no_temp_left(tmp_path):
     path = str(tmp_path / "sub" / "x.txt")
     atomic_write(path, "hello")
-    assert open(path).read() == "hello"
+    assert Path(path).read_text() == "hello"
     assert [f for f in os.listdir(tmp_path / "sub") if f.startswith(".tmp")] == []
 
 
@@ -73,9 +74,9 @@ def test_plot_csv_curve_and_bars(tmp_path):
     write_csv(curve, ["x", "s1", "s2"], [[0, 1.0, 2.0], [1, 2.0, 1.0]])
     out = str(tmp_path / "c.svg")
     plot_csv(curve, "curve", out)
-    first = open(out, "rb").read()
+    first = Path(out).read_bytes()
     plot_csv(curve, "curve", out)
-    assert open(out, "rb").read() == first
+    assert Path(out).read_bytes() == first
 
     bars = str(tmp_path / "b.csv")
     write_csv(bars, ["label", "value"], [["base", 1.5], ["tuned", 1.4]])

@@ -1,4 +1,6 @@
 """Training loop behavior and the checkpoint format."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -130,7 +132,7 @@ def test_checkpoint_corruption_detected(tmp_path):
     g, hn, _ = affine_setup()
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, hn)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     bad = tmp_path / "bad.bin"
     bad.write_bytes(b"XXXX" + raw[4:])
     with pytest.raises(CheckpointError, match="not a checkpoint"):
