@@ -417,3 +417,18 @@ def backprop(root: Node, seed=None) -> dict[int, np.ndarray]:
             else:
                 grads[key] = np.asarray(contrib, dtype=np.float64)
     return {k: g if k in owned else g.copy() for k, g in grads.items()}
+
+
+def jacobian(y: Node, x: Node) -> np.ndarray:
+    """Jacobian of a row-wise map's output `y` with respect to its `param`
+    input `x`: (B, m, n) for a (B, m) output of a (B, n) batch, (m, n) for
+    vectors.  Sweep i seeds e_i in every row; since no row depends on
+    another, it yields row i of every sample's Jacobian at once."""
+    if x.parents or not x.requires_grad:
+        raise ValueError("jacobian: x must be a param leaf")
+    rows = []
+    for i in range(y.shape[-1]):
+        seed = np.zeros(y.shape)
+        seed[..., i] = 1.0
+        rows.append(backprop(y, seed).get(id(x), np.zeros(x.shape)))
+    return np.stack(rows, axis=-2)

@@ -211,7 +211,7 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
     hook may return an Estimate still running on a KnnEvaluator (one in
     flight, its error re-raised by the next submission), so training goes
     on beside it; every drift is resolved to a float, in submission order,
-    before this returns.
+    before this returns.  A non-finite gradient raises FloatingPointError.
     """
     cfg.validate()
     if eval_hook is None:
@@ -235,7 +235,8 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
         grads = {k: raw.get(id(n), np.zeros_like(n.value))
                  for k, n in param_nodes.items()}
         if not all(np.all(np.isfinite(v)) for v in grads.values()):
-            break
+            raise FloatingPointError(
+                f"direct fine-tune aborted: step {step}: non-finite gradient")
         clip_global_norm(grads, cfg.clip_norm)
         opt.update(adapted.params(), grads)
         if step % cfg.eval_every == 0 or step == cfg.steps - 1:

@@ -61,8 +61,10 @@ class NoiseHypernetwork:
         return self.stack.trace(x0, param_nodes)
 
     def jacobian_batch(self, x0: np.ndarray) -> np.ndarray:
-        """Exact Jacobians of the perturbation w.r.t. the latent, (B, d, d)."""
-        return self.stack.jacobian(np.atleast_2d(x0))
+        """Exact Jacobians of the perturbation w.r.t. the latent, (B, d, d),
+        from d reverse sweeps of its tape."""
+        x = ad.param(np.atleast_2d(x0))
+        return ad.jacobian(self.delta_node(x), x)
 
     # -- Lipschitz auditing -------------------------------------------------
 

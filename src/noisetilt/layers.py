@@ -3,9 +3,9 @@ and the directly fine-tuned baseline.
 
 A stack is a list of frozen affine layers, each with an optional low-rank
 adapter (LoRA) added before its activation, and an optional trainable shift
-added to the output.  `forward` evaluates arrays, `trace` records the same
-arithmetic on the autodiff tape (so the two agree bit for bit), and
-`jacobian` runs the forward chain rule.  Every activation comes from
+added to the output.  `forward` evaluates arrays and `trace` records the same
+arithmetic on the autodiff tape (so the two agree bit for bit; the tape's
+`autodiff.jacobian` differentiates a trace).  Every activation comes from
 `autodiff.ACTIVATIONS`.
 """
 from __future__ import annotations
@@ -102,29 +102,11 @@ class LayerStack:
             h = ad.frozen_layer(h, layer.weight, layer.bias, layer.activation, lora)
         return h if self.shift is None else ad.add(h, nodes[self.shift_name])
 
-    def _effective_weights(self) -> list[np.ndarray]:
-        """Each layer's weight with its adapter merged in."""
-        return [layer.weight if a is None else layer.weight + a.scale * a.up @ a.down
-                for layer, a in zip(self.layers, self.adapters)]
-
-    def jacobian(self, h: np.ndarray) -> np.ndarray:
-        """Jacobian of `forward` with respect to its input: (out, in) for a
-        vector, (B, out, in) for a batch."""
-        h = np.asarray(h, dtype=np.float64)
-        x = np.atleast_2d(h)
-        jac = np.broadcast_to(np.eye(x.shape[1]), (x.shape[0], x.shape[1], x.shape[1]))
-        for layer, w in zip(self.layers, self._effective_weights()):
-            act = ad.ACTIVATIONS[layer.activation]
-            z = x @ w.T + layer.bias
-            x, saved = act.forward(z, z)
-            slope = act.vjp(np.ones_like(x), saved)
-            jac = slope[:, :, None] * np.einsum("mn,bnd->bmd", w, jac)
-        return jac if h.ndim == 2 else jac[0]
-
     def lipschitz_upper_bound(self) -> float:
         """Product of the layers' spectral norms (adapters merged) and their
         activations' slope bounds."""
         bound = 1.0
-        for layer, w in zip(self.layers, self._effective_weights()):
+        for layer, a in zip(self.layers, self.adapters):
+            w = layer.weight if a is None else layer.weight + a.scale * a.up @ a.down
             bound *= ad.ACTIVATIONS[layer.activation].slope_bound * spectral_norm(w)
         return bound

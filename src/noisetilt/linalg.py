@@ -32,19 +32,30 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     return np.stack(cols, axis=-1)
 
 
-def logdet_and_trace(j: np.ndarray) -> tuple[float, float]:
+def _sample(bad: np.ndarray) -> str:
+    """The first failing sample of a batch, as a message suffix."""
+    return f" (sample index {int(np.flatnonzero(bad)[0])})" if bad.ndim else ""
+
+
+def logdet_and_trace(j: np.ndarray):
     """Trace of J and log|det(I + J)| via LU with partial pivoting
-    (np.linalg.slogdet)."""
+    (np.linalg.slogdet): two floats for a (d, d) matrix, two (B,) arrays
+    for a (B, d, d) batch."""
     j = np.asarray(j, dtype=np.float64)
-    if j.ndim != 2 or j.shape[0] != j.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {j.shape}")
-    if not np.all(np.isfinite(j)):
-        raise ValueError("matrix contains non-finite entries")
-    trace = float(np.trace(j))
-    sign, logdet = np.linalg.slogdet(np.eye(j.shape[0]) + j)
-    if sign == 0.0 or not np.isfinite(logdet):
-        raise SingularMatrixError("I + J is singular to machine precision")
-    return trace, float(logdet)
+    if j.ndim not in (2, 3) or j.shape[-1] != j.shape[-2]:
+        raise ValueError(f"expected a square matrix or a batch of them, got shape {j.shape}")
+    finite = np.all(np.isfinite(j), axis=(-2, -1))
+    if not np.all(finite):
+        raise ValueError("matrix contains non-finite entries" + _sample(~finite))
+    sign, logdet = np.linalg.slogdet(np.eye(j.shape[-1]) + j)
+    singular = (sign == 0.0) | ~np.isfinite(logdet)
+    if np.any(singular):
+        raise SingularMatrixError("I + J is singular to machine precision"
+                                  + _sample(singular))
+    trace = np.trace(j, axis1=-2, axis2=-1)
+    if j.ndim == 2:
+        return float(trace), float(logdet)
+    return trace, logdet
 
 
 def spectral_norm(m: np.ndarray) -> float:

@@ -79,27 +79,13 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
 MAX_EXACT_KL_DIM = 64
 
 
-def _reverse_mode_jacobian(hn: NoiseHypernetwork, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the perturbation at one point, one backward sweep per row."""
-    d = hn.backbone.latent_dim
-    x_node = ad.param(x, name="x0")
-    delta = hn.delta_node(x_node)
-    rows = []
-    for i in range(d):
-        seed = np.zeros(d)
-        seed[i] = 1.0
-        grads = ad.backprop(delta, seed)
-        rows.append(grads.get(id(x_node), np.zeros(d)))
-    return np.stack(rows, axis=0)
-
-
-def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray,
-                   validate_fd: bool = True) -> KlBreakdown:
+def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray) -> KlBreakdown:
     """Exact KL between modulated and base noise, averaged over samples.
 
-    Dense Jacobians are computed by reverse-mode rows; the first sample is
-    cross-checked against central finite differences.  Validation pathway
-    only: dimensions are capped so the dense route stays cheap.
+    The dense Jacobians come from the tape (`jacobian_batch`); the first
+    sample's is cross-checked against central finite differences.
+    Validation pathway only: dimensions are capped so the dense route stays
+    cheap.
     """
     x = np.atleast_2d(np.asarray(noise_samples, dtype=np.float64))
     if x.shape[0] == 0:
@@ -108,23 +94,12 @@ def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray,
     if d > MAX_EXACT_KL_DIM:
         raise ValueError(f"exact KL restricted to latent_dim <= {MAX_EXACT_KL_DIM}")
 
-    l2_terms, traces, logdets = [], [], []
-    for i in range(x.shape[0]):
-        jac = _reverse_mode_jacobian(hn, x[i])
-        if validate_fd and i == 0:
-            ref = jacobian_fd(hn.perturb, x[0])
-            if not np.allclose(jac, ref, rtol=1e-5, atol=1e-6):
-                raise AssertionError("reverse-mode Jacobian disagrees with finite differences")
-        try:
-            tr, ld = logdet_and_trace(jac)
-        except Exception as exc:
-            raise type(exc)(f"{exc} (sample index {i})") from exc
-        f = hn.perturb(x[i])
-        l2_terms.append(0.5 * float(f @ f))
-        traces.append(tr)
-        logdets.append(ld)
-
-    l2 = float(np.mean(l2_terms))
+    jac = hn.jacobian_batch(x)
+    if not np.allclose(jac[0], jacobian_fd(hn.perturb, x[0]), rtol=1e-5, atol=1e-6):
+        raise AssertionError("tape Jacobian disagrees with finite differences")
+    traces, logdets = logdet_and_trace(jac)
+    f = hn.perturb(x)
+    l2 = float(np.mean(0.5 * np.sum(f * f, axis=1)))
     tr = float(np.mean(traces))
     ld = float(np.mean(logdets))
     lip = hn.lipschitz_upper_bound()
@@ -140,8 +115,9 @@ def exact_noise_kl(hn: NoiseHypernetwork, noise_samples: np.ndarray,
     )
 
 
-def error_term(j: np.ndarray) -> float:
-    """Trace minus log|det(I + .)|: the cost of dropping the Jacobian terms."""
+def error_term(j: np.ndarray):
+    """Trace minus log|det(I + .)|: the cost of dropping the Jacobian terms,
+    per matrix of a (B, d, d) batch."""
     tr, ld = logdet_and_trace(j)
     return tr - ld
 

@@ -596,7 +596,7 @@ def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = 5,
         rngx = np.random.default_rng(seed + 80)
         xs = rngx.standard_normal((50, d))
         bound = theorem_bound(d, lip)
-        worst_err = max(abs(error_term(j)) for j in hn.jacobian_batch(xs))
+        worst_err = float(np.max(np.abs(error_term(hn.jacobian_batch(xs)))))
         report.add("logdet_error_bound", worst_err, bound, worst_err <= bound)
         kb = exact_noise_kl(hn, xs[:20])
         report.add("kl_l2_approximation", abs(kb.approx_error), bound,

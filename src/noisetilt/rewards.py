@@ -11,8 +11,8 @@ from . import autodiff as ad
 
 
 class Reward:
-    """Common surface: scalar `evaluate`, closed-form `gradient`, batch
-    evaluation, and an autodiff trace producing one scalar per row."""
+    """Common surface: scalar and batch evaluation, and an autodiff trace
+    producing one scalar per row (the source of every reward gradient)."""
 
     def evaluate(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -23,11 +23,6 @@ class Reward:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         self._check(x[0])
         return self._rows(x)
-
-    def gradient(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        self._check(x)
-        return self._grad(x)
 
     def node_rows(self, x: ad.Node) -> ad.Node:
         """Reward per row of a batch node (or a scalar for a vector node)."""
@@ -42,9 +37,6 @@ class Reward:
         raise NotImplementedError
 
     def _rows(self, x):
-        raise NotImplementedError
-
-    def _grad(self, x):
         raise NotImplementedError
 
     def _node_rows(self, x):
@@ -63,9 +55,6 @@ class LinearReward(Reward):
 
     def _rows(self, x):
         return x @ self.c
-
-    def _grad(self, x):
-        return self.c.copy()
 
     def _node_rows(self, x):
         return ad.dot_rows(x, ad.constant(np.broadcast_to(self.c, x.value.shape)))
@@ -92,9 +81,6 @@ class QuadraticReward(Reward):
     def _rows(self, x):
         return 0.5 * self.sign * np.einsum("bi,ij,bj->b", x, self.q, x)
 
-    def _grad(self, x):
-        return self.sign * self.q @ x
-
     def _node_rows(self, x):
         qx = ad.linear(x, ad.constant(self.q))
         return ad.scale(ad.dot_rows(x, qx), 0.5 * self.sign)
@@ -117,13 +103,6 @@ class RednessReward(Reward):
         p = self._pixels(x)
         means = [x[..., i * p:(i + 1) * p].mean(axis=-1) for i in range(3)]
         return self.scale * (means[0] - 0.5 * (means[1] + means[2]))
-
-    def _grad(self, x):
-        p = self._pixels(x)
-        g = np.empty_like(x)
-        g[..., :p] = self.scale / p
-        g[..., p:] = -self.scale / (2 * p)
-        return g
 
     def _node_rows(self, x):
         p = self._pixels(np.atleast_2d(x.value)[0])

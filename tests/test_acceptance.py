@@ -208,7 +208,7 @@ def test_03_kl_approximation(nets):
     ok = True
     worst = 0.0
     for lip, hn in nets:
-        kb = exact_noise_kl(hn, rng.standard_normal((20, 8)), validate_fd=False)
+        kb = exact_noise_kl(hn, rng.standard_normal((20, 8)))
         ok &= kb.bound is not None and abs(kb.approx_error) <= kb.bound
         worst = max(worst, abs(kb.approx_error))
     # constant shift: exact KL equals the L2 term and the Gaussian closed form

@@ -1,11 +1,13 @@
-"""Gradient checks for every primitive, the fused frozen layer, and the
-reverse sweep's bookkeeping."""
+"""Gradient checks for every primitive, the fused frozen layer, the reverse
+sweep's bookkeeping, and the Jacobians built from reverse sweeps."""
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
+from noisetilt.generators import make_generator
+from noisetilt.linalg import jacobian_fd
 from noisetilt.training import clip_global_norm
 
 
@@ -250,3 +252,25 @@ def test_gradients_outlive_the_arena_step():
             grads.append(ad.backprop(ad.asum(p), np.array(k))[id(p)])
     np.testing.assert_array_equal(grads[0], np.ones((2, 3)))
     np.testing.assert_array_equal(grads[1], np.full((2, 3), 2.0))
+
+
+def test_jacobian_matches_fd_on_a_non_square_stack():
+    # a decoder maps a 4-d latent to 2x2x3 = 12 outputs
+    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 2, "width": 2,
+                        "hidden": [8], "activation": "silu"}, seed=5)
+    x0 = np.random.default_rng(6).standard_normal((3, 4))
+    x = ad.param(x0)
+    jac = ad.jacobian(g.stack.trace(x), x)
+    assert jac.shape == (3, 12, 4)
+    for i in range(3):
+        np.testing.assert_allclose(jac[i], jacobian_fd(g.generate, x0[i]),
+                                   rtol=1e-6, atol=1e-8)
+        xi = ad.param(x0[i])
+        np.testing.assert_allclose(ad.jacobian(g.stack.trace(xi), xi), jac[i], rtol=1e-13)
+
+
+def test_jacobian_needs_a_param_leaf():
+    x = ad.param(np.ones((2, 3)))
+    for not_leaf in (ad.constant(np.ones((2, 3))), ad.scale(x, 2.0)):
+        with pytest.raises(ValueError, match="param leaf"):
+            ad.jacobian(ad.tanh(not_leaf), not_leaf)

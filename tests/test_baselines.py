@@ -103,6 +103,30 @@ def test_noise_opt_validates_its_config():
         noise_opt(affine_gen(), LinearReward(C), NoiseOptConfig(steps=0))
 
 
+class NanFromCall(LinearReward):
+    """A linear reward whose trace multiplies by NaN from call `bad` on, so
+    the gradients it yields turn NaN."""
+
+    def __init__(self, c, bad):
+        super().__init__(c)
+        self.bad, self.calls = bad, 0
+
+    def _node_rows(self, x):
+        self.calls += 1
+        c = self.c if self.calls < self.bad else np.full_like(self.c, np.nan)
+        return ad.dot_rows(x, ad.constant(np.broadcast_to(c, x.value.shape)))
+
+
+def test_direct_ft_raises_on_a_non_finite_gradient():
+    # it used to stop at step 29 and return the steps [0, 25] as a full run
+    cfg = DirectFinetuneConfig(steps=100, batch_size=8, eval_every=25)
+    steps = []
+    with pytest.raises(FloatingPointError, match="step 29: non-finite gradient"):
+        train_direct_finetune(affine_gen(), NanFromCall(C, 30), cfg,
+                              eval_hook=lambda step, net: steps.append(step) or 0.0)
+    assert steps == [0, 25]
+
+
 def test_direct_ft_eval_hook_returns_the_drift():
     g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
                         "width": 3, "hidden": [8]}, seed=1)

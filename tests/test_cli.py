@@ -20,6 +20,7 @@ from noisetilt.config import ConfigError, load_config
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
+from noisetilt.rewards import LinearReward
 from noisetilt.training import load_checkpoint
 
 AFFINE_TRAIN = """
@@ -810,6 +811,48 @@ def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):
                   + "\n[direct_ft]\nsteps = 120\neval_every = 20\n"
                     "optimizer = sgd\nlearning_rate = 0.01\n")
     return cfg_h, cfg_d
+
+
+@pytest.mark.parametrize("command", ["baseline", "tradeoff"])
+def test_direct_ft_non_finite_gradient_fails_the_run(tmp_path, monkeypatch, command):
+    # the reward's gradient turns NaN at direct fine-tune step 29; tradeoff
+    # first spends 120 calls on the hypernoise training
+    class NanFromCall(LinearReward):
+        calls = 0
+
+        def _node_rows(self, x):
+            self.calls += 1
+            c = self.c if self.calls < bad else np.full_like(self.c, np.nan)
+            return ad.dot_rows(x, ad.constant(np.broadcast_to(c, x.value.shape)))
+
+    bad = 30 if command == "baseline" else 150
+    monkeypatch.setattr(cli, "make_reward", lambda spec: NanFromCall(spec["c"]))
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
+    argv = ["baseline", "--config", cfg_d] if command == "baseline" else \
+        ["tradeoff", cfg_h, cfg_d]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 1
+    assert (out / "FAILED").read_text() == (
+        "FloatingPointError: direct fine-tune aborted: step 29: non-finite gradient\n")
+    assert not (out / "report.csv").exists() and not (out / "tradeoff.csv").exists()
+
+
+def test_theory_suite_fires_every_benchmark_span(tmp_path, monkeypatch):
+    # the traced theory-audit benchmark counts a listed span that never
+    # fires as a failure; this runs the same subcommand at a small n
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from tracer import Tracer, instrument, missing_spans
+    from workloads import WORKLOADS
+    cfg = write(tmp_path, "th.ini", "[run]\nmethod = theory\nseed = 1\n"
+                "[theory]\nn = 10000\n")
+    tracer = Tracer()
+    undo = instrument(tracer)
+    try:
+        assert cli.main(["validate-theory", "--config", cfg,
+                         "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    finally:
+        undo()
+    assert missing_spans(tracer.summary(), WORKLOADS["theory-audit"].spans) == []
 
 
 def test_tradeoff_runs(tmp_path):

@@ -43,9 +43,11 @@ def test_stack_invariants(kind, activation):
         value = forward(x)
         assert np.array_equal(trace(ad.param(x)).value, value)
         assert np.array_equal(stack.forward(x), value)
-    jac = stack.jacobian(x)
+    xb = ad.param(x)
+    jac = ad.jacobian(stack.trace(xb), xb)
     assert jac.shape == (5, value.shape[1], LATENT)
     for i in range(x.shape[0]):
         ref = jacobian_fd(forward, x[i])
         np.testing.assert_allclose(jac[i], ref, rtol=1e-5, atol=1e-7)
-        np.testing.assert_allclose(stack.jacobian(x[i]), jac[i], rtol=1e-13)
+        xi = ad.param(x[i])
+        np.testing.assert_allclose(ad.jacobian(stack.trace(xi), xi), jac[i], rtol=1e-13)

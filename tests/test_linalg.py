@@ -51,9 +51,26 @@ def test_logdet_singular_raises():
         logdet_and_trace(-np.eye(3))
 
 
+def test_logdet_batch_matches_each_matrix():
+    j = 0.3 * np.random.default_rng(3).standard_normal((5, 4, 4))
+    traces, logdets = logdet_and_trace(j)
+    assert traces.shape == logdets.shape == (5,)
+    for i in range(5):
+        assert (traces[i], logdets[i]) == logdet_and_trace(j[i])
+
+
+def test_logdet_batch_names_the_singular_sample():
+    with pytest.raises(SingularMatrixError, match="sample index 1"):
+        logdet_and_trace(np.stack([0.1 * np.eye(3), -np.eye(3)]))
+    with pytest.raises(ValueError, match="non-finite entries [(]sample index 2[)]"):
+        logdet_and_trace(np.stack([np.eye(2), np.eye(2), np.full((2, 2), np.inf)]))
+
+
 def test_logdet_rejects_bad_input():
     with pytest.raises(ValueError):
         logdet_and_trace(np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        logdet_and_trace(np.zeros((2, 2, 2, 2)))
     with pytest.raises(ValueError):
         logdet_and_trace(np.full((2, 2), np.nan))
 

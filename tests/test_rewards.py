@@ -1,4 +1,4 @@
-"""Reward values, gradients, autodiff traces, and box bounds."""
+"""Reward values, autodiff traces and their gradients, and box bounds."""
 import numpy as np
 import pytest
 
@@ -7,13 +7,15 @@ from noisetilt.rewards import LinearReward, QuadraticReward, RednessReward, make
 
 
 def grad_check(r, x):
-    ref = np.zeros_like(x)
+    """The tape gradient of every row's reward against central differences
+    of `evaluate_batch`."""
+    batch = np.stack([x, 0.5 - x])
+    ref = np.zeros_like(batch)
     for i in range(x.size):
-        step = np.zeros_like(x)
-        step[i] = 1e-6
-        ref[i] = (r.evaluate(x + step) - r.evaluate(x - step)) / 2e-6
-    np.testing.assert_allclose(r.gradient(x), ref, rtol=1e-6, atol=1e-8)
-    node = ad.param(x)
+        step = np.zeros_like(batch)
+        step[:, i] = 1e-6
+        ref[:, i] = (r.evaluate_batch(batch + step) - r.evaluate_batch(batch - step)) / 2e-6
+    node = ad.param(batch)
     grads = ad.backprop(r.node_rows(node))
     np.testing.assert_allclose(grads[id(node)], ref, rtol=1e-6, atol=1e-8)
 
