@@ -20,8 +20,8 @@ from noisetilt.config import ConfigError, load_config
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
-from noisetilt.rewards import LinearReward
 from noisetilt.training import load_checkpoint
+from test_baselines import NanFromCall
 
 AFFINE_TRAIN = """
 [run]
@@ -817,16 +817,8 @@ def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):
 def test_direct_ft_non_finite_gradient_fails_the_run(tmp_path, monkeypatch, command):
     # the reward's gradient turns NaN at direct fine-tune step 29; tradeoff
     # first spends 120 calls on the hypernoise training
-    class NanFromCall(LinearReward):
-        calls = 0
-
-        def _node_rows(self, x):
-            self.calls += 1
-            c = self.c if self.calls < bad else np.full_like(self.c, np.nan)
-            return ad.dot_rows(x, ad.constant(np.broadcast_to(c, x.value.shape)))
-
     bad = 30 if command == "baseline" else 150
-    monkeypatch.setattr(cli, "make_reward", lambda spec: NanFromCall(spec["c"]))
+    monkeypatch.setattr(cli, "make_reward", lambda spec: NanFromCall(spec["c"], bad))
     cfg_h, cfg_d = tradeoff_configs(tmp_path)
     argv = ["baseline", "--config", cfg_d] if command == "baseline" else \
         ["tradeoff", cfg_h, cfg_d]

@@ -7,17 +7,18 @@ from noisetilt.rewards import LinearReward, QuadraticReward, RednessReward, make
 
 
 def grad_check(r, x):
-    """The tape gradient of every row's reward against central differences
-    of `evaluate_batch`."""
+    """The tape gradient of the reward, traced on the vector `x` and on a
+    two-row batch, against central differences of `evaluate_batch`."""
     batch = np.stack([x, 0.5 - x])
     ref = np.zeros_like(batch)
     for i in range(x.size):
         step = np.zeros_like(batch)
         step[:, i] = 1e-6
         ref[:, i] = (r.evaluate_batch(batch + step) - r.evaluate_batch(batch - step)) / 2e-6
-    node = ad.param(batch)
-    grads = ad.backprop(r.node_rows(node))
-    np.testing.assert_allclose(grads[id(node)], ref, rtol=1e-6, atol=1e-8)
+    for value, want in ((x, ref[0]), (batch, ref)):
+        node = ad.param(value)
+        grads = ad.backprop(r.node_rows(node))
+        np.testing.assert_allclose(grads[id(node)], want, rtol=1e-6, atol=1e-8)
 
 
 def test_linear():
