@@ -82,6 +82,9 @@ class RunContext:
         for name, (wall, faults) in self.phases.items():
             self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults")
         self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
+        # ru_maxrss is in KiB on Linux
+        peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        self.log_lines.append(f"peak_rss_mb {peak_kib / 1024:.1f}")
         reporting.atomic_write(self.path("run.log"), "\n".join(self.log_lines) + "\n")
 
     def fail(self, message: str):
@@ -125,16 +128,21 @@ def _fidelity_reference(cfg: ExperimentConfig, g: Generator,
                       steps=steps)
 
 
-def _fidelity(ctx: RunContext, y_ref: Optional[np.ndarray], delta: np.ndarray,
-              y_mod: Optional[np.ndarray]) -> float | oracles.Estimate:
-    """Distributional closeness of the modulated run to the base run, from
-    the noise perturbation `delta` and the modulated outputs `y_mod` (only
-    read when there is a reference set): a float, or the kNN estimate
-    running on the run's evaluator, which float() resolves."""
+def _modulated(ctx: RunContext, g: Generator, r: Reward, y_ref: Optional[np.ndarray],
+               delta: np.ndarray, x_mod: np.ndarray,
+               steps: int = 1) -> tuple[np.ndarray, float | oracles.Estimate]:
+    """The reward per row of the modulated draws `x_mod`, and the
+    distributional closeness of the modulated run to the base run: a float
+    from the noise perturbation `delta`, or the kNN estimate running on the
+    run's evaluator, which float() resolves.  Only the estimate needs the
+    outputs whole; without one, the rewards stream through row blocks."""
     if y_ref is None:
         # noise-space KL in its L2 form; exact for constant shifts
-        return float(0.5 * np.mean(np.sum(delta * delta, axis=1)))
-    return ctx.evaluator.submit(y_mod, y_ref)
+        return (oracles.reward_values(g, r, x_mod, steps),
+                float(0.5 * np.mean(np.sum(delta * delta, axis=1))))
+    y_mod = g.generate(x_mod, steps=steps)
+    estimate = ctx.evaluator.submit(y_mod, y_ref)
+    return r.evaluate_batch(y_mod), estimate
 
 
 def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
@@ -151,11 +159,6 @@ def _check_train_steps(cfg: ExperimentConfig):
     """`train` and `tradeoff` need a training step; `diversity` runs with none."""
     if cfg["train"]["steps"] < 1:
         raise ConfigError("[train] steps: must be >= 1 to train")
-
-
-def _reward_stats(r: Reward, y: np.ndarray) -> tuple[float, float]:
-    vals = r.evaluate_batch(y)
-    return float(vals.mean()), float(vals.std(ddof=1) / np.sqrt(len(vals)))
 
 
 # ---------------------------------------------------------------------------
@@ -205,18 +208,21 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     with ctx.phase("evaluate"):
         x = _heldout_noise(cfg, g)
         delta = hn.perturb(x)
+        x_mod = x + delta
         lip = hn.lipschitz_upper_bound()
         final_step = history.steps[-1] if history.steps else 0
+        n_div = cfg["evaluation"]["diversity_samples"]
         rows = []
         for gen_steps in cfg["evaluation"]["multi_step"]:
-            y_mod = g.generate(x + delta, steps=gen_steps)
-            y_base = g.generate(x, steps=gen_steps)
-            fidelity = _fidelity(ctx, _fidelity_reference(cfg, g, gen_steps), delta, y_mod)
-            mean, se = _reward_stats(r, y_mod)
-            base_mean = float(r.evaluate_batch(y_base).mean())
-            div = _mean_pairwise(y_mod[:cfg["evaluation"]["diversity_samples"]])
-            rows.append(["hypernoise", final_step, gen_steps, mean, se,
-                         base_mean, fidelity, div, lip])
+            vals, fidelity = _modulated(ctx, g, r, _fidelity_reference(cfg, g, gen_steps),
+                                        delta, x_mod, gen_steps)
+            base_mean = float(oracles.reward_values(g, r, x, gen_steps).mean())
+            # a block of at least MIN_BLOCK_ROWS rows: very few rows would
+            # take another BLAS path and change the last bits
+            y_div = g.generate(x_mod[:max(n_div, oracles.MIN_BLOCK_ROWS)], steps=gen_steps)
+            rows.append(["hypernoise", final_step, gen_steps, float(vals.mean()),
+                         float(vals.std(ddof=1) / np.sqrt(len(vals))), base_mean,
+                         fidelity, _mean_pairwise(y_div[:n_div]), lip])
         for row in rows:    # the estimates, resolved in submission order
             row[6] = float(row[6])
             _, _, gen_steps, mean, _, base_mean, fidelity, _, _ = row
@@ -236,18 +242,16 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
 def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
     g, r = _build(cfg)
-    x = _heldout_noise(cfg, g)
+    base_mean = float(oracles.reward_values(g, r, _heldout_noise(cfg, g)).mean())
     rows = []
     if cfg.method == "noise_opt":
         res = noise_opt(g, r, cfg.noise_opt_config())
         fidelity = 0.5 * float(res.noise @ res.noise)
         rows.append(["noise_opt", cfg["noise_opt"]["steps"], 1, res.reward,
-                     0.0, float(r.evaluate_batch(g.generate(x)).mean()),
-                     fidelity, "", ""])
+                     0.0, base_mean, fidelity, "", ""])
         ctx.log(f"noise_opt: reward {res.reward:.6g}, objective {res.objective:.6g}")
     elif cfg.method == "best_of_n":
         res = best_of_n(g, r, cfg["best_of_n"]["counts"], seed=cfg.seed)
-        base_mean = float(r.evaluate_batch(g.generate(x)).mean())
         for n, best in zip(res.counts, res.best_rewards):
             rows.append(["best_of_n", n, 1, best, 0.0, base_mean, "", "", ""])
         ctx.log(f"best_of_n: best reward {res.best_rewards[-1]:.6g} "
@@ -256,7 +260,6 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
         d = cfg.direct_ft_config()
         with ctx.phase("train"):
             _, hist = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
-        base_mean = float(r.evaluate_batch(g.generate(x)).mean())
         for step, rew, drift in zip(hist.steps, hist.mean_reward, hist.output_drift):
             rows.append(["direct_ft", step, 1, rew, 0.0, base_mean, drift, "", ""])
         ctx.log(f"direct_ft: reward {hist.mean_reward[-1]:.6g}, "
@@ -292,9 +295,8 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
     def hook(step, net):
         with ctx.phase("evaluate"):
             delta = net.perturb(x)
-            y = g.generate(x + delta)
-            curve_h.append((step, float(r.evaluate_batch(y).mean()),
-                            _fidelity(ctx, y_ref, delta, y)))
+            vals, fidelity = _modulated(ctx, g, r, y_ref, delta, x + delta)
+            curve_h.append((step, float(vals.mean()), fidelity))
 
     with ctx.phase("train"):
         history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)

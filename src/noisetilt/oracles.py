@@ -30,12 +30,15 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
-# rows per block of the streamed forward passes: a 4096 x 48 decoder output
-# is 1.5 MB, where the whole 100,000-row batch would be 38 MB
+# rows per block of the streamed forward passes, up to 48 outputs a row: a
+# 4096 x 48 decoder output is 1.5 MB, where the whole 100,000-row batch would
+# be 38 MB.  Wider outputs get fewer rows, down to MIN_BLOCK_ROWS.
 ROW_BLOCK = 4096
 # the fewest rows a block may hold: OpenBLAS can take another path for a
 # product of very few rows (one to four), whose last bits differ from the
-# one-shot product's
+# one-shot product's.  It also does for a block of up to a few hundred rows
+# through a layer with a narrow output (16 or fewer units) and an inner
+# dimension of 32 or more, which this floor does not prevent
 MIN_BLOCK_ROWS = 64
 
 
@@ -76,26 +79,30 @@ def _weighted_moments(y: np.ndarray, w: np.ndarray, tmp: Optional[np.ndarray] = 
     return mean, second, se_mean, se_second
 
 
-def _row_blocks(n: int) -> list[slice]:
-    """Slices that cover rows 0..n-1 in order, ROW_BLOCK rows each; a tail
-    shorter than MIN_BLOCK_ROWS joins the block before it.
+def _row_blocks(n: int, width: int = 1) -> list[slice]:
+    """Slices that cover rows 0..n-1 in order for a map whose rows are
+    `width` values wide: ROW_BLOCK rows each up to 48 values, fewer for
+    wider rows, never below MIN_BLOCK_ROWS (64 rows of a 3072-value
+    output); a tail shorter than MIN_BLOCK_ROWS joins the block before it.
 
     A row-wise map evaluated block by block gives the same bits as one call
-    on all n rows, and its temporaries stay small enough for the cache."""
-    starts = list(range(0, n, ROW_BLOCK))
+    on all n rows (but see MIN_BLOCK_ROWS), and its temporaries stay small
+    enough for the cache."""
+    rows = max(MIN_BLOCK_ROWS, min(ROW_BLOCK, ROW_BLOCK * 48 // width))
+    starts = list(range(0, n, rows))
     if len(starts) > 1 and n - starts[-1] < MIN_BLOCK_ROWS:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _run_blocks(fn: Callable[[slice], None], n: int) -> None:
-    """Call fn(rows) for every slice of _row_blocks(n), on WORKERS threads
-    (serially when there is one worker or one block); an exception raised
-    in any block is raised here.
+def _run_blocks(fn: Callable[[slice], None], n: int, width: int = 1) -> None:
+    """Call fn(rows) for every slice of _row_blocks(n, width), on WORKERS
+    threads (serially when there is one worker or one block); an exception
+    raised in any block is raised here.
 
     Each call must write only its own rows, so the result has the same bits
     however the blocks are scheduled."""
-    blocks = _row_blocks(n)
+    blocks = _row_blocks(n, width)
     if WORKERS == 1 or len(blocks) == 1:
         for rows in blocks:
             fn(rows)
@@ -114,19 +121,23 @@ def _pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(workers)
 
 
-def _map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-              out: np.ndarray) -> np.ndarray:
+def map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+             out: np.ndarray, width: int) -> np.ndarray:
     """The row-wise map h over the rows of `x`, written into `out` one row
-    block at a time."""
+    block at a time; `width` is the number of values per row of the
+    widest array h makes, which sets the rows per block."""
     def block(rows):
         out[rows] = h(x[rows])
-    _run_blocks(block, len(x))
+    _run_blocks(block, len(x), width)
     return out
 
 
-def _reward_values(g: Generator, r: Reward, x: np.ndarray) -> np.ndarray:
-    """r(g(x)) per row of `x`, one row block at a time."""
-    return _map_rows(lambda xb: r.evaluate_batch(g.generate(xb)), x, np.empty(len(x)))
+def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.ndarray:
+    """r(g(x)) at `steps` generation steps per row of `x`, one row block at
+    a time, so only a block's outputs exist at once; the same bits as
+    r.evaluate_batch(g.generate(x, steps=steps)) (but see MIN_BLOCK_ROWS)."""
+    return map_rows(lambda xb: r.evaluate_batch(g.generate(xb, steps=steps)), x,
+                    np.empty(len(x)), g.output_dim)
 
 
 def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int,
@@ -147,7 +158,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
 
     if method == "snis":
         x = rng.standard_normal((n, d))
-        logw = _reward_values(g, r, x) / alpha
+        logw = reward_values(g, r, x) / alpha
         logw -= logw.max()
         w = np.exp(logw)
         w /= w.sum()
@@ -172,7 +183,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
         while sum(len(a) for a in accepted) < n:
             x = rng.standard_normal((batch, d))
             drawn += batch
-            logp = (_reward_values(g, r, x) - envelope) / alpha
+            logp = (reward_values(g, r, x) - envelope) / alpha
             keep = np.log(rng.random(batch)) < logp
             accepted.append(x[keep])
             got = sum(len(a) for a in accepted)
@@ -213,11 +224,11 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
     y = np.empty((n, g.output_dim))
     tmp = np.empty_like(y)
     mean_a, second_a, se_ma, se_sa = _weighted_moments(
-        _map_rows(g.generate, tilted.samples, y), tilted.weights, tmp)
+        map_rows(g.generate, tilted.samples, y, g.output_dim), tilted.weights, tmp)
 
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, g.latent_dim))
-    _map_rows(g.generate, x, y)
+    map_rows(g.generate, x, y, g.output_dim)
     logw = r.evaluate_batch(y) / alpha
     logw -= logw.max()
     w = np.exp(logw)

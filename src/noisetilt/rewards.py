@@ -11,13 +11,8 @@ from . import autodiff as ad
 
 
 class Reward:
-    """Common surface: scalar and batch evaluation, and an autodiff trace
-    producing one scalar per row (the source of every reward gradient)."""
-
-    def evaluate(self, x: np.ndarray) -> float:
-        x = np.asarray(x, dtype=np.float64)
-        self._check(x)
-        return float(self._rows(x[None, :])[0])
+    """Common surface: batch evaluation, one value per row, and an autodiff
+    trace producing one scalar per row (the source of every reward gradient)."""
 
     def evaluate_batch(self, x: np.ndarray) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))

@@ -51,7 +51,7 @@ def test_best_of_n_monotone_and_prefix_consistent():
     assert full.best_rewards == sorted(full.best_rewards)
     partial = best_of_n(g, r, [1, 4], seed=2)
     assert partial.best_rewards == full.best_rewards[:2]
-    assert r.evaluate(full.best_output) == pytest.approx(full.best_rewards[-1])
+    assert r.evaluate_batch(full.best_output[None]) == pytest.approx([full.best_rewards[-1]])
     with pytest.raises(ValueError):
         best_of_n(g, r, [], seed=0)
     with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """End-to-end runs of the command-line interface."""
 import os
 import re
+import resource
 import tempfile
 import threading
 import time
@@ -17,6 +18,7 @@ from noisetilt import autodiff as ad
 from noisetilt import cli, oracles, training
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
+from noisetilt.generators import Generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
@@ -708,6 +710,127 @@ def test_run_log_phase_lines(tmp_path):
             _, _, wall, unit, faults, *rest = line.split()
             assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
             assert rest == ["minor", "page", "faults"]
+
+
+def test_run_log_ends_with_peak_rss(tmp_path):
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
+    bad = write(tmp_path, "bad.ini", AFFINE_TRAIN.replace(
+        "learning_rate = 0.1", "learning_rate = 80.0\nclip_norm = 0"))
+    runs = {"train": (["train", "--config", cfg_h], 0),
+            "baseline": (["baseline", "--config", cfg_d], 0),
+            "failed": (["train", "--config", bad], 1)}
+    for name, (argv, code) in runs.items():
+        out = str(tmp_path / name)
+        assert main(argv + ["--out", out, "--quiet"]) == code, name
+        *_, wall, peak = Path(out, "run.log").read_text().splitlines()
+        assert wall.startswith("wall_time_s "), name
+        key, value = peak.split()
+        # the peak so far: positive, and no higher than the peak after the run
+        assert key == "peak_rss_mb", name
+        after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert 0 < float(value) <= round(after, 1), name
+
+
+# a 16 x 16 x 3 = 768-output decoder: its row blocks hold 4096 * 48 / 768 =
+# 256 rows, so the 700 held-out rows take three blocks.  Its latent 64 and
+# hidden 256 make a product of four rows or fewer take another BLAS path, so
+# diversity rows generated on their own would differ in the last bits
+WIDE_DECODER = """
+[run]
+method = hypernoise
+seed = 5
+
+[generator]
+variant = decoder
+latent_dim = 64
+height = 16
+width = 16
+hidden = 256
+
+[reward]
+variant = redness
+scale = 1.0
+
+[train]
+steps = 20
+batch_size = 16
+learning_rate = 0.1
+log_every = 10
+
+[evaluation]
+heldout = 700
+fidelity_metric = closed_form_gaussian_kl
+"""
+WIDE_BLOCK = 256 * 768
+
+
+def one_shot_train_columns(cfg_path, out):
+    """reward_mean, reward_se, base_reward_mean and diversity of each row of
+    a closed-form train's report, from one pass over all held-out rows."""
+    cfg = load_config(cfg_path)
+    g, r = cli._build(cfg)
+    hn = init_hypernet(g, rank=cfg["train"]["rank"], alpha=cfg["train"]["adapter_alpha"],
+                       seed=cfg.seed)
+    load_checkpoint(os.path.join(out, "checkpoint.bin"), hn)
+    x = cli._heldout_noise(cfg, g)
+    x_mod = x + hn.perturb(x)
+    columns = []
+    for steps in cfg["evaluation"]["multi_step"]:
+        y = g.generate(x_mod, steps=steps)
+        vals = r.evaluate_batch(y)
+        columns.append([vals.mean(), vals.std(ddof=1) / np.sqrt(len(vals)),
+                        r.evaluate_batch(g.generate(x, steps=steps)).mean(),
+                        _mean_pairwise(y[:cfg["evaluation"]["diversity_samples"]])])
+    return columns
+
+
+def wide_runs(tmp_path, diversity_samples):
+    """argv of a closed-form train (multi_step 1 2), a tradeoff and a
+    best_of_n baseline on the wide decoder."""
+    hyper = write(tmp_path, "h.ini", WIDE_DECODER + (
+        f"multi_step = 1 2\ndiversity_samples = {diversity_samples}\n"))
+    direct = write(tmp_path, "d.ini", WIDE_DECODER.replace(
+        "method = hypernoise", "method = direct_ft") + (
+        "\n[direct_ft]\nsteps = 20\nbatch_size = 8\neval_every = 10\n"
+        "eval_samples = 100\n"))
+    best = write(tmp_path, "b.ini", WIDE_DECODER.replace(
+        "method = hypernoise", "method = best_of_n") + "\n[best_of_n]\ncounts = 1 8\n")
+    return {"train": ["train", "--config", hyper], "tradeoff": ["tradeoff", hyper, direct],
+            "baseline": ["baseline", "--config", best]}
+
+
+@pytest.mark.parametrize("diversity_samples", [3, 64])
+def test_streamed_evaluation_writes_the_bytes_of_one_block(tmp_path, monkeypatch,
+                                                           diversity_samples):
+    runs = wide_runs(tmp_path, diversity_samples)
+    sizes = []      # the values of every output batch the runs generate
+    real = Generator.generate
+
+    def generate(self, x0, **kwargs):
+        sizes.append(np.atleast_2d(x0).shape[0] * self.output_dim)
+        return real(self, x0, **kwargs)
+
+    monkeypatch.setattr(Generator, "generate", generate)
+    written = {}
+    for mode in ("streamed", "one block"):
+        if mode == "one block":
+            # every map is then one block, and the diversity rows come from
+            # one pass over all held-out rows
+            monkeypatch.setattr(oracles, "MIN_BLOCK_ROWS", 10 ** 9)
+        for name, argv in runs.items():
+            out = str(tmp_path / mode / name)
+            assert main(argv + ["--out", out, "--quiet"]) == 0, (mode, name)
+            written[mode, name] = artifacts(out)
+        if mode == "streamed":
+            assert sizes and max(sizes) <= WIDE_BLOCK
+            _, rows = read_csv(os.path.join(tmp_path, mode, "train", "report.csv"))
+            assert [[float(row[i]) for i in (3, 4, 5, 7)] for row in rows] == \
+                one_shot_train_columns(runs["train"][2], str(tmp_path / mode / "train"))
+    for name in runs:
+        report = "tradeoff.csv" if name == "tradeoff" else "report.csv"
+        assert report in written["streamed", name]
+        assert written["streamed", name] == written["one block", name], name
+    assert max(sizes) == 700 * 768      # the one-block runs did take all rows
 
 
 def test_zero_train_steps_rejected_before_training(tmp_path, capsys):

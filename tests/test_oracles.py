@@ -105,14 +105,14 @@ def test_stein_linear_field_exact():
     assert rhs == pytest.approx(np.trace(b), abs=1e-6)
 
 
-def decoder_and_redness(seed=2):
-    g = make_generator({"variant": "decoder", "latent_dim": 6, "height": 4,
-                        "width": 4, "hidden": [16]}, seed=seed)
+def decoder_and_redness(seed=2, side=4):
+    g = make_generator({"variant": "decoder", "latent_dim": 6, "height": side,
+                        "width": side, "hidden": [16]}, seed=seed)
     return g, RednessReward(0.01)
 
 
-def reward_values_one_shot(g, r, x):
-    return r.evaluate_batch(g.generate(x))
+def reward_values_one_shot(g, r, x, steps=1):
+    return r.evaluate_batch(g.generate(x, steps=steps))
 
 
 def stein_one_shot(f, d, n, seed, eps=1e-5):
@@ -137,22 +137,36 @@ def weighted_moments_one_shot(y, w):
 
 
 B = oracles.ROW_BLOCK
+M = oracles.MIN_BLOCK_ROWS
 # one block, the tails that join the last full block, and three blocks
 STREAMED_ROWS = [1, 5, B - 1, B, B + 1, B + 2, B + 3, B + 4, 2 * B + 1696]
+# (rows, decoder side, rows per block): a 4 x 4 x 3 decoder's 48 outputs
+# take ROW_BLOCK rows a block, 16 x 16 x 3 = 768 outputs take
+# 4096 * 48 / 768 = 256, and 48 x 48 x 3 = 6912 outputs fall to the
+# MIN_BLOCK_ROWS floor; each wide case has one block, a tail that joins it,
+# a tail that stays, and three blocks
+STREAMED_CASES = [pytest.param(n, 4, B, id=str(n)) for n in STREAMED_ROWS] + [
+    pytest.param(n, side, rows, id=f"{side}x{side}x3-{n}")
+    for side, rows in ((16, 256), (48, M))
+    for n in (rows - 1, rows, rows + M - 1, rows + M, 3 * rows + 5)]
 
 
-@pytest.mark.parametrize("n", STREAMED_ROWS)
-def test_streamed_reward_values_same_bits(n):
-    blocks = oracles._row_blocks(n)
+@pytest.mark.parametrize("n, side, rows", STREAMED_CASES)
+def test_streamed_reward_values_same_bits(n, side, rows):
+    g, r = decoder_and_redness(side=side)
+    blocks = oracles._row_blocks(n, g.output_dim)
     assert np.array_equal(np.concatenate([np.arange(n)[s] for s in blocks]), np.arange(n))
-    assert all(s.stop - s.start >= min(n, oracles.MIN_BLOCK_ROWS) for s in blocks)
+    sizes = [s.stop - s.start for s in blocks]
+    assert all(size == rows for size in sizes[:-1])
+    assert min(n, M) <= sizes[-1] < rows + M
     x = np.random.default_rng(n).standard_normal((n, 6))
-    for g, r in (decoder_and_redness(),
-                 (make_generator({"variant": "mlp", "latent_dim": 6, "output_dim": 5,
-                                  "hidden": [9]}, seed=1),
-                  LinearReward(np.linspace(-1.0, 1.0, 5)))):
-        assert np.array_equal(oracles._reward_values(g, r, x),
-                              reward_values_one_shot(g, r, x))
+    for steps in (1, 2):
+        assert np.array_equal(oracles.reward_values(g, r, x, steps),
+                              reward_values_one_shot(g, r, x, steps)), steps
+    g = make_generator({"variant": "mlp", "latent_dim": 6, "output_dim": 5,
+                        "hidden": [9]}, seed=1)
+    r = LinearReward(np.linspace(-1.0, 1.0, 5))
+    assert np.array_equal(oracles.reward_values(g, r, x), reward_values_one_shot(g, r, x))
 
 
 @pytest.mark.parametrize("n", [B + 3, 2 * B + 1696])
@@ -170,7 +184,7 @@ def test_streamed_stein_check_same_bits(n):
 def test_streamed_tilted_sampling_same_bits(n, method, monkeypatch):
     g, r = decoder_and_redness()
     streamed = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
-    monkeypatch.setattr(oracles, "_reward_values", reward_values_one_shot)
+    monkeypatch.setattr(oracles, "reward_values", reward_values_one_shot)
     one_shot = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
     assert np.array_equal(streamed.samples, one_shot.samples)
     assert np.array_equal(streamed.weights, one_shot.weights)
@@ -194,11 +208,12 @@ POOLED_ROWS = 2 * B + 1696
 def test_pooled_reward_values_same_bits():
     g, r = decoder_and_redness()
     x = np.random.default_rng(12).standard_normal((POOLED_ROWS, 6))
-    one, many = on_one_and_many_workers(lambda: oracles._reward_values(g, r, x))
+    one, many = on_one_and_many_workers(lambda: oracles.reward_values(g, r, x))
     assert np.array_equal(one, many)
     assert np.array_equal(many, reward_values_one_shot(g, r, x))
     one, many = on_one_and_many_workers(
-        lambda: oracles._map_rows(g.generate, x, np.empty((POOLED_ROWS, g.output_dim))))
+        lambda: oracles.map_rows(g.generate, x, np.empty((POOLED_ROWS, g.output_dim)),
+                                 g.output_dim))
     assert np.array_equal(one, many)
     assert np.array_equal(many, g.generate(x))
 
@@ -244,7 +259,7 @@ def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
     sys.setswitchinterval(1e-6)
     try:
         with ad.Arena(), ThreadPoolExecutor(1) as runner:
-            got = runner.submit(oracles._reward_values, g, r, x).result(timeout=120)
+            got = runner.submit(oracles.reward_values, g, r, x).result(timeout=120)
             held = ad.affine(x, np.eye(6), None)
     finally:
         sys.setswitchinterval(interval)

@@ -25,20 +25,20 @@ def test_linear():
     c = np.array([1.0, -2.0, 0.5])
     r = LinearReward(c)
     x = np.array([2.0, 1.0, 4.0])
-    assert r.evaluate(x) == pytest.approx(2.0)
+    assert r.evaluate_batch(x[None]) == pytest.approx([2.0])
     grad_check(r, x)
     np.testing.assert_allclose(r.evaluate_batch(np.stack([x, -x])), [2.0, -2.0])
     assert r.upper_bound_on_box(0.0, 1.0, 3) == pytest.approx(1.5)
     assert r.upper_bound_on_box(-1.0, 1.0, 3) == pytest.approx(3.5)
     with pytest.raises(ValueError):
-        r.evaluate(np.zeros(4))
+        r.evaluate_batch(np.zeros((1, 4)))
 
 
 def test_quadratic():
     q = np.array([[2.0, 0.5], [0.5, 1.0]])
     r = QuadraticReward(q, sign=-1)
     x = np.array([1.0, -1.0])
-    assert r.evaluate(x) == pytest.approx(-0.5 * (2.0 - 1.0 + 1.0))
+    assert r.evaluate_batch(x[None]) == pytest.approx([-0.5 * (2.0 - 1.0 + 1.0)])
     grad_check(r, x)
     with pytest.raises(ValueError):
         QuadraticReward(np.array([[1.0, 2.0], [0.0, 1.0]]))
@@ -49,11 +49,11 @@ def test_quadratic():
 def test_redness_closed_form():
     r = RednessReward(0.01)
     x = np.concatenate([np.full(4, 0.9), np.full(4, 0.3), np.full(4, 0.1)])
-    assert r.evaluate(x) == pytest.approx(0.01 * (0.9 - 0.5 * (0.3 + 0.1)))
+    assert r.evaluate_batch(x[None]) == pytest.approx([0.01 * (0.9 - 0.5 * (0.3 + 0.1))])
     grad_check(r, x)
     assert r.upper_bound_on_box(0.0, 1.0, 12) == pytest.approx(0.01)
     with pytest.raises(ValueError):
-        r.evaluate(np.zeros(10))
+        r.evaluate_batch(np.zeros((1, 10)))
 
 
 def test_make_reward():
