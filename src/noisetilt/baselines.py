@@ -95,15 +95,20 @@ class BestOfNResult:
     best_output: np.ndarray
 
 
+def check_counts(counts: list[int]):
+    """Raise ValueError unless `best_of_n` can select at every count."""
+    if not counts or min(counts) < 1:
+        raise ValueError("counts: needs at least one entry, all >= 1")
+
+
 def best_of_n(g: Generator, r: Reward, counts: list[int], seed: int) -> BestOfNResult:
     """Best reward among the first N base samples, for each requested N.
 
     All counts share one draw, so smaller budgets are exact prefixes of
     larger ones and the curve is monotone by construction.
     """
+    check_counts(counts)
     counts = sorted(set(int(n) for n in counts))
-    if not counts or counts[0] < 1:
-        raise ValueError("counts must be positive integers")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((counts[-1], g.latent_dim))
     y = g.generate(x)

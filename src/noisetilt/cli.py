@@ -27,7 +27,7 @@ from .generators import Generator, make_generator
 from .hypernet import init_hypernet
 from .oracles import kl_knn  # noqa: F401  (bench/test_bench.py: the tracer rebinds it)
 from .rewards import Reward, make_reward
-from .training import save_checkpoint, train_hypernoise
+from .training import TrainHistory, save_checkpoint, train_hypernoise
 
 REPORT_COLUMNS = ["method", "step", "generation_steps", "reward_mean",
                   "reward_se", "base_reward_mean", "fidelity",
@@ -155,6 +155,13 @@ def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
     return hook
 
 
+def _expect_method(cfg: ExperimentConfig, what: str, *methods: str):
+    """Raise a ConfigError unless cfg's [run] method is one `what` runs."""
+    if cfg.method not in methods:
+        expected = f"{', '.join(methods[:-1])}, or {methods[-1]}" if methods[1:] else methods[0]
+        raise ConfigError(f"[run] method: {what} expects {expected}, got {cfg.method!r}")
+
+
 def _check_train_steps(cfg: ExperimentConfig):
     """`train` and `tradeoff` need a training step; `diversity` runs with none."""
     if cfg["train"]["steps"] < 1:
@@ -166,9 +173,9 @@ def _check_train_steps(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
+    _expect_method(cfg, "validate-theory", "theory")
     _echo_config(ctx, cfg)
-    report = oracles.run_theory_suite(seed=cfg.seed, n=cfg["theory"]["n"],
-                                      knn_k=cfg["theory"]["knn_k"], phase=ctx.phase)
+    report = oracles.run_theory_suite(seed=cfg.seed, phase=ctx.phase, **cfg["theory"])
     rows = [[c.name, c.statistic, c.tolerance, c.status] for c in report.checks]
     reporting.write_csv(ctx.path("report.csv"),
                         ["check", "statistic", "tolerance", "status"], rows)
@@ -182,24 +189,26 @@ def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 
 def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    if cfg.method != "hypernoise":
-        raise ConfigError(f"[run] method: train expects hypernoise, got {cfg.method!r}")
+    _expect_method(cfg, "train", "hypernoise")
     _check_train_steps(cfg)
     _echo_config(ctx, cfg)
     with ctx.phase("build"):
         g, r = _build(cfg)
         t = cfg["train"]
         hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
-    with ctx.phase("train"):
-        history = train_hypernoise(hn, g, r, cfg.train_config())
-
+    history = TrainHistory()
+    try:
+        with ctx.phase("train"):
+            train_hypernoise(hn, g, r, cfg.train_config(), history=history)
+    finally:    # an aborted training keeps the steps it logged
+        with ctx.phase("write"):
+            reporting.write_csv(
+                ctx.path("history.csv"),
+                ["step", "loss", "l2_term", "reward_term", "grad_norm"],
+                [[s, lo, l2, rw, gn] for s, lo, l2, rw, gn in
+                 zip(history.steps, history.loss, history.l2_term,
+                     history.reward_term, history.grad_norm)])
     with ctx.phase("write"):
-        reporting.write_csv(
-            ctx.path("history.csv"),
-            ["step", "loss", "l2_term", "reward_term", "grad_norm"],
-            [[s, lo, l2, rw, gn] for s, lo, l2, rw, gn in
-             zip(history.steps, history.loss, history.l2_term,
-                 history.reward_term, history.grad_norm)])
         save_checkpoint(ctx.path("checkpoint.bin"), hn,
                         extra={"steps": t["steps"], "seed": cfg.seed})
 
@@ -238,6 +247,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 
 def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
+    _expect_method(cfg, "baseline", "noise_opt", "best_of_n", "direct_ft")
     _echo_config(ctx, cfg)
     g, r = _build(cfg)
     base_mean = float(oracles.reward_values(g, r, _heldout_noise(cfg, g)).mean())
@@ -254,7 +264,7 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
             rows.append(["best_of_n", n, 1, best, 0.0, base_mean, "", "", ""])
         ctx.log(f"best_of_n: best reward {res.best_rewards[-1]:.6g} "
                 f"at n={res.counts[-1]}")
-    elif cfg.method == "direct_ft":
+    else:
         d = cfg.direct_ft_config()
         with ctx.phase("train"):
             _, hist = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
@@ -262,16 +272,14 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
             rows.append(["direct_ft", step, 1, rew, 0.0, base_mean, drift, "", ""])
         ctx.log(f"direct_ft: reward {hist.mean_reward[-1]:.6g}, "
                 f"final drift {hist.output_drift[-1]:.6g} ({hist.drift_estimator})")
-    else:
-        raise ConfigError(
-            f"[run] method: baseline expects noise_opt, best_of_n, or "
-            f"direct_ft, got {cfg.method!r}")
     reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
     return 0
 
 
 def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
                  ctx: RunContext) -> int:
+    _expect_method(cfg_h, "tradeoff", "hypernoise")
+    _expect_method(cfg_d, "tradeoff's second config", "direct_ft")
     for section in ("generator", "reward"):
         if cfg_h[section] != cfg_d[section]:
             raise ConfigError(f"tradeoff configs disagree in [{section}]")
@@ -327,6 +335,7 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 
 
 def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
+    _expect_method(cfg, "diversity", "hypernoise")
     _echo_config(ctx, cfg)
     g, r = _build(cfg)
     t = cfg["train"]

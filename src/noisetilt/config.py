@@ -5,8 +5,9 @@ so is a key set outside its scope: the variants or optimizer it acts under.
 The resolved echo holds every key that applies, defaults included, and
 parses back to an identical configuration.
 Every config `load_config` accepts runs; others raise a ConfigError naming
-section and key (exit 2).  Validation builds what the run builds, so each
-rule lives once, in the constructor or `validate()` that needs it.
+section and key (exit 2).  Validation builds what the run builds and calls
+the library's checks, so each rule lives once, where the library needs it;
+the [train], [noise_opt] and [direct_ft] keys are settings dataclass fields.
 """
 from __future__ import annotations
 
@@ -17,10 +18,10 @@ import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
-from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig
+from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig, check_counts
 from .generators import make_generator
 from .hypernet import init_hypernet
-from .oracles import KNN_K
+from .oracles import KNN_K, check_knn_points, check_theory_scale
 from .rewards import make_reward
 from .training import TrainConfig
 
@@ -31,12 +32,25 @@ class ConfigError(ValueError):
 
 _REQUIRED = object()
 
+# the scope of a key that acts only on a generator built of layers
+_NETWORK = ("generator", "variant", ("mlp", "decoder"))
+
+
+def _fields(cls, **scopes) -> dict[str, tuple]:
+    """Schema entries, type and default, for the fields of settings dataclass
+    `cls` but seed (which [run] sets), with their scopes from `scopes`."""
+    return {f.name: (f.type, f.default) + ((scopes[f.name],) if f.name in scopes else ())
+            for f in fields(cls) if f.name != "seed"}
+
+
 # section -> key -> (type, default[, scope]). Types: int, float, str,
-# ints/floats (comma-separated), matrix (semicolon-separated rows).  A key
-# with a scope (section, owner key, owner values) acts only under those values.
+# ints/floats (comma-separated), matrix (semicolon-separated rows), or the
+# tuple of strings the key may be.  A key with a scope (section, owner key,
+# owner values) acts only under those values.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "method": ("str", "hypernoise"),   # hypernoise | direct_ft | noise_opt | best_of_n | theory
+        "method": (("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory"),
+                   "hypernoise"),
         "seed": ("int", 0),
         "out_dir": ("str", "out"),
     },
@@ -44,8 +58,8 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "variant": ("str", _REQUIRED),     # affine | mlp | decoder
         "latent_dim": ("int", _REQUIRED),
         "output_dim": ("int", 0, ("generator", "variant", ("affine", "mlp"))),  # 0: derived
-        "hidden": ("ints", [], ("generator", "variant", ("mlp", "decoder"))),
-        "activation": ("str", "tanh", ("generator", "variant", ("mlp", "decoder"))),
+        "hidden": ("ints", [], _NETWORK),
+        "activation": ("str", "tanh", _NETWORK),
         "height": ("int", 8, ("generator", "variant", ("decoder",))),
         "width": ("int", 8, ("generator", "variant", ("decoder",))),
         "matrix": ("matrix", [], ("generator", "variant", ("affine",))),
@@ -60,53 +74,27 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "sign": ("int", -1, ("reward", "variant", ("quadratic",))),
         "scale": ("float", 0.01, ("reward", "variant", ("redness",))),
     },
-    "train": {
-        "steps": ("int", 500),
-        "batch_size": ("int", 64),
-        "learning_rate": ("float", 0.05),
-        "optimizer": ("str", "sgd"),
-        "momentum": ("float", 0.0, ("train", "optimizer", ("sgd",))),
-        "clip_norm": ("float", 1.0),
-        "alpha": ("float", 1.0),
-        "log_every": ("int", 10),
-        "rank": ("int", 2),
-        "adapter_alpha": ("float", 2.0),
-        "generation_steps": ("int", 1),
-    },
-    "noise_opt": {
-        "steps": ("int", 300),
-        "learning_rate": ("float", 0.05),
-        "prior_weight": ("float", 1.0),
-    },
+    "train": {**_fields(TrainConfig, momentum=("train", "optimizer", ("sgd",))),
+              "rank": ("int", 2),               # the noise network's adapters
+              "adapter_alpha": ("float", 2.0)},
+    "noise_opt": _fields(NoiseOptConfig),
     "best_of_n": {
         "counts": ("ints", [1, 4, 16, 64, 256]),
     },
-    "direct_ft": {
-        "steps": ("int", 300),
-        "batch_size": ("int", 64),
-        "learning_rate": ("float", 0.05),
-        "optimizer": ("str", "adam"),
-        "clip_norm": ("float", 1.0),
-        # an affine generator's adapter is a bias shift, its drift closed form
-        "rank": ("int", 2, ("generator", "variant", ("mlp", "decoder"))),
-        "eval_every": ("int", 25),
-        "eval_samples": ("int", 2000, ("generator", "variant", ("mlp", "decoder"))),
-    },
+    # an affine generator's adapter is a bias shift, its drift closed form
+    "direct_ft": _fields(DirectFinetuneConfig, rank=_NETWORK, eval_samples=_NETWORK),
     "evaluation": {
         "heldout": ("int", 2000),
-        "fidelity_metric": ("str", "knn_kl"),  # knn_kl | closed_form_gaussian_kl
+        "fidelity_metric": (("knn_kl", "closed_form_gaussian_kl"), "knn_kl"),
         "multi_step": ("ints", [1]),
         "diversity_seeds": ("int", 20),
         "diversity_samples": ("int", 64),
     },
     "theory": {
         "n": ("int", 20000),
-        "knn_k": ("int", 5),
+        "knn_k": ("int", KNN_K),
     },
 }
-
-_METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
-_FIDELITY = ("knn_kl", "closed_form_gaussian_kl")
 
 
 def _finite(token: str) -> float:
@@ -118,19 +106,18 @@ def _finite(token: str) -> float:
     return value
 
 
-def _parse_value(section: str, key: str, kind: str, raw: str):
+def _parse_value(section: str, key: str, kind: str | tuple, raw: str):
     raw = raw.strip()
+    scalars = {"int": int, "float": _finite, "str": str}
     try:
-        if kind == "int":
-            return int(raw)
-        if kind == "float":
-            return _finite(raw)
-        if kind == "str":
+        if isinstance(kind, tuple):
+            if raw not in kind:
+                raise ValueError(f"must be one of {kind}, got {raw!r}")
             return raw
-        if kind == "ints":
-            return [int(t) for t in raw.replace(",", " ").split()] if raw else []
-        if kind == "floats":
-            return [_finite(t) for t in raw.replace(",", " ").split()] if raw else []
+        if kind in scalars:
+            return scalars[kind](raw)
+        if kind in ("ints", "floats"):
+            return [scalars[kind[:-1]](t) for t in raw.replace(",", " ").split()]
         if kind == "matrix":
             if not raw:
                 return []
@@ -218,27 +205,18 @@ class ExperimentConfig:
 
 
 @contextlib.contextmanager
-def _section(name: str):
-    """Re-raise a ValueError, led by its key, as a ConfigError naming `name`."""
+def _section(name: str, key: str = ""):
+    """Re-raise a ValueError as a ConfigError naming `name` and, if given, `key`."""
     try:
         yield
     except ValueError as exc:
-        raise ConfigError(f"[{name}] {exc}") from None
+        raise ConfigError(f"[{name}] {key}{': ' if key else ''}{exc}") from None
 
 
 def _validate(cfg: ExperimentConfig, missing: list[str]):
-    run = cfg.values["run"]
-    if run["method"] not in _METHODS:
-        raise ConfigError(f"[run] method: must be one of {_METHODS}, got {run['method']!r}")
-    th = cfg.values["theory"]
-    if th["n"] < 1000:
-        raise ConfigError("[theory] n: must be >= 1000, the smallest sample the "
-                          "moment checks accept")
-    # its kNN checks estimate from two sets of n // 2 points each
-    if not 1 <= th["knn_k"] < th["n"] // 2:
-        raise ConfigError(f"[theory] knn_k: must be in [1, {th['n'] // 2 - 1}] "
-                          f"for n = {th['n']}")
-    if run["method"] == "theory":
+    with _section("theory"):
+        check_theory_scale(**cfg.values["theory"])
+    if cfg.method == "theory":
         # the theory suite builds its own fixtures; generator/reward optional
         return
     if missing:
@@ -259,39 +237,23 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         cfg.direct_ft_config().validate()
     with _section("noise_opt"):
         cfg.noise_opt_config().validate()
-    counts = cfg.values["best_of_n"]["counts"]
-    if not counts or min(counts) < 1:
-        raise ConfigError("[best_of_n] counts: needs at least one entry, all >= 1")
+    with _section("best_of_n"):
+        check_counts(cfg.values["best_of_n"]["counts"])
     ev = cfg.values["evaluation"]
-    if ev["fidelity_metric"] not in _FIDELITY:
-        raise ConfigError(
-            f"[evaluation] fidelity_metric: must be one of {_FIDELITY}, "
-            f"got {ev['fidelity_metric']!r}")
-    # reward_se and the mean pairwise distance need two rows; the kNN
-    # estimate needs k + 1 points in each set
+    # reward_se and the mean pairwise distance need two rows
     for key in ("diversity_seeds", "diversity_samples", "heldout"):
         if ev[key] < 2:
             raise ConfigError(f"[evaluation] {key}: must be >= 2")
-    knn_points = KNN_K + 1
-    if ev["fidelity_metric"] == "knn_kl" and ev["heldout"] < knn_points:
-        raise ConfigError(f"[evaluation] heldout: must be >= {knn_points} for the "
-                          "knn_kl fidelity")
-    if d["eval_samples"] < knn_points:     # on affine it holds its default
-        raise ConfigError(f"[direct_ft] eval_samples: must be >= {knn_points} to "
-                          f"estimate the drift of a {g['variant']} generator")
-    # multi-call generation refines the latent with a square map: the
-    # decoder's own refiner, or the whole generator when it maps d -> d
-    square = g["variant"] == "decoder" or g["output_dim"] in (0, g["latent_dim"])
-    for key, steps in (("[train] generation_steps", [t["generation_steps"]]),
-                       ("[evaluation] multi_step", ev["multi_step"])):
-        if not steps:
-            raise ConfigError(f"{key}: needs at least one entry")
-        if any(s < 1 for s in steps):
-            raise ConfigError(f"{key}: entries must be >= 1")
-        if not square and any(s > 1 for s in steps):
-            raise ConfigError(
-                f"{key}: more than one step needs a square generator; this "
-                f"{g['variant']} generator maps {g['latent_dim']} -> {g['output_dim']}")
+    if ev["fidelity_metric"] == "knn_kl":
+        with _section("evaluation", "heldout"):
+            check_knn_points(ev["heldout"], "for the knn_kl fidelity")
+    with _section("direct_ft", "eval_samples"):     # on affine it holds its default
+        check_knn_points(d["eval_samples"],
+                         f"to estimate the drift of a {g['variant']} generator")
+    for section, key, steps in (("train", "generation_steps", [t["generation_steps"]]),
+                                ("evaluation", "multi_step", ev["multi_step"])):
+        with _section(section, key):
+            gen.check_steps(steps)
 
 
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:

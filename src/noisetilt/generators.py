@@ -34,6 +34,8 @@ class Generator:
         self.layers = layers
         self.refiner = refiner
         self.stack = LayerStack(layers)
+        # the map multi-step generation refines the latent with, if square
+        self.refine = self.stack if refiner is None else LayerStack(refiner)
         self.step_mix = float(step_mix)
         self.output_dim = layers[-1].weight.shape[0]
         self.output_range = (0.0, 1.0) if variant == "decoder" else None
@@ -41,21 +43,23 @@ class Generator:
 
     # -- evaluation ---------------------------------------------------------
 
+    def check_steps(self, steps: list[int]):
+        """Raise ValueError unless `steps` holds step counts this generator runs:
+        at least one, each >= 1, and above 1 only with a square refine map."""
+        if not steps:
+            raise ValueError("needs at least one entry")
+        if any(s < 1 for s in steps):
+            raise ValueError("entries must be >= 1")
+        if max(steps) > 1 and self.refiner is None and self.output_dim != self.latent_dim:
+            raise ValueError(
+                "more than one step needs a square generator; this "
+                f"{self.variant} generator maps {self.latent_dim} -> {self.output_dim}")
+
     def _check_inputs(self, x0: np.ndarray, steps: int):
         if x0.shape[-1] != self.latent_dim:
             raise ValueError(
                 f"latent has {x0.shape[-1]} entries, generator expects {self.latent_dim}")
-        if steps < 1:
-            raise ValueError("steps must be >= 1")
-
-    def _refine_stack(self) -> LayerStack:
-        if self.refiner is not None:
-            return LayerStack(self.refiner)
-        if self.output_dim != self.latent_dim:
-            raise ValueError(
-                "multi-step generation needs a square map; "
-                f"this {self.variant} generator maps {self.latent_dim} -> {self.output_dim}")
-        return self.stack
+        self.check_steps([steps])
 
     def generate(self, x0: np.ndarray, *, steps: int = 1) -> np.ndarray:
         """Deterministic output for one latent or a batch of latents."""
@@ -63,10 +67,9 @@ class Generator:
         self._check_inputs(x0, steps)
         state = x0
         if steps > 1:
-            refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = refine.forward(state)
+                fresh = self.refine.forward(state)
                 state = (1.0 - gamma) * state + gamma * fresh
         return self.stack.forward(state)
 
@@ -75,10 +78,9 @@ class Generator:
         self._check_inputs(x0.value, steps)
         state = x0
         if steps > 1:
-            refine = self._refine_stack()
             gamma = self.step_mix
             for _ in range(steps - 1):
-                fresh = refine.trace(state)
+                fresh = self.refine.trace(state)
                 state = ad.add(ad.scale(state, 1.0 - gamma), ad.scale(fresh, gamma))
         return self.stack.trace(state)
 

@@ -30,6 +30,9 @@ WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
            else os.cpu_count() or 1)
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
+# the fewest samples the moment checks accept, the effective sample size below
+# which a pushforward check is inconclusive, and the Stein check's difference step
+MIN_MOMENT_SAMPLES, MIN_ESS, STEIN_EPS = 1000, 200.0, 1e-5
 # rows per block of the streamed forward passes, up to 48 outputs a row: a
 # 4096 x 48 decoder output is 1.5 MB, where the whole 100,000-row batch would
 # be 38 MB.  Wider outputs get fewer rows, down to MIN_BLOCK_ROWS.
@@ -217,13 +220,13 @@ class MomentGapReport:
 
 
 def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
-                      method: str = "snis", min_ess: float = 200.0) -> MomentGapReport:
+                      method: str = "snis") -> MomentGapReport:
     """Two independent routes to the tilted output moments must agree:
     (a) push tilted-noise samples through g, (b) importance-weight base
     outputs directly in output space.  Route (b) reuses route (a)'s output
     and scratch arrays once (a)'s moments are taken."""
-    if n < 1000:
-        raise ValueError("need at least 1e3 samples")
+    if n < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
     tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
     y = np.empty((n, g.output_dim))
     tmp = np.empty_like(y)
@@ -250,12 +253,12 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
         second_gap=second_gap, second_se=second_se,
         max_z=float(z),
         ess_sampler=tilted.ess, ess_reference=ess_ref,
-        inconclusive=bool(min(tilted.ess, ess_ref) < min_ess),
+        inconclusive=bool(min(tilted.ess, ess_ref) < MIN_ESS),
     )
 
 
-def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int,
-                eps: float = 1e-5) -> tuple[float, float, float]:
+def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
+                seed: int) -> tuple[float, float, float]:
     """E[x . f(x)] versus E[tr J_f(x)] for standard Gaussian x.
 
     `f` must accept an (m, d) batch of any m and be row-wise: row i of its
@@ -265,8 +268,8 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
     central differences along each coordinate, which keeps this route
     independent of any reverse-mode machinery.
     """
-    if n < 1000:
-        raise ValueError("need at least 1e3 samples")
+    if n < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     lhs_terms = np.empty(n)
@@ -278,13 +281,20 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int, seed: int
         trace = trace_terms[rows]
         for j in range(d):
             step = np.zeros(d)
-            step[j] = eps
-            trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * eps)
+            step[j] = STEIN_EPS
+            trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * STEIN_EPS)
     _run_blocks(block, n)
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
     se = float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n))
     return lhs, rhs, se
+
+
+def check_knn_points(n: int, purpose: str, k: int = KNN_K):
+    """Raise ValueError("must be >= k + 1 <purpose>") unless sets of `n`
+    points are enough for `kl_knn` at rank k: each point needs k others."""
+    if n < k + 1:
+        raise ValueError(f"must be >= {k + 1} {purpose}")
 
 
 def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -333,8 +343,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
     if p.shape[1] != q.shape[1]:
         raise ValueError("sample sets live in different dimensions")
     n, m, d = p.shape[0], q.shape[0], p.shape[1]
-    if n < k + 1 or m < k + 1:
-        raise ValueError(f"need at least {k + 1} points in each set")
+    check_knn_points(min(n, m), "points in each set", k)
     for name, s in (("samples_p", p), ("samples_q", q)):
         if not np.all(np.isfinite(s)):
             raise ValueError(f"{name} contains non-finite values")
@@ -440,7 +449,7 @@ class DpiReport:
 
 
 def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
-              k: int = 5, mode: str = "knn") -> DpiReport:
+              k: int = KNN_K, mode: str = "knn") -> DpiReport:
     """The generator cannot increase the KL between noise laws.
 
     `mode="gaussian"` uses closed forms and requires a constant-shift
@@ -509,11 +518,22 @@ class TheoryReport:
         return all(c.status == "pass" for c in self.checks)
 
 
-def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = 5,
+def check_theory_scale(n: int, knn_k: int):
+    """Raise ValueError, led by the argument, unless `run_theory_suite` runs
+    at sample size n and kNN rank knn_k (its kNN checks use n // 2 points a set)."""
+    if n < MIN_MOMENT_SAMPLES:
+        raise ValueError(f"n: must be >= {MIN_MOMENT_SAMPLES}, the smallest sample the "
+                         "moment checks accept")
+    if not 1 <= knn_k < n // 2:
+        raise ValueError(f"knn_k: must be in [1, {n // 2 - 1}] for n = {n}")
+
+
+def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = KNN_K,
                      phase: Callable[[str], ContextManager] = lambda name: nullcontext()
                      ) -> TheoryReport:
     """Every theoretical claim exercised once at default scale.  Each group
     of checks runs inside ``phase(group)``, so that a caller can time it."""
+    check_theory_scale(n, knn_k)
     from .generators import make_generator
     from .hypernet import init_hypernet
     from .objectives import error_term, exact_noise_kl, theorem_bound

@@ -156,9 +156,10 @@ def plot_csv(path: str, kind: str, out_path: str, title: str = ""):
             f"{kind} plots need at least two columns (x/label plus data), "
             f"got {header}")
     if kind == "curve":
+        # a series skips its blank cells (tradeoff.csv's, where one method logged)
         try:
-            xs = [float(r[0]) for r in rows]
-            series = [(name, xs, [float(r[i]) for r in rows])
+            series = [(name, [float(r[0]) for r in rows if r[i] != ""],
+                       [float(r[i]) for r in rows if r[i] != ""])
                       for i, name in enumerate(header[1:], start=1)]
         except ValueError:
             raise ValueError(

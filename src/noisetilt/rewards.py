@@ -112,13 +112,10 @@ class RednessReward(Reward):
 
 
 def make_reward(spec: dict) -> Reward:
-    """Build a reward from a config record."""
-    variant = spec.get("variant")
-    if variant == "linear":
-        return LinearReward(spec["c"])
-    if variant == "quadratic":
-        return QuadraticReward(spec["q"], int(spec.get("sign", -1)))
-    if variant == "redness":
-        return RednessReward(float(spec.get("scale", 0.01)))
-    raise ValueError("variant: must be one of ('linear', 'quadratic', 'redness'), "
-                     f"got {variant!r}")
+    """Build a reward from a config record; its class's defaults fill the rest."""
+    classes = {"linear": LinearReward, "quadratic": QuadraticReward, "redness": RednessReward}
+    args = dict(spec)
+    variant = args.pop("variant", None)
+    if variant not in classes:
+        raise ValueError(f"variant: must be one of {tuple(classes)}, got {variant!r}")
+    return classes[variant](**args)

@@ -34,8 +34,6 @@ class TrainConfig:
     seed: int = 0
     log_every: int = 10
     generation_steps: int = 1
-    # training aborts once E 1/2||f||^2 exceeds this multiple of the latent dim
-    divergence_factor: float = 10.0
 
     def validate(self, min_steps: int = 1):
         """Raise ValueError, led by the field, on values the loop cannot run."""
@@ -80,17 +78,15 @@ class Sgd:
 
 
 class Adam:
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def update(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
+        b1, b2, eps = 0.9, 0.999, 1e-8     # Kingma & Ba's defaults
         for name, p in params.items():
             g = grads[name]
             m = self.m.get(name, np.zeros_like(p))
@@ -100,7 +96,7 @@ class Adam:
             self.m[name], self.v[name] = m, v
             mhat = m / (1 - b1 ** self.t)
             vhat = v / (1 - b2 ** self.t)
-            p -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+            p -= self.lr * mhat / (np.sqrt(vhat) + eps)
 
 
 # name -> constructor(learning_rate, momentum); Adam keeps its own moments
@@ -163,17 +159,19 @@ def descend(params: dict[str, np.ndarray], loss_and_grads, opt, cfg,
 
 
 def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
-                     cfg: TrainConfig, eval_hook=None) -> TrainHistory:
-    """Optimize the adapter parameters in place with `descend`.
+                     cfg: TrainConfig, eval_hook=None,
+                     history: Optional[TrainHistory] = None) -> TrainHistory:
+    """Optimize the adapter parameters in place with `descend`, logging
+    into `history` (a new one if not given) and returning it.
 
     A non-finite loss, reward or gradient, or a perturbation energy above
-    cfg.divergence_factor * latent_dim, rolls the parameters back and raises
+    10 * latent_dim, rolls the parameters back and raises
     FloatingPointError("training aborted: step N: ...").  `eval_hook`, if
     given, is called as eval_hook(step, hn) at every logged step.
     """
     cfg.validate()
-    history = TrainHistory()
-    ceiling = cfg.divergence_factor * g.latent_dim
+    history = TrainHistory() if history is None else history
+    ceiling = 10.0 * g.latent_dim
 
     def loss_and_grads(noise):
         breakdown, grads = hypernoise_loss(hn, g, r, noise, alpha=cfg.alpha,

@@ -858,6 +858,43 @@ def test_runtime_failure_exit_1_with_marker(tmp_path):
     assert os.path.exists(os.path.join(out, "FAILED"))
 
 
+def test_aborted_train_keeps_its_history(tmp_path):
+    # only FAILED, config-resolved.ini and run.log were left
+    text = AFFINE_TRAIN.replace("learning_rate = 0.1", "learning_rate = 80.0\nclip_norm = 0")
+    out = tmp_path / "out"
+    assert main(["train", "--config", write(tmp_path, "bad.ini", text),
+                 "--out", str(out), "--quiet"]) == 1
+    assert (out / "FAILED").read_text().startswith(
+        "FloatingPointError: training aborted: step 1: ")
+    header, rows = read_csv(str(out / "history.csv"))
+    assert header == ["step", "loss", "l2_term", "reward_term", "grad_norm"]
+    assert [row[0] for row in rows] == ["0"]
+    assert not (out / "report.csv").exists() and not (out / "checkpoint.bin").exists()
+
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+
+
+@pytest.mark.parametrize("argv,message", [
+    # exited 0, ignoring the [generator] and [train] keys
+    (["validate-theory", "--config", str(BENCH_CONFIGS / "paper_small.ini")],
+     "validate-theory expects theory, got 'hypernoise'"),
+    # trained a 500-step hypernetwork
+    (["diversity", "--config", str(BENCH_CONFIGS / "noise_opt.ini")],
+     "diversity expects hypernoise, got 'noise_opt'"),
+    (["tradeoff", str(BENCH_CONFIGS / "direct_ft.ini"), str(BENCH_CONFIGS / "direct_ft.ini")],
+     "tradeoff expects hypernoise, got 'direct_ft'"),
+    (["tradeoff", str(BENCH_CONFIGS / "paper_small.ini"),
+      str(BENCH_CONFIGS / "paper_small.ini")],
+     "tradeoff's second config expects direct_ft, got 'hypernoise'"),
+], ids=["validate-theory", "diversity", "tradeoff", "tradeoff-second"])
+def test_subcommands_reject_another_method_exit_2(tmp_path, capsys, argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert os.listdir(out) == []
+    assert f"config error: [run] method: {message}\n" in capsys.readouterr().err
+
+
 def test_validate_theory(tmp_path):
     cfg = write(tmp_path, "th.ini", "[run]\nmethod = theory\nseed = 0\n"
                 "[theory]\nn = 6000\n")
@@ -1018,6 +1055,23 @@ def test_tradeoff_rerun_byte_identical(tmp_path):
         a = Path(out1, name).read_bytes()
         b = Path(out2, name).read_bytes()
         assert a == b, name
+
+
+def test_plot_curve_of_a_tradeoff_csv(tmp_path):
+    # the two methods log at different steps, so each column has blank
+    # cells; the plot exited 2 with "curve plots need numeric columns"
+    cfg_h, _ = tradeoff_configs(tmp_path)
+    cfg_d = write(tmp_path, "d30.ini", AFFINE_TRAIN.replace(
+        "method = hypernoise", "method = direct_ft")
+        + "\n[direct_ft]\nsteps = 120\neval_every = 30\noptimizer = sgd\n")
+    out = tmp_path / "out"
+    assert main(["tradeoff", cfg_h, cfg_d, "--out", str(out), "--quiet"]) == 0
+    _, rows = read_csv(str(out / "tradeoff.csv"))
+    assert any("" in row for row in rows)
+    svg = tmp_path / "tradeoff.svg"
+    assert main(["plot", str(out / "tradeoff.csv"), "--kind", "curve",
+                 "--out", str(svg), "--quiet"]) == 0
+    assert svg.read_text().count("<polyline") == 4
 
 
 def test_diversity_zero_steps_identical(tmp_path):

@@ -5,7 +5,9 @@ import os
 
 import pytest
 
+from noisetilt.baselines import DirectFinetuneConfig, NoiseOptConfig
 from noisetilt.config import ConfigError, load_config
+from noisetilt.training import TrainConfig
 
 GOOD = """
 [run]
@@ -214,3 +216,37 @@ def test_generation_steps_checked_at_load_time(section, key):
     with pytest.raises(ConfigError, match=rf"\[{section}\] {key}: .*square generator"):
         load_config(with_steps(NONSQUARE, 2), is_text=True)
     assert load_config(with_steps(NONSQUARE, 1), is_text=True)
+
+
+def test_settings_sections_default_to_their_dataclasses():
+    # the [train], [noise_opt] and [direct_ft] defaults are the fields'
+    cfg = load_config("[generator]\nvariant = mlp\nlatent_dim = 2\n"
+                      "[reward]\nvariant = linear\nc = 1 -1\n", is_text=True)
+    for settings, cls in ((cfg.train_config(), TrainConfig),
+                          (cfg.noise_opt_config(), NoiseOptConfig),
+                          (cfg.direct_ft_config(), DirectFinetuneConfig)):
+        assert settings == cls(seed=cfg.seed), cls.__name__
+
+
+THEORY = "[run]\nmethod = theory\n[theory]\n"
+MLP_DRIFT = (NONSQUARE.replace("method = hypernoise", "method = direct_ft")
+             + "\n[direct_ft]\neval_samples = 5\n")
+
+
+@pytest.mark.parametrize("text,message", [
+    (THEORY + "n = 999\n",
+     "[theory] n: must be >= 1000, the smallest sample the moment checks accept"),
+    (THEORY + "n = 2000\nknn_k = 1000\n", "[theory] knn_k: must be in [1, 999] for n = 2000"),
+    (GOOD + "[best_of_n]\ncounts =\n", "[best_of_n] counts: needs at least one entry, all >= 1"),
+    (GOOD + "[evaluation]\nheldout = 5\n",
+     "[evaluation] heldout: must be >= 6 for the knn_kl fidelity"),
+    (MLP_DRIFT, "[direct_ft] eval_samples: must be >= 6 to estimate the drift of a mlp "
+                "generator"),
+    (NONSQUARE + "[evaluation]\nmulti_step = 1 3\n",
+     "[evaluation] multi_step: more than one step needs a square generator; this mlp "
+     "generator maps 2 -> 3"),
+], ids=["theory-n", "theory-knn_k", "counts", "heldout", "eval_samples", "square"])
+def test_library_rules_rejected_at_load_with_their_messages(text, message):
+    with pytest.raises(ConfigError) as info:
+        load_config(text, is_text=True)
+    assert str(info.value) == message
