@@ -2,8 +2,9 @@
 
 Nodes form a tape in creation order (parents always precede children), so a
 single reverse sweep yields gradients for every differentiable leaf.  All
-values are 64-bit floats; shapes are either vectors ``(n,)`` or batches
-``(B, n)`` and every op states which it accepts.
+values are 64-bit floats.  Every op works over the last axis, so one code
+path serves a vector ``(n,)`` and a batch of rows ``(B, n)`` alike, and a
+vector gets the same bits as a one-row batch.
 """
 from __future__ import annotations
 
@@ -164,22 +165,15 @@ def scale(a, k: float) -> Node:
 
 
 def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
-    """``w @ x + b`` for a vector, ``x @ w.T + b`` row-wise for a batch, in a
-    new array or the active arena's next buffer (the bias is added in place
-    on the matmul output)."""
+    """``x @ w.T + b`` over the last axis of a vector or a batch of rows, in
+    a new array or the active arena's next buffer (the bias is added in
+    place on the matmul output)."""
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
     m, n = w.shape
-    if x.ndim == 1:
-        if x.shape[0] != n:
-            raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
-        y = np.matmul(w, x, out=_empty((m,)))
-    elif x.ndim == 2:
-        if x.shape[1] != n:
-            raise ShapeError(f"linear: batch {x.shape} incompatible with weight {w.shape}")
-        y = np.matmul(x, w.T, out=_empty((x.shape[0], m)))
-    else:
-        raise ShapeError(f"linear: input must be 1-d or 2-d, got {x.shape}")
+    if x.ndim not in (1, 2) or x.shape[-1] != n:
+        raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
+    y = np.matmul(x, w.T, out=_empty(x.shape[:-1] + (m,)))
     if b is not None:
         if b.shape != (m,):
             raise ShapeError(f"linear: bias {b.shape} incompatible with weight {w.shape}")
@@ -188,16 +182,15 @@ def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
 
 
 def linear(x, w, b=None) -> Node:
-    """Affine map: ``w @ x + b`` for vectors, ``x @ w.T + b`` row-wise for
-    batches.  ``w`` is ``(m, n)``, ``b`` is ``(m,)`` or None."""
+    """Affine map ``x @ w.T + b`` over the last axis of a vector or a batch
+    of rows.  ``w`` is ``(m, n)``, ``b`` is ``(m,)`` or None."""
     x, w = _as_node(x), _as_node(w)
     b = None if b is None else _as_node(b)
     y = affine(x.value, w.value, None if b is None else b.value)
     parents = [x, w]
-    if x.value.ndim == 1:
-        vjps = [lambda g: w.value.T @ g, lambda g: np.outer(g, x.value)]
-    else:
-        vjps = [lambda g: g @ w.value, lambda g: g.T @ x.value]
+    # a vector's weight gradient is the outer product of a one-row batch
+    vjps = [lambda g: g @ w.value,
+            lambda g: np.atleast_2d(g).T @ np.atleast_2d(x.value)]
     if b is not None:
         parents.append(b)
         vjps.append(lambda g: _unbroadcast(g, b.shape))
@@ -292,26 +285,13 @@ def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
     if extra is not None:
         z += extra.value
     y, saved = act.forward(z, z)
-    # backprop calls a node's vjps in parent order with the same g, so when
-    # both parents need gradients, x's vjp leaves the activation gradient
-    # for extra's instead of it being computed twice
-    shared = extra is not None and x.requires_grad and extra.requires_grad
-    kept: list = []     # [g, its activation gradient]
 
     def vjp_z(g):
-        if kept and kept[0] is g:
-            dz = kept[1]
-            kept.clear()
-            return dz
         return act.vjp(g, saved)
 
     def vjp_x(g):
         dz = vjp_z(g)
-        if shared:
-            kept[:] = g, dz
-        if dz.ndim == 1:
-            return np.matmul(w.T, dz, out=_empty((w.shape[1],)))
-        return np.matmul(dz, w, out=_empty((dz.shape[0], w.shape[1])))
+        return np.matmul(dz, w, out=_empty(dz.shape[:-1] + (w.shape[1],)))
 
     if extra is None:
         return Node(y, (x,), (vjp_x,))

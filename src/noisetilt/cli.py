@@ -164,8 +164,10 @@ def _expect_method(cfg: ExperimentConfig, what: str, *methods: str):
 
 def _check_train_steps(cfg: ExperimentConfig):
     """`train` and `tradeoff` need a training step; `diversity` runs with none."""
-    if cfg["train"]["steps"] < 1:
-        raise ConfigError("[train] steps: must be >= 1 to train")
+    try:
+        cfg.train_config().validate()
+    except ValueError as exc:
+        raise ConfigError(f"[train] {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -13,16 +13,17 @@ from __future__ import annotations
 
 import configparser
 import contextlib
+import inspect
 import io
 import math
 from dataclasses import dataclass, field, fields
 from typing import Any, Optional
 
 from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig, check_counts
-from .generators import make_generator
+from .generators import SPEC_DEFAULTS, make_generator
 from .hypernet import init_hypernet
 from .oracles import KNN_K, check_knn_points, check_theory_scale
-from .rewards import make_reward
+from .rewards import QuadraticReward, RednessReward, make_reward
 from .training import TrainConfig
 
 
@@ -43,6 +44,11 @@ def _fields(cls, **scopes) -> dict[str, tuple]:
             for f in fields(cls) if f.name != "seed"}
 
 
+def _default(fn, name: str):
+    """The library's default for parameter `name` of `fn`."""
+    return inspect.signature(fn).parameters[name].default
+
+
 # section -> key -> (type, default[, scope]). Types: int, float, str,
 # ints/floats (comma-separated), matrix (semicolon-separated rows), or the
 # tuple of strings the key may be.  A key with a scope (section, owner key,
@@ -59,20 +65,20 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "latent_dim": ("int", _REQUIRED),
         "output_dim": ("int", 0, ("generator", "variant", ("affine", "mlp"))),  # 0: derived
         "hidden": ("ints", [], _NETWORK),
-        "activation": ("str", "tanh", _NETWORK),
-        "height": ("int", 8, ("generator", "variant", ("decoder",))),
-        "width": ("int", 8, ("generator", "variant", ("decoder",))),
+        "activation": ("str", SPEC_DEFAULTS["activation"], _NETWORK),
+        "height": ("int", SPEC_DEFAULTS["height"], ("generator", "variant", ("decoder",))),
+        "width": ("int", SPEC_DEFAULTS["width"], ("generator", "variant", ("decoder",))),
         "matrix": ("matrix", [], ("generator", "variant", ("affine",))),
         "bias": ("floats", [], ("generator", "variant", ("affine",))),
-        "step_mix": ("float", 0.5),
+        "step_mix": ("float", SPEC_DEFAULTS["step_mix"]),
         "weight_seed": ("int", 0),
     },
     "reward": {
         "variant": ("str", _REQUIRED),     # linear | quadratic | redness
         "c": ("floats", [], ("reward", "variant", ("linear",))),
         "q": ("matrix", [], ("reward", "variant", ("quadratic",))),
-        "sign": ("int", -1, ("reward", "variant", ("quadratic",))),
-        "scale": ("float", 0.01, ("reward", "variant", ("redness",))),
+        "sign": ("int", _default(QuadraticReward, "sign"), ("reward", "variant", ("quadratic",))),
+        "scale": ("float", _default(RednessReward, "scale"), ("reward", "variant", ("redness",))),
     },
     "train": {**_fields(TrainConfig, momentum=("train", "optimizer", ("sgd",))),
               "rank": ("int", 2),               # the noise network's adapters

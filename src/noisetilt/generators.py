@@ -23,12 +23,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+# what `make_generator` takes for a spec key left unset
+SPEC_DEFAULTS = {"activation": "tanh", "height": 8, "width": 8, "step_mix": 0.5}
+
+
 class Generator:
     """A fixed map from latent noise to outputs."""
 
     def __init__(self, variant: str, latent_dim: int, layers: list[Layer],
-                 refiner: Optional[list[Layer]] = None,
-                 step_mix: float = 0.5, spec: Optional[dict] = None):
+                 refiner: Optional[list[Layer]], step_mix: float, spec: dict):
         self.variant = variant
         self.latent_dim = latent_dim
         self.layers = layers
@@ -39,7 +42,7 @@ class Generator:
         self.step_mix = float(step_mix)
         self.output_dim = layers[-1].weight.shape[0]
         self.output_range = (0.0, 1.0) if variant == "decoder" else None
-        self.spec = dict(spec) if spec else {"variant": variant}
+        self.spec = dict(spec)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -130,9 +133,10 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
 
     A spec it cannot build raises ValueError, led by the offending key."""
     spec = dict(spec)
+    opts = {**SPEC_DEFAULTS, **spec}
     variant = spec.get("variant")
     latent_dim = _positive(spec, "latent_dim", 0)
-    step_mix = float(spec.get("step_mix", 0.5))
+    step_mix = float(opts["step_mix"])
     rng = np.random.default_rng(seed)
 
     if variant == "affine":
@@ -144,7 +148,7 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
         b = (_shaped(spec, "bias", (output_dim,)) if "bias" in spec
              else np.zeros(output_dim))
         layers = [Layer(_freeze(a), _freeze(b), "identity")]
-        return Generator("affine", latent_dim, layers, step_mix=step_mix, spec=spec)
+        return Generator("affine", latent_dim, layers, None, step_mix, spec)
 
     if variant not in ("mlp", "decoder"):
         raise ValueError("variant: must be one of ('affine', 'mlp', 'decoder'), "
@@ -152,14 +156,14 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
     if min(hidden, default=1) < 1:
         raise ValueError(f"hidden: entries must be >= 1, got {hidden}")
-    activation = spec.get("activation", "tanh")
+    activation = opts["activation"]
     if activation not in ad.ACTIVATIONS:
         raise ValueError(f"activation: must be one of {tuple(ad.ACTIVATIONS)}, "
                          f"got {activation!r}")
     if variant == "mlp":
         output_dim, last = _positive(spec, "output_dim"), "identity"
     else:
-        output_dim = _positive(spec, "height", 8) * _positive(spec, "width", 8) * 3
+        output_dim = _positive(opts, "height") * _positive(opts, "width") * 3
         last = "sigmoid"
     dims = [latent_dim] + hidden + [output_dim]
     activations = [activation] * len(hidden) + [last]

@@ -445,7 +445,6 @@ class DpiReport:
     kl_output: float
     margin: float
     mode: str
-    inconclusive: bool = False
 
 
 def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
@@ -528,10 +527,10 @@ def check_theory_scale(n: int, knn_k: int):
         raise ValueError(f"knn_k: must be in [1, {n // 2 - 1}] for n = {n}")
 
 
-def run_theory_suite(seed: int = 0, n: int = 20000, knn_k: int = KNN_K,
+def run_theory_suite(n: int, seed: int = 0, knn_k: int = KNN_K,
                      phase: Callable[[str], ContextManager] = lambda name: nullcontext()
                      ) -> TheoryReport:
-    """Every theoretical claim exercised once at default scale.  Each group
+    """Every theoretical claim exercised once at sample size n.  Each group
     of checks runs inside ``phase(group)``, so that a caller can time it."""
     check_theory_scale(n, knn_k)
     from .generators import make_generator

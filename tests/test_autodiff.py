@@ -185,29 +185,50 @@ def test_backprop_leaves_seed_and_returns_exclusive_gradients():
     np.testing.assert_array_equal(seed, kept)
 
 
+def frozen_and_plain(name, w, b, x0, e0, seed):
+    """Value and leaf gradients of the frozen layer and of linear then the
+    activation, with adapter term e0 (or none): gradients of x and e, then
+    the plain ops' w and b."""
+    out = []
+    for fused in (True, False):
+        x = ad.param(x0)
+        e = None if e0 is None else ad.param(e0)
+        leaves = [x] + ([] if e is None else [e])
+        if fused:
+            y = ad.frozen_layer(x, w, b, name, e)
+            assert y.parents == tuple(leaves)
+        else:
+            leaves += [ad.param(w), ad.param(b)]
+            z = ad.linear(x, leaves[-2], leaves[-1])
+            y = ad.ACTIVATIONS[name](z if e is None else ad.add(z, e))
+        grads = ad.backprop(y, seed)
+        out.append((y.value, [grads[id(leaf)] for leaf in leaves]))
+    return out
+
+
 @pytest.mark.parametrize("name", ["tanh", "sigmoid", "silu", "identity"])
 def test_frozen_layer_equals_linear_then_activation(name):
+    # bit for bit, on a vector and a batch, with and without an adapter term;
+    # a vector also agrees with the one-row batch that holds it
     rng = np.random.default_rng(9)
     w, b = rng.standard_normal((5, 4)), rng.standard_normal(5)
     for x0 in (rng.standard_normal(4), rng.standard_normal((6, 4))):
         seed = rng.standard_normal(x0.shape[:-1] + (5,))
-        x_fused, x_plain = ad.param(x0), ad.param(x0)
-        fused = ad.frozen_layer(x_fused, w, b, name)
-        plain = ad.ACTIVATIONS[name](ad.linear(x_plain, ad.constant(w), ad.constant(b)))
-        assert fused.parents == (x_fused,)
-        assert np.array_equal(fused.value, plain.value)
-        assert np.array_equal(ad.backprop(fused, seed)[id(x_fused)],
-                              ad.backprop(plain, seed)[id(x_plain)])
-        # with an adapter term added before the activation
-        e0 = rng.standard_normal(seed.shape)
-        e_fused, e_plain = ad.param(e0), ad.param(e0)
-        fused = ad.frozen_layer(x_fused, w, b, name, e_fused)
-        plain = ad.ACTIVATIONS[name](
-            ad.add(ad.linear(x_plain, ad.constant(w), ad.constant(b)), e_plain))
-        assert np.array_equal(fused.value, plain.value)
-        gf, gp = ad.backprop(fused, seed), ad.backprop(plain, seed)
-        for leaf_fused, leaf_plain in ((x_fused, x_plain), (e_fused, e_plain)):
-            assert np.array_equal(gf[id(leaf_fused)], gp[id(leaf_plain)])
+        for e0 in (None, rng.standard_normal(seed.shape)):
+            runs = frozen_and_plain(name, w, b, x0, e0, seed)
+            (v_fused, g_fused), (v_plain, g_plain) = runs
+            assert np.array_equal(v_fused, v_plain)
+            assert all(np.array_equal(f, p) for f, p in zip(g_fused, g_plain))
+            if x0.ndim == 2:
+                continue
+            assert np.array_equal(ad.affine(x0, w, b), ad.affine(x0[None], w, b)[0])
+            rows = frozen_and_plain(name, w, b, x0[None],
+                                    None if e0 is None else e0[None], seed[None])
+            for (v, grads), (v_row, grads_row) in zip(runs, rows):
+                assert np.array_equal(v, v_row[0])
+                # x and e are batched, the plain ops' w and b are not
+                for g, g_row in zip(grads, grads_row):
+                    assert np.array_equal(g, g_row[0] if g.ndim < g_row.ndim else g_row)
 
 
 def test_arena_hands_out_buffers_in_request_order():

@@ -183,21 +183,3 @@ def test_adapted_generator_node_matches_generate():
         value = adapted.generate(xs)
         assert not np.array_equal(value, g.generate(xs))
         assert np.array_equal(adapted.node(ad.constant(xs), nodes).value, value)
-
-
-def test_direct_ft_backward_one_activation_vjp_per_layer(monkeypatch):
-    # three adapted sigmoid layers; the adapter's gradient reuses the one
-    # computed for the layer input
-    g = make_generator({"variant": "decoder", "latent_dim": 3, "height": 2, "width": 2,
-                        "hidden": [5, 6], "activation": "sigmoid"}, seed=0)
-    calls = []
-    vjp = ad.sigmoid.vjp
-
-    def counting(g_out, saved):
-        calls.append(g_out.shape)
-        return vjp(g_out, saved)
-
-    monkeypatch.setattr(ad.sigmoid, "vjp", counting)
-    cfg = DirectFinetuneConfig(steps=1, batch_size=8, eval_every=1, eval_samples=50)
-    train_direct_finetune(g, RednessReward(1.0), cfg, eval_hook=lambda step, net: 0.0)
-    assert len(calls) == len(g.layers) == 3

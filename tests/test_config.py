@@ -7,6 +7,8 @@ import pytest
 
 from noisetilt.baselines import DirectFinetuneConfig, NoiseOptConfig
 from noisetilt.config import ConfigError, load_config
+from noisetilt.generators import make_generator
+from noisetilt.rewards import QuadraticReward, RednessReward, make_reward
 from noisetilt.training import TrainConfig
 
 GOOD = """
@@ -48,6 +50,22 @@ def test_specs_built_from_config():
     tc = cfg.train_config()
     assert tc.steps == 25 and tc.seed == 7 and tc.learning_rate == 0.2
 
+
+def test_minimal_configs_build_what_the_library_builds():
+    # every generator and reward key a config leaves unset takes the
+    # library's default
+    def minimal(generator, reward):
+        return load_config(f"[generator]\n{generator}\n[reward]\n{reward}\n", is_text=True)
+
+    cfg = minimal("variant = decoder\nlatent_dim = 3", "variant = redness")
+    built = make_generator(cfg.generator_spec(), cfg["generator"]["weight_seed"])
+    library = make_generator({"variant": "decoder", "latent_dim": 3})
+    assert built.weight_checksum() == library.weight_checksum()
+    assert built.step_mix == library.step_mix
+    assert make_reward(cfg.reward_spec()).scale == RednessReward().scale
+    cfg = minimal("variant = affine\nlatent_dim = 2", "variant = quadratic\nq = 1 0; 0 2")
+    q = [[1.0, 0.0], [0.0, 2.0]]
+    assert make_reward(cfg.reward_spec()).sign == QuadraticReward(q).sign
 
 def test_unknown_section_and_key():
     with pytest.raises(ConfigError, match="unknown section"):
