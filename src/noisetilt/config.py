@@ -22,7 +22,7 @@ from typing import Any, Optional
 from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig, check_counts
 from .generators import SPEC_DEFAULTS, make_generator
 from .hypernet import init_hypernet
-from .oracles import KNN_K, check_knn_points, check_theory_scale
+from .oracles import KNN_K, check_knn_points, check_theory_scale, kd_tree
 from .rewards import QuadraticReward, RednessReward, make_reward
 from .training import TrainConfig
 
@@ -219,9 +219,33 @@ def _section(name: str, key: str = ""):
         raise ConfigError(f"[{name}] {key}{': ' if key else ''}{exc}") from None
 
 
+def _knn_key(cfg: ExperimentConfig) -> Optional[tuple[str, str]]:
+    """The section and key that make this config's run estimate kNN KLs, or
+    None: the theory suite, a hypernoise run's knn_kl fidelity, and a direct
+    fine-tune's drift on a network generator (an affine one's is closed
+    form).  The subcommand is not known here, so a diversity call on a
+    knn_kl config counts too."""
+    if cfg.method == "theory":
+        return "run", "method"
+    if cfg.method == "hypernoise" and cfg.values["evaluation"]["fidelity_metric"] == "knn_kl":
+        return "evaluation", "fidelity_metric"
+    if cfg.method == "direct_ft" and cfg.values["generator"]["variant"] in _NETWORK[2]:
+        return "generator", "variant"
+    return None
+
+
 def _validate(cfg: ExperimentConfig, missing: list[str]):
     with _section("theory"):
         check_theory_scale(**cfg.values["theory"])
+    knn = _knn_key(cfg)
+    if knn is not None:
+        # scipy loads here, with the config, not in the middle of the run
+        try:
+            kd_tree()
+        except ImportError as exc:
+            section, key = knn
+            raise ConfigError(f"[{section}] {key}: {cfg.values[section][key]} makes kNN "
+                              f"estimates, which need scipy ({exc})") from None
     if cfg.method == "theory":
         # the theory suite builds its own fixtures; generator/reward optional
         return

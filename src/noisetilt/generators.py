@@ -115,7 +115,10 @@ def _init_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
 
 
 def _positive(spec: dict, key: str, default=None) -> int:
-    value = int(spec.get(key, default))
+    value = spec.get(key, default)
+    if value is None:
+        raise ValueError(f"{key}: required key is missing")
+    value = int(value)
     if value < 1:
         raise ValueError(f"{key}: must be >= 1, got {value}")
     return value

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .generators import Generator
 from .hypernet import NoiseHypernetwork
@@ -297,6 +296,16 @@ def check_knn_points(n: int, purpose: str, k: int = KNN_K):
         raise ValueError(f"must be >= {k + 1} {purpose}")
 
 
+@functools.cache
+def kd_tree() -> type:
+    """scipy's cKDTree, imported on first use: scipy is the one dependency
+    beyond numpy, and only kNN estimates need it.  A config whose run makes
+    them calls this when it loads, so a missing scipy is a config error and
+    the import is paid before the run starts.  Raises ImportError."""
+    from scipy.spatial import cKDTree
+    return cKDTree
+
+
 def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of each p_i's k-th nearest neighbor among the other points of P
     and among Q, from k-d trees built in Q's centred principal axes.  Kept
@@ -307,8 +316,9 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
     q_rot = q_rot @ axes
     p_rot = (p - mean) @ axes
-    return (cKDTree(p_rot).query(p_rot, k=[k + 1], workers=WORKERS)[1][:, 0],  # not self
-            cKDTree(q_rot).query(p_rot, k=[k], workers=WORKERS)[1][:, 0])
+    tree = kd_tree()
+    return (tree(p_rot).query(p_rot, k=[k + 1], workers=WORKERS)[1][:, 0],  # not self
+            tree(q_rot).query(p_rot, k=[k], workers=WORKERS)[1][:, 0])
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,

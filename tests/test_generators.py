@@ -85,6 +85,7 @@ def test_input_validation():
     ({"variant": "affine", "matrix": [[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]},
      "matrix"),
     ({"variant": "affine", "bias": [1.0, 2.0]}, "bias"),
+    ({"variant": "mlp"}, "output_dim"),
 ])
 def test_unbuildable_spec_names_its_key(spec, key):
     # hidden or height 0 failed later as an adapter rank, a wrong-size
