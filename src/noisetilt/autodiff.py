@@ -13,6 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import rowblocks
+
 
 class ShapeError(ValueError):
     """Incompatible operand shapes; the message names the offending op."""
@@ -164,16 +166,17 @@ def scale(a, k: float) -> Node:
     return Node(a.value * k, (a,), (lambda g: g * k,))
 
 
-def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+def affine(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
+           out: Optional[np.ndarray] = None) -> np.ndarray:
     """``x @ w.T + b`` over the last axis of a vector or a batch of rows, in
-    a new array or the active arena's next buffer (the bias is added in
-    place on the matmul output)."""
+    `out`, else a new array or the active arena's next buffer (the bias is
+    added in place on the matmul output)."""
     if w.ndim != 2:
         raise ShapeError(f"linear: weight must be 2-d, got {w.shape}")
     m, n = w.shape
     if x.ndim not in (1, 2) or x.shape[-1] != n:
         raise ShapeError(f"linear: input {x.shape} incompatible with weight {w.shape}")
-    y = np.matmul(x, w.T, out=_empty(x.shape[:-1] + (m,)))
+    y = np.matmul(x, w.T, out=_empty(x.shape[:-1] + (m,)) if out is None else out)
     if b is not None:
         if b.shape != (m,):
             raise ShapeError(f"linear: bias {b.shape} incompatible with weight {w.shape}")
@@ -200,19 +203,24 @@ def linear(x, w, b=None) -> Node:
 class Activation:
     """An elementwise nonlinearity, callable as a tape op.
 
-    ``forward(z, out)`` writes the activation of ``z`` into ``out`` (``z``
-    itself, or a fresh array when None) and returns ``(value, saved)``;
-    ``vjp(g, saved)`` returns the input gradient in one new array (or arena
-    buffer), or ``g`` itself for the identity.  The arithmetic order is
-    fixed, so a frozen layer and the separate linear and activation ops
-    agree bit for bit.  ``slope_bound`` is a tight bound on the slope, for
-    compositional Lipschitz estimates.
+    ``forward(z, out, take)`` writes the activation of ``z`` into ``out``
+    (``z`` itself, or a fresh array when None) and returns ``(value,
+    saved)``; ``vjp(g, saved, take)`` returns the input gradient in the
+    first array it takes, or ``g`` itself for the identity.  Each takes
+    its scratch arrays of ``z``'s shape from ``take`` (by default the
+    active arena, else fresh ones), ``takes[0]`` for the forward and
+    ``takes[1]`` for the vjp, so a caller can hand a block of rows its own
+    rows of buffers it took itself.  The arithmetic order is fixed, so a
+    frozen layer and the separate linear and activation ops agree bit for
+    bit.  ``slope_bound`` is a tight bound on the slope, for compositional
+    Lipschitz estimates.
     """
 
-    def __init__(self, forward, vjp, slope_bound: float):
+    def __init__(self, forward, vjp, slope_bound: float, takes: tuple[int, int]):
         self.forward = forward
         self.vjp = vjp
         self.slope_bound = slope_bound
+        self.takes = takes
 
     def __call__(self, a) -> Node:
         a = _as_node(a)
@@ -227,48 +235,62 @@ def _sigmoid_into(z, out):
     return np.divide(1.0, out, out=out)
 
 
-def _tanh_forward(z, out):
+def _tanh_forward(z, out, take=_empty):
     t = np.tanh(z, out=out)
     return t, t
 
 
-def _tanh_vjp(g, t):
-    tmp = np.multiply(t, t, out=_empty(t.shape))
+def _tanh_vjp(g, t, take=_empty):
+    tmp = np.multiply(t, t, out=take(t.shape))
     np.subtract(1.0, tmp, out=tmp)
     return np.multiply(g, tmp, out=tmp)
 
 
-def _sigmoid_forward(z, out):
+def _sigmoid_forward(z, out, take=_empty):
     s = _sigmoid_into(z, out)
     return s, s
 
 
-def _sigmoid_vjp(g, s):
-    out = np.multiply(g, s, out=_empty(s.shape))
-    return np.multiply(out, np.subtract(1.0, s, out=_empty(s.shape)), out=out)
+def _sigmoid_vjp(g, s, take=_empty):
+    out = np.multiply(g, s, out=take(s.shape))
+    return np.multiply(out, np.subtract(1.0, s, out=take(s.shape)), out=out)
 
 
-def _silu_forward(z, out):
-    s = _sigmoid_into(z, _empty(z.shape))
+def _silu_forward(z, out, take=_empty):
+    s = _sigmoid_into(z, take(z.shape))
     y = np.multiply(z, s, out=out)
     return y, (s, y)
 
 
-def _silu_vjp(g, saved):
+def _silu_vjp(g, saved, take=_empty):
     s, y = saved
-    tmp = np.subtract(1.0, s, out=_empty(s.shape))
+    tmp = np.subtract(1.0, s, out=take(s.shape))
     np.multiply(y, tmp, out=tmp)
     np.add(s, tmp, out=tmp)
     return np.multiply(g, tmp, out=tmp)
 
 
-tanh = Activation(_tanh_forward, _tanh_vjp, 1.0)
-sigmoid = Activation(_sigmoid_forward, _sigmoid_vjp, 0.25)
+tanh = Activation(_tanh_forward, _tanh_vjp, 1.0, (0, 1))
+sigmoid = Activation(_sigmoid_forward, _sigmoid_vjp, 0.25, (0, 2))
 # silu's slope peaks at 1.0998393 (z = 2.3994)
-silu = Activation(_silu_forward, _silu_vjp, 1.09984)
-identity = Activation(lambda z, out: (z, None), lambda g, saved: g, 1.0)
+silu = Activation(_silu_forward, _silu_vjp, 1.09984, (1, 1))
+identity = Activation(lambda z, out, take=_empty: (z, None),
+                      lambda g, saved, take=_empty: g, 1.0, (0, 0))
 
 ACTIVATIONS = {"tanh": tanh, "sigmoid": sigmoid, "silu": silu, "identity": identity}
+
+# the fewest multiply-adds (rows x in x out) of a frozen layer whose rows
+# are split among the workers: at the train-wide shape only the 256 -> 3072
+# layer's 10^8 reach it, and the batch-64 and Jacobian tapes stay serial.
+# A layer with a one-unit side never splits: its products take OpenBLAS's
+# matrix-vector path, whose last bits depend on the number of rows
+SPLIT_MACS = 4_000_000
+
+
+def _rows_of(buffers: list[np.ndarray], rows: slice) -> Callable[[tuple], np.ndarray]:
+    """A `take` that hands out `rows` of each of `buffers` in turn."""
+    it = iter(buffers)
+    return lambda shape: next(it)[rows]
 
 
 def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
@@ -278,20 +300,45 @@ def frozen_layer(x, w: np.ndarray, b: np.ndarray, activation: str,
 
     Same value and gradients as ``ACTIVATIONS[activation](add(linear(x, w,
     b), extra))``, but the activation overwrites the matmul output and the
-    tape holds one node instead of four or five."""
+    tape holds one node instead of four or five.  A wide layer (a batch of
+    at least SPLIT_MACS multiply-adds) runs its forward and its vjps in
+    `rowblocks.even_blocks` on the worker threads, with the same bits:
+    every array a block writes is one this thread took before, so the
+    blocks allocate nothing."""
     x = _as_node(x)
     act = ACTIVATIONS[activation]
-    z = affine(x.value, w, b)
-    if extra is not None:
-        z += extra.value
-    y, saved = act.forward(z, z)
+    shape = x.shape[:-1] + (w.shape[0],)
+    blocks = [slice(None)]
+    if x.value.ndim == 2 and min(w.shape) > 1 and x.value.size * w.shape[0] >= SPLIT_MACS:
+        blocks = rowblocks.even_blocks(x.shape[0])
+    y = _empty(shape)
+    kept = [_empty(shape) for _ in range(act.takes[0])]
+    saved = {}
 
-    def vjp_z(g):
-        return act.vjp(g, saved)
+    def forward(rows):
+        z = affine(x.value[rows], w, b, out=y[rows])
+        if extra is not None:
+            z += extra.value[rows]
+        _, saved[rows.start] = act.forward(z, z, _rows_of(kept, rows))
+
+    rowblocks.run_blocks(forward, blocks)
+
+    def vjp_z(g, then=None):
+        """The activation's vjp, block by block; `then(dz_rows, rows)` runs
+        on each block's result in the same block."""
+        buffers = [_empty(shape) for _ in range(act.takes[1])]
+
+        def block(rows):
+            dz = act.vjp(g[rows], saved[rows.start], _rows_of(buffers, rows))
+            if then is not None:
+                then(dz, rows)
+        rowblocks.run_blocks(block, blocks)
+        return buffers[0] if buffers else g
 
     def vjp_x(g):
-        dz = vjp_z(g)
-        return np.matmul(dz, w, out=_empty(dz.shape[:-1] + (w.shape[1],)))
+        dx = _empty(x.shape)
+        vjp_z(g, lambda dz, rows: np.matmul(dz, w, out=dx[rows]))
+        return dx
 
     if extra is None:
         return Node(y, (x,), (vjp_x,))

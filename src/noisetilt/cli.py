@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import oracles, reporting
+from . import oracles, reporting, rowblocks
 from .baselines import (DirectFinetuneConfig, best_of_n, measure_drift, noise_opt,
                         train_direct_finetune)
 from .config import ConfigError, ExperimentConfig, load_config
@@ -228,7 +228,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
             base_mean = float(oracles.reward_values(g, r, x, gen_steps).mean())
             # a block of at least MIN_BLOCK_ROWS rows: very few rows would
             # take another BLAS path and change the last bits
-            y_div = g.generate(x_mod[:max(n_div, oracles.MIN_BLOCK_ROWS)], steps=gen_steps)
+            y_div = g.generate(x_mod[:max(n_div, rowblocks.MIN_BLOCK_ROWS)], steps=gen_steps)
             rows.append(["hypernoise", final_step, gen_steps, float(vals.mean()),
                          float(vals.std(ddof=1) / np.sqrt(len(vals))), base_mean,
                          fidelity, _mean_pairwise(y_div[:n_div]), lip])
@@ -431,9 +431,9 @@ def main(argv=None) -> int:
         return 2
 
     if args.command in ("validate-theory", "train", "baseline", "tradeoff"):
-        # their wall times depend on how many threads the kNN queries and
-        # the theory suite's row blocks had
-        ctx.log(f"workers {oracles.WORKERS}")
+        # their wall times depend on how many threads the kNN queries, the
+        # theory suite's row blocks and the wide training layers had
+        ctx.log(f"workers {rowblocks.WORKERS}")
     try:
         try:
             if args.command == "validate-theory":

@@ -118,7 +118,10 @@ def _positive(spec: dict, key: str, default=None) -> int:
     value = spec.get(key, default)
     if value is None:
         raise ValueError(f"{key}: required key is missing")
-    value = int(value)
+    try:
+        value = int(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{key}: must be an integer, got {value!r}") from None
     if value < 1:
         raise ValueError(f"{key}: must be >= 1, got {value}")
     return value

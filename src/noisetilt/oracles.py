@@ -9,39 +9,25 @@ autodiff machinery it is checking.
 from __future__ import annotations
 
 import functools
-import os
 import time
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Future
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
+from . import rowblocks
 from .generators import Generator
 from .hypernet import NoiseHypernetwork
 from .rewards import Reward
 
 
-# the CPUs this process may run on (a `taskset` mask narrows them); the k-d
-# tree queries and the row blocks spread over all of them
-WORKERS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-           else os.cpu_count() or 1)
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
 # the fewest samples the moment checks accept, the effective sample size below
 # which a pushforward check is inconclusive, and the Stein check's difference step
 MIN_MOMENT_SAMPLES, MIN_ESS, STEIN_EPS = 1000, 200.0, 1e-5
-# rows per block of the streamed forward passes, up to 48 outputs a row: a
-# 4096 x 48 decoder output is 1.5 MB, where the whole 100,000-row batch would
-# be 38 MB.  Wider outputs get fewer rows, down to MIN_BLOCK_ROWS.
-ROW_BLOCK = 4096
-# the fewest rows a block may hold: OpenBLAS can take another path for a
-# product of very few rows (one to four), whose last bits differ from the
-# one-shot product's.  It also does for a block of up to a few hundred rows
-# through a layer with a narrow output (16 or fewer units) and an inner
-# dimension of 32 or more, which this floor does not prevent
-MIN_BLOCK_ROWS = 64
 
 
 class SamplerError(RuntimeError):
@@ -81,48 +67,6 @@ def _weighted_moments(y: np.ndarray, w: np.ndarray, tmp: Optional[np.ndarray] = 
     return mean, second, se_mean, se_second
 
 
-def _row_blocks(n: int, width: int = 1) -> list[slice]:
-    """Slices that cover rows 0..n-1 in order for a map whose rows are
-    `width` values wide: ROW_BLOCK rows each up to 48 values, fewer for
-    wider rows, never below MIN_BLOCK_ROWS (64 rows of a 3072-value
-    output); a tail shorter than MIN_BLOCK_ROWS joins the block before it.
-
-    A row-wise map evaluated block by block gives the same bits as one call
-    on all n rows (but see MIN_BLOCK_ROWS), and its temporaries stay small
-    enough for the cache."""
-    rows = max(MIN_BLOCK_ROWS, min(ROW_BLOCK, ROW_BLOCK * 48 // width))
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] < MIN_BLOCK_ROWS:
-        starts.pop()
-    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _run_blocks(fn: Callable[[slice], None], n: int, width: int = 1) -> None:
-    """Call fn(rows) for every slice of _row_blocks(n, width), on WORKERS
-    threads (serially when there is one worker or one block); an exception
-    raised in any block is raised here.
-
-    Each call must write only its own rows, so the result has the same bits
-    however the blocks are scheduled."""
-    blocks = _row_blocks(n, width)
-    if WORKERS == 1 or len(blocks) == 1:
-        for rows in blocks:
-            fn(rows)
-        return
-    for _ in _pool(WORKERS).map(fn, blocks):
-        pass
-
-
-@functools.cache
-def _pool(workers: int) -> ThreadPoolExecutor:
-    """One pool per worker count, kept for the life of the process: making
-    its threads anew costs about 0.3 ms a call, as much as a cheap map's
-    whole pass.  A block must not call _run_blocks itself, or it could wait
-    on a block queued behind it.  The KnnEvaluator's one thread is _pool(1),
-    started by its first estimate."""
-    return ThreadPoolExecutor(workers)
-
-
 def map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
              out: np.ndarray, width: int) -> np.ndarray:
     """The row-wise map h over the rows of `x`, written into `out` one row
@@ -130,14 +74,15 @@ def map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
     widest array h makes, which sets the rows per block."""
     def block(rows):
         out[rows] = h(x[rows])
-    _run_blocks(block, len(x), width)
+    rowblocks.run_blocks(block, rowblocks.row_blocks(len(x), width))
     return out
 
 
 def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.ndarray:
     """r(g(x)) at `steps` generation steps per row of `x`, one row block at
     a time, so only a block's outputs exist at once; the same bits as
-    r.evaluate_batch(g.generate(x, steps=steps)) (but see MIN_BLOCK_ROWS)."""
+    r.evaluate_batch(g.generate(x, steps=steps)) (but see
+    rowblocks.MIN_BLOCK_ROWS)."""
     return map_rows(lambda xb: r.evaluate_batch(g.generate(xb, steps=steps)), x,
                     np.empty(len(x)), g.output_dim)
 
@@ -262,9 +207,9 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
 
     `f` must accept an (m, d) batch of any m and be row-wise: row i of its
     output depends on row i of its input alone.  It is evaluated one row
-    block at a time, on WORKERS threads, so it must also be safe to call
-    from several threads at once.  The Jacobian trace is estimated by
-    central differences along each coordinate, which keeps this route
+    block at a time, on rowblocks.WORKERS threads, so it must also be safe
+    to call from several threads at once.  The Jacobian trace is estimated
+    by central differences along each coordinate, which keeps this route
     independent of any reverse-mode machinery.
     """
     if n < MIN_MOMENT_SAMPLES:
@@ -282,7 +227,7 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
             step = np.zeros(d)
             step[j] = STEIN_EPS
             trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * STEIN_EPS)
-    _run_blocks(block, n)
+    rowblocks.run_blocks(block, rowblocks.row_blocks(n))
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
     se = float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n))
@@ -317,8 +262,8 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     q_rot = q_rot @ axes
     p_rot = (p - mean) @ axes
     tree = kd_tree()
-    return (tree(p_rot).query(p_rot, k=[k + 1], workers=WORKERS)[1][:, 0],  # not self
-            tree(q_rot).query(p_rot, k=[k], workers=WORKERS)[1][:, 0])
+    return (tree(p_rot).query(p_rot, k=[k + 1], workers=rowblocks.WORKERS)[1][:, 0],  # not self
+            tree(q_rot).query(p_rot, k=[k], workers=rowblocks.WORKERS)[1][:, 0])
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
@@ -344,7 +289,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
     original points.  The estimate therefore changes only where rounding in
     the rotated coordinates reorders two neighbors tied to within it.  Each
     query point's neighbors are found on their own, so the queries run on
-    WORKERS threads without changing a bit of the result.
+    rowblocks.WORKERS threads without changing a bit of the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -404,7 +349,7 @@ class KnnEvaluator:
     error is re-raised by the next `submit`, by `close` or by float() of it,
     whichever comes first, so errors surface in submission order.  Every
     wait runs inside `wait()`, so a caller can charge it to a phase.  The
-    thread is _pool(1)'s, started by the first estimate, and it calls
+    thread is rowblocks.pool(1)'s, started by the first estimate, and it calls
     kl_knn through this module's global at call time, so a wrapper bound to
     `oracles.kl_knn` sees every estimate."""
 
@@ -425,7 +370,7 @@ class KnnEvaluator:
         """Start kl_knn(samples_p, samples_q); the caller must not change
         either array until the estimate is resolved."""
         self.close()
-        self._last = Estimate(_pool(1).submit(self._estimate, samples_p, samples_q),
+        self._last = Estimate(rowblocks.pool(1).submit(self._estimate, samples_p, samples_q),
                               self._wait)
         self.estimates += 1
         return self._last

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
+from noisetilt import rowblocks
 from noisetilt.generators import make_generator
 from noisetilt.linalg import jacobian_fd
 from noisetilt.training import clip_global_norm
@@ -229,6 +230,53 @@ def test_frozen_layer_equals_linear_then_activation(name):
                 # x and e are batched, the plain ops' w and b are not
                 for g, g_row in zip(grads, grads_row):
                     assert np.array_equal(g, g_row[0] if g.ndim < g_row.ndim else g_row)
+
+
+def frozen_run(name, w, b, x0, e0, seed):
+    """Value and gradients of x and e (if given) of one frozen layer; the
+    value is copied out of any arena buffer."""
+    x = ad.param(x0)
+    e = None if e0 is None else ad.param(e0)
+    y = ad.frozen_layer(x, w, b, name, e)
+    grads = ad.backprop(y, seed)
+    return [y.value.copy()] + [grads[id(leaf)] for leaf in (x, e) if leaf is not None]
+
+
+# (rows, in, out): the train-wide generator's 256 -> 3072 layer, which two
+# workers split into 64-row halves, and a layer split into 65 and 66 rows
+WIDE_LAYERS = [(128, 256, 3072), (131, 96, 512)]
+
+
+@pytest.mark.parametrize("rows, n_in, n_out", WIDE_LAYERS)
+@pytest.mark.parametrize("name", ["tanh", "sigmoid", "silu", "identity"])
+def test_blocked_frozen_layer_same_bits(name, rows, n_in, n_out, monkeypatch):
+    # every block's rows of the value and of each gradient, in buffers a
+    # step already filled with nan: a row no block writes stays nan
+    assert rows * n_in * n_out >= ad.SPLIT_MACS
+    rng = np.random.default_rng(rows)
+    w, b = rng.standard_normal((n_out, n_in)) / np.sqrt(n_in), rng.standard_normal(n_out)
+    x0, seed = rng.standard_normal((rows, n_in)), rng.standard_normal((rows, n_out))
+    dispatched = []
+    run_blocks = rowblocks.run_blocks
+    monkeypatch.setattr(rowblocks, "run_blocks",
+                        lambda fn, blocks: dispatched.append(blocks) or run_blocks(fn, blocks))
+    for e0 in (None, 0.5 * rng.standard_normal(seed.shape)):
+        _, (v_plain, g_plain) = frozen_and_plain(name, w, b, x0, e0, seed)
+        want = [v_plain] + g_plain[:1 if e0 is None else 2]
+        for workers in (1, 2):
+            monkeypatch.setattr(rowblocks, "WORKERS", workers)
+            dispatched.clear()
+            arena = ad.Arena()
+            with arena:
+                frozen_run(name, w, b, x0, e0, seed)
+            for buf in arena._buffers:
+                buf.fill(np.nan)
+            with arena:
+                got = frozen_run(name, w, b, x0, e0, seed)
+            assert all(np.array_equal(g, v) for g, v in zip(got, want)), (workers, e0 is None)
+            half = rows // 2
+            split = [[slice(0, half), slice(half, rows)]] if workers == 2 else [[slice(None)]]
+            assert dispatched and all(blocks in split for blocks in dispatched)
 
 
 def test_arena_hands_out_buffers_in_request_order():

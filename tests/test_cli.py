@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from noisetilt import autodiff as ad
-from noisetilt import cli, oracles, training
+from noisetilt import cli, oracles, rowblocks, training
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
 from noisetilt.generators import Generator
@@ -530,7 +530,7 @@ def test_run_log_names_knn_workers(tmp_path):
     out = str(tmp_path / "out")
     assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
     lines = Path(out, "run.log").read_text().splitlines()
-    assert lines.count(f"workers {oracles.WORKERS}") == 1
+    assert lines.count(f"workers {rowblocks.WORKERS}") == 1
 
 
 def test_drift_evaluations_logged_as_evaluate(tmp_path, monkeypatch):
@@ -600,7 +600,7 @@ def test_background_estimates_write_the_same_bytes_as_inline(tmp_path, monkeypat
     written = {}
     for mode in ("background", "inline"):
         if mode == "inline":
-            monkeypatch.setattr(oracles, "_pool", lambda workers: InlineExecutor())
+            monkeypatch.setattr(rowblocks, "pool", lambda workers: InlineExecutor())
         for name, argv in runs.items():
             out = str(tmp_path / mode / name)
             assert main(argv + ["--out", out, "--quiet"]) == 0, (mode, name)
@@ -692,7 +692,7 @@ def test_training_abort_waits_for_the_estimate_in_flight(tmp_path, monkeypatch):
 
 def test_closed_form_train_starts_no_evaluator(tmp_path, monkeypatch):
     pools = []
-    monkeypatch.setattr(oracles, "_pool", pools.append)
+    monkeypatch.setattr(rowblocks, "pool", pools.append)
     out = str(tmp_path / "out")
     cfg = write(tmp_path, "d.ini", DECODER_TRAIN.format(steps=1))
     assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
@@ -819,7 +819,7 @@ def test_streamed_evaluation_writes_the_bytes_of_one_block(tmp_path, monkeypatch
         if mode == "one block":
             # every map is then one block, and the diversity rows come from
             # one pass over all held-out rows
-            monkeypatch.setattr(oracles, "MIN_BLOCK_ROWS", 10 ** 9)
+            monkeypatch.setattr(rowblocks, "MIN_BLOCK_ROWS", 10 ** 9)
         for name, argv in runs.items():
             out = str(tmp_path / mode / name)
             assert main(argv + ["--out", out, "--quiet"]) == 0, (mode, name)
@@ -909,13 +909,36 @@ def test_validate_theory_same_bytes_on_one_and_many_workers(tmp_path, monkeypatc
     cfg = write(tmp_path, "th.ini", "[run]\nmethod = theory\nseed = 0\n"
                 "[theory]\nn = 20000\n")
     reports = []
-    for workers in (1, max(2, oracles.WORKERS)):
-        monkeypatch.setattr(oracles, "WORKERS", workers)
+    for workers in (1, max(2, rowblocks.WORKERS)):
+        monkeypatch.setattr(rowblocks, "WORKERS", workers)
         out = str(tmp_path / f"out{workers}")
         assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
         reports.append(Path(out, "report.csv").read_bytes())
         assert f"workers {workers}" in Path(out, "run.log").read_text()
     assert reports[0] == reports[1]
+
+
+def test_wide_train_same_bytes_on_one_and_two_workers(tmp_path, monkeypatch):
+    # batch 128 through a 64 -> 768 decoder layer: 6.3 million multiply-adds,
+    # so two workers split it into 64-row halves
+    cfg = write(tmp_path, "wide.ini", DECODER_TRAIN.format(steps=1).replace(
+        "latent_dim = 4\nheight = 3\nwidth = 3\nhidden = 8",
+        "latent_dim = 8\nheight = 16\nwidth = 16\nhidden = 64").replace(
+        "steps = 30\nbatch_size = 16", "steps = 4\nbatch_size = 128"))
+    splits = []
+    even_blocks = rowblocks.even_blocks
+    monkeypatch.setattr(rowblocks, "even_blocks",
+                        lambda n: splits.append(len(even_blocks(n))) or even_blocks(n))
+    written = []
+    for workers in (1, 2):
+        monkeypatch.setattr(rowblocks, "WORKERS", workers)
+        splits.clear()
+        out = str(tmp_path / f"out{workers}")
+        assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 0
+        assert max(splits) == workers
+        written.append({name: Path(out, name).read_bytes()
+                        for name in ("report.csv", "history.csv", "checkpoint.bin")})
+    assert written[0] == written[1]
 
 
 def test_validate_theory_logs_each_check_group(tmp_path):
@@ -1018,7 +1041,7 @@ def test_paper_small_calls_fire_every_benchmark_span(tmp_path, monkeypatch):
     from tracer import Tracer, instrument, missing_spans
     from workloads import WORKLOADS
     # the estimates run inline, so every span opens on this thread
-    monkeypatch.setattr(oracles, "_pool", lambda workers: InlineExecutor())
+    monkeypatch.setattr(rowblocks, "pool", lambda workers: InlineExecutor())
     knn = knn_runs(tmp_path)
     runs = {"train": knn["train"], "tradeoff": knn["tradeoff"]}
     for method, section in (("noise_opt", "[noise_opt]\nsteps = 20\n"),

@@ -86,6 +86,7 @@ def test_input_validation():
      "matrix"),
     ({"variant": "affine", "bias": [1.0, 2.0]}, "bias"),
     ({"variant": "mlp"}, "output_dim"),
+    ({"variant": "mlp", "latent_dim": "x"}, "latent_dim"),
 ])
 def test_unbuildable_spec_names_its_key(spec, key):
     # hidden or height 0 failed later as an adapter rank, a wrong-size

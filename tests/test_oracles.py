@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisetilt import autodiff as ad
-from noisetilt import oracles
+from noisetilt import oracles, rowblocks
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import (DpiReport, SamplerError, bilipschitz_check,
@@ -136,8 +136,8 @@ def weighted_moments_one_shot(y, w):
     return mean, second, se_mean, se_second
 
 
-B = oracles.ROW_BLOCK
-M = oracles.MIN_BLOCK_ROWS
+B = rowblocks.ROW_BLOCK
+M = rowblocks.MIN_BLOCK_ROWS
 # one block, the tails that join the last full block, and three blocks
 STREAMED_ROWS = [1, 5, B - 1, B, B + 1, B + 2, B + 3, B + 4, 2 * B + 1696]
 # (rows, decoder side, rows per block): a 4 x 4 x 3 decoder's 48 outputs
@@ -154,7 +154,7 @@ STREAMED_CASES = [pytest.param(n, 4, B, id=str(n)) for n in STREAMED_ROWS] + [
 @pytest.mark.parametrize("n, side, rows", STREAMED_CASES)
 def test_streamed_reward_values_same_bits(n, side, rows):
     g, r = decoder_and_redness(side=side)
-    blocks = oracles._row_blocks(n, g.output_dim)
+    blocks = rowblocks.row_blocks(n, g.output_dim)
     assert np.array_equal(np.concatenate([np.arange(n)[s] for s in blocks]), np.arange(n))
     sizes = [s.stop - s.start for s in blocks]
     assert all(size == rows for size in sizes[:-1])
@@ -196,8 +196,8 @@ def on_one_and_many_workers(fn):
     one-CPU mask still runs them side by side."""
     results = []
     with pytest.MonkeyPatch.context() as mp:
-        for workers in (1, max(2, oracles.WORKERS)):
-            mp.setattr(oracles, "WORKERS", workers)
+        for workers in (1, max(2, rowblocks.WORKERS)):
+            mp.setattr(rowblocks, "WORKERS", workers)
             results.append(fn())
     return results
 
@@ -252,7 +252,7 @@ def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
     # more workers than CPUs, switching threads as often as the interpreter
     # allows, while this thread holds an arena: a block that wrote another
     # block's rows or took an arena buffer would change the values
-    monkeypatch.setattr(oracles, "WORKERS", 4 * oracles.WORKERS + 1)
+    monkeypatch.setattr(rowblocks, "WORKERS", 4 * rowblocks.WORKERS + 1)
     g, r = decoder_and_redness()
     x = np.random.default_rng(13).standard_normal((6 * B + 100, 6))
     interval = sys.getswitchinterval()
@@ -267,9 +267,9 @@ def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
     assert np.array_equal(held, x)
 
 
-@pytest.mark.parametrize("workers", [1, max(2, oracles.WORKERS)])
+@pytest.mark.parametrize("workers", [1, max(2, rowblocks.WORKERS)])
 def test_run_blocks_raises_a_block_exception(workers, monkeypatch):
-    monkeypatch.setattr(oracles, "WORKERS", workers)
+    monkeypatch.setattr(rowblocks, "WORKERS", workers)
     seen = []
 
     def block(rows):
@@ -277,7 +277,7 @@ def test_run_blocks_raises_a_block_exception(workers, monkeypatch):
         if rows.start == B:
             raise RuntimeError(f"block at row {rows.start}")
     with pytest.raises(RuntimeError, match=f"block at row {B}"):
-        oracles._run_blocks(block, POOLED_ROWS)
+        rowblocks.run_blocks(block, rowblocks.row_blocks(POOLED_ROWS))
     assert seen[0] == slice(0, B)
 
 
@@ -320,7 +320,7 @@ def test_kl_knn_rejects_k_below_one(k):
 
 
 def test_knn_workers_are_the_affinity_mask():
-    assert oracles.WORKERS == len(os.sched_getaffinity(0))
+    assert rowblocks.WORKERS == len(os.sched_getaffinity(0))
 
 
 def test_kl_knn_dimension_mismatch():
@@ -462,9 +462,9 @@ def test_kl_knn_same_bits_on_one_worker(case):
     # workers, so that a one-CPU mask still splits the queries
     p, q, k = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "WORKERS", max(2, oracles.WORKERS))
+        mp.setattr(rowblocks, "WORKERS", max(2, rowblocks.WORKERS))
         parallel = kl_knn(p, q, k)
-        mp.setattr(oracles, "WORKERS", 1)
+        mp.setattr(rowblocks, "WORKERS", 1)
         assert kl_knn(p, q, k) == parallel
 
 

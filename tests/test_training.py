@@ -1,14 +1,16 @@
 """Training loop behavior and the checkpoint format."""
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from noisetilt import training
+from noisetilt import autodiff as ad
+from noisetilt import rowblocks, training
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
-from noisetilt.rewards import LinearReward
+from noisetilt.rewards import LinearReward, RednessReward
 from noisetilt.training import (CheckpointError, TrainConfig, clip_global_norm,
                                 load_checkpoint, save_checkpoint,
                                 train_hypernoise)
@@ -166,3 +168,40 @@ def test_checkpoint_corruption_detected(tmp_path):
     bad.write_bytes(raw[:20])
     with pytest.raises(CheckpointError, match="truncated"):
         load_checkpoint(str(bad), hn)
+
+
+def test_wide_training_steps_reuse_the_arena(monkeypatch):
+    # the train-wide shape: 128 rows through a 256 -> 3072 layer that two
+    # workers split; step 3 takes exactly step 2's buffers, and allocates
+    # less at its peak than one block's share of that layer's output
+    monkeypatch.setattr(rowblocks, "WORKERS", 2)
+    g = make_generator({"variant": "decoder", "latent_dim": 64, "hidden": [256],
+                        "height": 32, "width": 32}, seed=1)
+    hn = init_hypernet(g, rank=4, alpha=8.0, seed=0)
+    held, peaks, splits = [], [], []
+    enter, leave = ad.Arena.__enter__, ad.Arena.__exit__
+    even_blocks = rowblocks.even_blocks
+
+    def on_enter(arena):
+        tracemalloc.reset_peak()
+        peaks.append(tracemalloc.get_traced_memory()[0])
+        return enter(arena)
+
+    def on_exit(arena, *exc):
+        held.append(list(arena._buffers))
+        peaks[-1] = tracemalloc.get_traced_memory()[1] - peaks[-1]
+        return leave(arena, *exc)
+
+    monkeypatch.setattr(ad.Arena, "__enter__", on_enter)
+    monkeypatch.setattr(ad.Arena, "__exit__", on_exit)
+    monkeypatch.setattr(rowblocks, "even_blocks", lambda n: splits.append(
+        len(even_blocks(n))) or even_blocks(n))
+    tracemalloc.start()
+    try:
+        train_hypernoise(hn, g, RednessReward(0.01),
+                         TrainConfig(steps=3, batch_size=128, learning_rate=0.05, seed=2))
+    finally:
+        tracemalloc.stop()
+    assert len(held) == 3 and 2 in splits
+    assert len(held[2]) == len(held[1]) and all(a is b for a, b in zip(held[2], held[1]))
+    assert peaks[2] < 64 * 3072 * 8, peaks
