@@ -183,10 +183,10 @@ class DirectFinetuneHistory:
 def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: int,
                   estimate=None):
     """KL(adapted || base) of the outputs after `step`: a float in closed form
-    for an affine generator, else estimate(adapted outputs, base outputs)
-    of fresh draws fixed by (cfg.seed, step), drawn and generated now.  The
-    default estimate is kl_knn's float; a KnnEvaluator's `submit` returns
-    an Estimate to resolve later instead."""
+    for an affine generator, else estimate(adapted outputs, base outputs,
+    d=g.manifold_dim) of fresh draws fixed by (cfg.seed, step), drawn and
+    generated now.  The default estimate is kl_knn's float; a KnnEvaluator's
+    `submit` returns an Estimate to resolve later instead."""
     g = adapted.backbone
     if adapted.bias_delta is not None:
         # affine case in closed form: equal covariances, shifted means
@@ -195,7 +195,7 @@ def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: in
     seqs = np.random.SeedSequence(cfg.seed + 1000 + step).spawn(2)
     xa = np.random.default_rng(seqs[0]).standard_normal((n, g.latent_dim))
     xb = np.random.default_rng(seqs[1]).standard_normal((n, g.latent_dim))
-    return (estimate or kl_knn)(adapted.generate(xa), g.generate(xb))
+    return (estimate or kl_knn)(adapted.generate(xa), g.generate(xb), d=g.manifold_dim)
 
 
 def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,

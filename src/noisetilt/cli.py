@@ -141,7 +141,7 @@ def _modulated(ctx: RunContext, g: Generator, r: Reward, y_ref: Optional[np.ndar
         return (oracles.reward_values(g, r, x_mod, steps),
                 float(0.5 * np.mean(np.sum(delta * delta, axis=1))))
     y_mod = g.generate(x_mod, steps=steps)
-    estimate = ctx.evaluator.submit(y_mod, y_ref)
+    estimate = ctx.evaluator.submit(y_mod, y_ref, d=g.manifold_dim)
     return r.evaluate_batch(y_mod), estimate
 
 
@@ -177,7 +177,7 @@ def _check_train_steps(cfg: ExperimentConfig):
 def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _expect_method(cfg, "validate-theory", "theory")
     _echo_config(ctx, cfg)
-    report = oracles.run_theory_suite(seed=cfg.seed, phase=ctx.phase, **cfg["theory"])
+    report = oracles.run_theory_suite(cfg["theory"]["n"], cfg.seed, ctx.phase)
     rows = [[c.name, c.statistic, c.tolerance, c.status] for c in report.checks]
     reporting.write_csv(ctx.path("report.csv"),
                         ["check", "statistic", "tolerance", "status"], rows)
@@ -193,6 +193,10 @@ def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
 def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _expect_method(cfg, "train", "hypernoise")
     _check_train_steps(cfg)
+    n_div, heldout = cfg["evaluation"]["diversity_samples"], cfg["evaluation"]["heldout"]
+    if n_div > heldout:     # diversity is measured on held-out rows; `diversity` draws its own
+        raise ConfigError(f"[evaluation] diversity_samples: train averages that many of the "
+                          f"heldout rows, so must be <= {heldout}, got {n_div}")
     _echo_config(ctx, cfg)
     with ctx.phase("build"):
         g, r = _build(cfg)
@@ -220,7 +224,6 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
         x_mod = x + delta
         lip = hn.lipschitz_upper_bound()
         final_step = history.steps[-1] if history.steps else 0
-        n_div = cfg["evaluation"]["diversity_samples"]
         rows = []
         for gen_steps in cfg["evaluation"]["multi_step"]:
             vals, fidelity = _modulated(ctx, g, r, _fidelity_reference(cfg, g, gen_steps),
@@ -357,6 +360,7 @@ def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
         mod_vals.append(mod)
         rows.append([str(i), base, mod])
     bmean, mmean = float(np.mean(base_vals)), float(np.mean(mod_vals))
+    ratio = mmean / bmean if bmean else float("nan")    # nan: a constant generator
     rows.append(["mean", bmean, mmean])
     rows.append(["sd", float(np.std(base_vals, ddof=1)),
                  float(np.std(mod_vals, ddof=1))])
@@ -367,7 +371,7 @@ def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
                              title="output diversity", ylabel="mean pairwise distance")
     reporting.atomic_write(ctx.path("plots", "diversity.svg"), svg)
     ctx.log(f"diversity: base {bmean:.6g}, modulated {mmean:.6g} "
-            f"(ratio {mmean / bmean:.4f})")
+            f"(ratio {ratio:.4f})")
     return 0
 
 

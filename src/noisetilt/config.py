@@ -1,9 +1,11 @@
 """Experiment configuration: a flat INI file with typed sections.
 
 Unknown sections or keys are hard errors (they are almost always typos), and
-so is a key set outside its scope: the variants or optimizer it acts under.
-The resolved echo holds every key that applies, defaults included, and
-parses back to an identical configuration.
+so is a key set outside its scope: the [run] methods that read its section
+(a theory run reads only [run] and [theory], every other run every section
+but [theory]) and the variants or optimizer it acts under.  The resolved
+echo holds every key that applies, defaults included, and parses back to an
+identical configuration.
 Every config `load_config` accepts runs; others raise a ConfigError naming
 section and key (exit 2).  Validation builds what the run builds and calls
 the library's checks, so each rule lives once, where the library needs it;
@@ -22,7 +24,7 @@ from typing import Any, Optional
 from .baselines import AdaptedGenerator, DirectFinetuneConfig, NoiseOptConfig, check_counts
 from .generators import SPEC_DEFAULTS, make_generator
 from .hypernet import init_hypernet
-from .oracles import KNN_K, check_knn_points, check_theory_scale, kd_tree
+from .oracles import check_knn_points, check_theory_scale, kd_tree
 from .rewards import QuadraticReward, RednessReward, make_reward
 from .training import TrainConfig
 
@@ -98,7 +100,6 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "theory": {
         "n": ("int", 20000),
-        "knn_k": ("int", KNN_K),
     },
 }
 
@@ -162,17 +163,25 @@ class ExperimentConfig:
     def seed(self) -> int:
         return self.values["run"]["seed"]
 
+    def _outside(self, section: str, key: str) -> list[tuple]:
+        """The scopes of `key` this config falls outside: the [run] methods
+        that read its section, then the key's own variants or optimizer."""
+        readers = tuple(m for m in _SCHEMA["run"]["method"][0]
+                        if section == "run" or (m == "theory") == (section == "theory"))
+        scopes = [("run", "method", readers)] + list(_SCHEMA[section][key][2:])
+        return [(s, owner, allowed) for s, owner, allowed in scopes
+                if self.values[s][owner] not in allowed]
+
     def applying(self, section: str) -> list[str]:
-        """The keys of `section` that act under this config's variants and optimizer."""
-        return [key for key, (_, _, *scope) in _SCHEMA[section].items()
-                if all(self.values[s][owner] in allowed for s, owner, allowed in scope)]
+        """The keys of `section` that act under this config's method, variants and optimizer."""
+        return [key for key in _SCHEMA[section] if not self._outside(section, key)]
 
     def generator_spec(self) -> dict:
         """The [generator] keys that apply, but weight_seed.  An unset (0 or
         empty) MLP output_dim or network hidden is derived here; an unset affine
         output_dim, matrix or bias is left out for make_generator to derive."""
         g = self.values["generator"]
-        latent = g["latent_dim"] or 0       # unset in a theory config
+        latent = g["latent_dim"]
         derived = {"output_dim": latent if g["variant"] == "mlp" else 0,
                    "hidden": [2 * latent], "matrix": [], "bias": []}
         spec = {key: g[key] or derived.get(key, g[key])
@@ -201,12 +210,13 @@ class ExperimentConfig:
         """INI text with every key that applies, defaults included."""
         out = io.StringIO()
         for section in _SCHEMA:
-            out.write(f"[{section}]\n")
-            for key in self.applying(section):
-                value = self.values[section][key]
-                if value is not None:   # a required key a theory run need not set
-                    out.write(f"{key} = {_format_value(_SCHEMA[section][key][0], value)}\n")
-            out.write("\n")
+            keys = self.applying(section)
+            if keys:
+                out.write(f"[{section}]\n")
+                for key in keys:
+                    value = _format_value(_SCHEMA[section][key][0], self.values[section][key])
+                    out.write(f"{key} = {value}\n")
+                out.write("\n")
         return out.getvalue()
 
 
@@ -234,9 +244,7 @@ def _knn_key(cfg: ExperimentConfig) -> Optional[tuple[str, str]]:
     return None
 
 
-def _validate(cfg: ExperimentConfig, missing: list[str]):
-    with _section("theory"):
-        check_theory_scale(**cfg.values["theory"])
+def _validate(cfg: ExperimentConfig):
     knn = _knn_key(cfg)
     if knn is not None:
         # scipy loads here, with the config, not in the middle of the run
@@ -247,10 +255,10 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
             raise ConfigError(f"[{section}] {key}: {cfg.values[section][key]} makes kNN "
                               f"estimates, which need scipy ({exc})") from None
     if cfg.method == "theory":
-        # the theory suite builds its own fixtures; generator/reward optional
+        # the theory suite builds its own fixtures from n alone
+        with _section("theory"):
+            check_theory_scale(cfg.values["theory"]["n"])
         return
-    if missing:
-        raise ConfigError(f"{missing[0]}: required key is missing")
     g = cfg.values["generator"]
     t = cfg.values["train"]
     d = cfg.values["direct_ft"]
@@ -258,12 +266,14 @@ def _validate(cfg: ExperimentConfig, missing: list[str]):
         gen = make_generator(cfg.generator_spec(), g["weight_seed"])
     with _section("reward"):
         make_reward(cfg.reward_spec()).evaluate_batch([[0.0] * gen.output_dim])
-    with _section("train"):
-        init_hypernet(gen, t["rank"], t["adapter_alpha"])
+    with _section("train"):     # each method builds only its own adapter stack
+        if cfg.method == "hypernoise":
+            init_hypernet(gen, t["rank"], t["adapter_alpha"])
         # diversity runs with no training step; train and tradeoff check for one
         cfg.train_config().validate(min_steps=0)
     with _section("direct_ft"):
-        AdaptedGenerator(gen, d["rank"])
+        if cfg.method == "direct_ft":
+            AdaptedGenerator(gen, d["rank"])
         cfg.direct_ft_config().validate()
     with _section("noise_opt"):
         cfg.noise_opt_config().validate()
@@ -300,7 +310,6 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         raise ConfigError(f"config does not parse: {exc}") from None
 
     values: dict[str, dict[str, Any]] = {}
-    missing: list[str] = []
     for section, keys in _SCHEMA.items():
         values[section] = {}
         for key, (kind, default, *_) in keys.items():
@@ -309,7 +318,6 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
                                                    parser.get(section, key))
             elif default is _REQUIRED:
                 values[section][key] = None
-                missing.append(f"[{section}] {key}")
             else:
                 values[section][key] = default if not isinstance(default, list) else list(default)
     cfg = ExperimentConfig(values)
@@ -319,9 +327,13 @@ def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:
         for key in parser[section]:
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"[{section}] {key}: unknown key")
-            if key not in cfg.applying(section):
-                owner_section, owner, allowed = _SCHEMA[section][key][2]
+            if outside := cfg._outside(section, key):
+                owner_section, owner, allowed = outside[0]
                 raise ConfigError(f"[{section}] {key}: applies only when [{owner_section}] "
                                   f"{owner} is {' or '.join(allowed)}")
-    _validate(cfg, missing)
+    for section in _SCHEMA:
+        for key in cfg.applying(section):
+            if values[section][key] is None:    # a required key left unset
+                raise ConfigError(f"[{section}] {key}: required key is missing")
+    _validate(cfg)
     return cfg

@@ -41,6 +41,9 @@ class Generator:
         self.refine = self.stack if refiner is None else LayerStack(refiner)
         self.step_mix = float(step_mix)
         self.output_dim = layers[-1].weight.shape[0]
+        # the dimension of the set the outputs lie on, at most: the kNN
+        # estimates compare two pushforwards of the latent at it
+        self.manifold_dim = min(latent_dim, self.output_dim)
         self.output_range = (0.0, 1.0) if variant == "decoder" else None
         self.spec = dict(spec)
 
@@ -114,17 +117,19 @@ def _init_layer(rng: np.random.Generator, n_in: int, n_out: int, activation: str
     return Layer(_freeze(w), _freeze(b), activation)
 
 
-def _positive(spec: dict, key: str, default=None) -> int:
-    value = spec.get(key, default)
+def _positive(key: str, value) -> int:
+    """`value` as an int; ValueError, led by `key`, unless it is a whole number >= 1."""
     if value is None:
         raise ValueError(f"{key}: required key is missing")
     try:
-        value = int(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{key}: must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{key}: must be >= 1, got {value}")
-    return value
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole != value:
+        raise ValueError(f"{key}: must be an integer, got {value!r}")
+    if whole < 1:
+        raise ValueError(f"{key}: must be >= 1, got {whole}")
+    return whole
 
 
 def _shaped(spec: dict, key: str, shape: tuple) -> np.ndarray:
@@ -141,12 +146,17 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     spec = dict(spec)
     opts = {**SPEC_DEFAULTS, **spec}
     variant = spec.get("variant")
-    latent_dim = _positive(spec, "latent_dim", 0)
-    step_mix = float(opts["step_mix"])
+    latent_dim = _positive("latent_dim", spec.get("latent_dim", 0))
+    try:
+        step_mix = float(opts["step_mix"])
+    except (TypeError, ValueError):
+        step_mix = float("nan")
+    if not 0.0 <= step_mix <= 1.0:      # a convex combination
+        raise ValueError(f"step_mix: must be a number in [0, 1], got {opts['step_mix']!r}")
     rng = np.random.default_rng(seed)
 
     if variant == "affine":
-        output_dim = _positive(spec, "output_dim", latent_dim)
+        output_dim = _positive("output_dim", spec.get("output_dim", latent_dim))
         if "matrix" in spec:
             a = _shaped(spec, "matrix", (output_dim, latent_dim))
         else:
@@ -159,17 +169,15 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     if variant not in ("mlp", "decoder"):
         raise ValueError("variant: must be one of ('affine', 'mlp', 'decoder'), "
                          f"got {variant!r}")
-    hidden = [int(h) for h in spec.get("hidden", [2 * latent_dim])]
-    if min(hidden, default=1) < 1:
-        raise ValueError(f"hidden: entries must be >= 1, got {hidden}")
+    hidden = [_positive("hidden", h) for h in spec.get("hidden", [2 * latent_dim])]
     activation = opts["activation"]
     if activation not in ad.ACTIVATIONS:
         raise ValueError(f"activation: must be one of {tuple(ad.ACTIVATIONS)}, "
                          f"got {activation!r}")
     if variant == "mlp":
-        output_dim, last = _positive(spec, "output_dim"), "identity"
+        output_dim, last = _positive("output_dim", spec.get("output_dim")), "identity"
     else:
-        output_dim = _positive(opts, "height") * _positive(opts, "width") * 3
+        output_dim = _positive("height", opts["height"]) * _positive("width", opts["width"]) * 3
         last = "sigmoid"
     dims = [latent_dim] + hidden + [output_dim]
     activations = [activation] * len(hidden) + [last]

@@ -266,20 +266,20 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
             tree(q_rot).query(p_rot, k=[k], workers=rowblocks.WORKERS)[1][:, 0])
 
 
-def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
-           _retried: bool = False) -> float:
+def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
+           d: Optional[int] = None, _retried: bool = False) -> float:
     """k-nearest-neighbor estimate of D(P || Q) from two sample sets.
 
     The Wang-Kulkarni-Verdu (2009) estimator: with n points from P, m from
     Q, rho_i the distance from p_i to its k-th nearest neighbor among the
     other points of P and nu_i to its k-th nearest neighbor in Q,
 
-        D(P || Q) ~ (d / n) * sum_i log(nu_i / rho_i) + log(m / (n - 1)).
+        D(P || Q) ~ (d / n) * sum_i log(nu_i / rho_i) + log(m / (n - 1)),
 
-    The scale factor d is still the ambient dimension, a known defect
-    tracked in ROADMAP.md (the fidelity-metric item): for points on a
-    lower-dimensional manifold, such as a decoder's outputs, the intrinsic
-    dimension is the right factor, and the estimate is inflated.
+    d being the dimension of the set both laws live on: the sets' width by
+    default, the latent's size for two pushforwards of a smaller latent
+    (a decoder's outputs), as the neighbor volumes scale with the distance
+    to the power of that dimension, not of the ambient one.
 
     Both sets are centred on the mean of Q and rotated into Q's principal
     axes before the k-d trees are built, so that the trees' axis-aligned
@@ -297,7 +297,10 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
     q = np.atleast_2d(np.asarray(samples_q, dtype=np.float64))
     if p.shape[1] != q.shape[1]:
         raise ValueError("sample sets live in different dimensions")
-    n, m, d = p.shape[0], q.shape[0], p.shape[1]
+    n, m = p.shape[0], q.shape[0]
+    d = p.shape[1] if d is None else d
+    if not 1 <= d <= p.shape[1]:
+        raise ValueError(f"d must be in [1, {p.shape[1]}], got {d}")
     check_knn_points(min(n, m), "points in each set", k)
     for name, s in (("samples_p", p), ("samples_q", q)):
         if not np.all(np.isfinite(s)):
@@ -321,7 +324,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K,
         rng = np.random.default_rng(0)
         jitter = 1e-10 * max(1.0, float(np.abs(p).max()))
         return kl_knn(p + jitter * rng.standard_normal(p.shape),
-                      q + jitter * rng.standard_normal(q.shape), k, _retried=True)
+                      q + jitter * rng.standard_normal(q.shape), k, d=d, _retried=True)
     return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1)))
 
 
@@ -359,19 +362,19 @@ class KnnEvaluator:
         self.estimates = 0
         self.busy_s = 0.0     # the thread's wall seconds inside kl_knn
 
-    def _estimate(self, p: np.ndarray, q: np.ndarray) -> float:
+    def _estimate(self, p: np.ndarray, q: np.ndarray, options: dict) -> float:
         t0 = time.perf_counter()
         try:
-            return kl_knn(p, q)
+            return kl_knn(p, q, **options)
         finally:
             self.busy_s += time.perf_counter() - t0
 
-    def submit(self, samples_p: np.ndarray, samples_q: np.ndarray) -> Estimate:
-        """Start kl_knn(samples_p, samples_q); the caller must not change
-        either array until the estimate is resolved."""
+    def submit(self, samples_p: np.ndarray, samples_q: np.ndarray, **options) -> Estimate:
+        """Start kl_knn(samples_p, samples_q, **options); the caller must
+        not change either array until the estimate is resolved."""
         self.close()
-        self._last = Estimate(rowblocks.pool(1).submit(self._estimate, samples_p, samples_q),
-                              self._wait)
+        self._last = Estimate(rowblocks.pool(1).submit(self._estimate, samples_p, samples_q,
+                                                       options), self._wait)
         self.estimates += 1
         return self._last
 
@@ -407,7 +410,8 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
     """The generator cannot increase the KL between noise laws.
 
     `mode="gaussian"` uses closed forms and requires a constant-shift
-    network on an affine generator; `mode="knn"` estimates both sides.
+    network on an affine generator; `mode="knn"` estimates both sides, the
+    output side at the generator's manifold_dim.
     """
     if mode == "gaussian":
         if g.variant != "affine":
@@ -428,7 +432,7 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
     x_mod = x_mod + hn.perturb(x_mod)
     x_base = rng_b.standard_normal((n, g.latent_dim))
     kl_noise = kl_knn(x_mod, x_base, k)
-    kl_output = kl_knn(g.generate(x_mod), g.generate(x_base), k)
+    kl_output = kl_knn(g.generate(x_mod), g.generate(x_base), k, d=g.manifold_dim)
     return DpiReport(kl_noise, kl_output, kl_noise - kl_output, "knn")
 
 
@@ -472,22 +476,20 @@ class TheoryReport:
         return all(c.status == "pass" for c in self.checks)
 
 
-def check_theory_scale(n: int, knn_k: int):
+def check_theory_scale(n: int):
     """Raise ValueError, led by the argument, unless `run_theory_suite` runs
-    at sample size n and kNN rank knn_k (its kNN checks use n // 2 points a set)."""
+    at sample size n (its kNN checks, at rank KNN_K, use n // 2 points a set)."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"n: must be >= {MIN_MOMENT_SAMPLES}, the smallest sample the "
                          "moment checks accept")
-    if not 1 <= knn_k < n // 2:
-        raise ValueError(f"knn_k: must be in [1, {n // 2 - 1}] for n = {n}")
 
 
-def run_theory_suite(n: int, seed: int = 0, knn_k: int = KNN_K,
+def run_theory_suite(n: int, seed: int = 0,
                      phase: Callable[[str], ContextManager] = lambda name: nullcontext()
                      ) -> TheoryReport:
     """Every theoretical claim exercised once at sample size n.  Each group
     of checks runs inside ``phase(group)``, so that a caller can time it."""
-    check_theory_scale(n, knn_k)
+    check_theory_scale(n)
     from .generators import make_generator
     from .hypernet import init_hypernet
     from .objectives import error_term, exact_noise_kl, theorem_bound
@@ -540,12 +542,11 @@ def run_theory_suite(n: int, seed: int = 0, knn_k: int = KNN_K,
     # k-NN estimator ground truths
     with phase("knn"):
         rng = np.random.default_rng(seed + 40)
-        est0 = kl_knn(rng.standard_normal((n // 2, 2)), rng.standard_normal((n // 2, 2)),
-                      knn_k)
+        est0 = kl_knn(rng.standard_normal((n // 2, 2)), rng.standard_normal((n // 2, 2)))
         report.add("knn_null", abs(est0), 0.05, abs(est0) <= 0.05)
         shift = np.array([1.0, 0.0])
         est1 = kl_knn(rng.standard_normal((n // 2, 2)) + shift,
-                      rng.standard_normal((n // 2, 2)), knn_k)
+                      rng.standard_normal((n // 2, 2)))
         report.add("knn_shift", abs(est1 - 0.5), 0.1, abs(est1 - 0.5) <= 0.1)
 
     # DPI: closed form on a projection generator, estimator on the MLP
@@ -564,7 +565,7 @@ def run_theory_suite(n: int, seed: int = 0, knn_k: int = KNN_K,
         hn = init_hypernet(g_mlp, rank=2, alpha=2.0, seed=seed + 60)
         hn.randomize_adapters(seed + 61)
         hn.set_lipschitz_budget(0.4)
-        dpi_est = dpi_check(hn, g_mlp, min(n, 8000), seed + 62, k=knn_k)
+        dpi_est = dpi_check(hn, g_mlp, min(n, 8000), seed + 62)
         report.add("dpi_estimated", dpi_est.margin, -0.05, dpi_est.margin >= -0.05)
 
     # bi-Lipschitz distortion stays inside [1 - L, 1 + L]

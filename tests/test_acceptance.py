@@ -89,8 +89,9 @@ def decoder_runs():
 
     def hook(step, net):
         y = g.generate(heldout + net.perturb(heldout))
+        # at the latent's dimension, as the CLI and the direct drift estimate
         curve_h.append((float(r.evaluate_batch(y).mean()),
-                        max(kl_knn(y, base_out), 0.0)))
+                        max(kl_knn(y, base_out, d=min(g.latent_dim, g.output_dim)), 0.0)))
 
     train_hypernoise(
         hn, g, r,

@@ -152,6 +152,14 @@ def test_direct_ft_eval_hook_returns_the_drift():
     assert all(type(d) is float for d in deferred.output_drift)
 
 
+def test_drift_is_estimated_at_the_latent_dimension():
+    # a decoder's 27 outputs are a pushforward of its 4-d latent
+    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
+                        "width": 3, "hidden": [8]}, seed=1)
+    cfg = DirectFinetuneConfig(eval_samples=60, seed=1)
+    assert measure_drift(AdaptedGenerator(g), cfg, 0, lambda p, q, d: (p.shape[1], d)) == (27, 4)
+
+
 def test_adapted_generator_zero_init_identity():
     g = make_generator({"variant": "mlp", "latent_dim": 3, "output_dim": 3,
                         "hidden": [6]}, seed=2)

@@ -20,6 +20,7 @@ from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
 from noisetilt.generators import Generator
 from noisetilt.hypernet import init_hypernet
+from noisetilt.objectives import exact_noise_kl
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
 from noisetilt.training import load_checkpoint
@@ -135,8 +136,8 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     ("direct_ft", "steps = 0"),            # empty history, IndexError
     ("direct_ft", "batch_size = 0"),       # nan reward, empty history
     ("theory", "n = 999"),                 # "need at least 1e3 samples"
-    ("theory", "knn_k = 0"),               # the k-d tree query crashed
-    ("theory", "knn_k = 10000"),           # more than n // 2 - 1
+    ("theory", "knn_k = 0"),               # the k-d tree query crashed; now an
+    ("theory", "knn_k = 10000"),           # unknown key: the suite's rank is KNN_K
     ("train", "learning_rate = 0"),        # each [train] case: FAILED, exit 1
     ("train", "alpha = 0"),
     ("train", "log_every = 0"),
@@ -147,17 +148,23 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
 ])
 def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
     text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
+    if section == "theory":     # only a theory config reads [theory]
+        text = f"[run]\nmethod = theory\n[theory]\n{line}\n"
     if section == "train":
         key = line.split(" = ")[0]
         text = re.sub(rf"^{key} = .*$", line, AFFINE_TRAIN, flags=re.M)
         if line not in text:
             text = text.replace("[train]", f"[train]\n{line}")
     out = str(tmp_path / "out")
-    assert main(["train", "--config", write(tmp_path, "c.ini", text),
+    command = "validate-theory" if section == "theory" else "train"
+    assert main([command, "--config", write(tmp_path, "c.ini", text),
                  "--out", out, "--quiet"]) == 2
     assert not os.path.exists(os.path.join(out, "report.csv"))
     key = line.split(" = ")[0]
-    assert f"[{section}] {key}:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"[{section}] {key}:" in err
+    if key == "knn_k":
+        assert "[theory] knn_k: unknown key" in err
 
 
 KNN_TRAIN = AFFINE_TRAIN.replace("closed_form_gaussian_kl", "knn_kl")
@@ -227,8 +234,10 @@ def small_train(generator, reward, train="steps = 2", direct_ft=""):
      "variant = linear\nc = 1 -1", "[reward] c"),
     ("variant = affine\nlatent_dim = 2",
      "variant = quadratic\nq = 1 2; 0 1", "[reward] q"),
+    ("variant = affine\nlatent_dim = 2\nstep_mix = 7.5",   # its 4-step fidelity read -8.75
+     "variant = linear\nc = 1 -1", "[generator] step_mix"),
 ], ids=["activation", "hidden", "height", "matrix", "bias", "output_dim",
-        "linear_c", "nonsymmetric_q"])
+        "linear_c", "nonsymmetric_q", "step_mix"])
 def test_unbuildable_configs_rejected_at_load_exit_2(tmp_path, capsys, generator,
                                                      reward, key):
     out = str(tmp_path / "out")
@@ -285,6 +294,58 @@ def test_keys_outside_their_scope_exit_2(tmp_path, capsys, owner, section, line)
     assert not os.path.exists(out)
     key = line.split(" = ")[0]
     assert f"config error: [{section}] {key}: applies only when" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,line", [
+    ("generator", "variant = mlp"), ("generator", "latent_dim = 2"), ("reward", "scale = 1"),
+    ("train", "steps = 7"), ("direct_ft", "rank = 3"), ("noise_opt", "steps = 5"),
+    ("best_of_n", "counts = 4"), ("evaluation", "heldout = 50"),
+])
+def test_theory_config_keys_outside_run_and_theory_exit_2(tmp_path, capsys, section, line):
+    # the suite builds its own fixtures: each key loaded, was echoed into
+    # config-resolved.ini and did nothing
+    text = f"[run]\nmethod = theory\n[theory]\nn = 2000\n[{section}]\n{line}\n"
+    out = str(tmp_path / "out")
+    assert main(["validate-theory", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    key = line.split(" = ")[0]
+    assert (f"config error: [{section}] {key}: applies only when [run] method is "
+            "hypernoise or direct_ft or noise_opt or best_of_n") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("method", ["hypernoise", "direct_ft", "noise_opt", "best_of_n"])
+def test_theory_section_outside_a_theory_config_exit_2(tmp_path, capsys, method):
+    text = AFFINE_TRAIN.replace("method = hypernoise", f"method = {method}")
+    out = str(tmp_path / "out")
+    cfg = write(tmp_path, "c.ini", text + "\n[theory]\nn = 5000\n")
+    command = "train" if method == "hypernoise" else "baseline"
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    assert ("config error: [theory] n: applies only when [run] method is theory"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("method", ["hypernoise", "direct_ft"])
+def test_tiny_generator_runs_its_own_adapter_rank(tmp_path, method):
+    # a 1 -> 1 -> 1 mlp takes rank 1; the default rank 2 of the adapter
+    # stack the other method builds rejected each config at load
+    section = "train" if method == "hypernoise" else "direct_ft"
+    text = small_train("variant = mlp\nlatent_dim = 1\noutput_dim = 1\nhidden = 1",
+                       "variant = linear\nc = 1",
+                       train="steps = 2\n" + ("rank = 1" if section == "train" else ""),
+                       direct_ft="steps = 2\nbatch_size = 4\neval_every = 1\neval_samples = 8\n"
+                                 + ("rank = 1" if section == "direct_ft" else ""))
+    text = text.replace("method = hypernoise", f"method = {method}")
+    cfg = load_config(text, is_text=True)
+    assert cfg[section]["rank"] == 1
+    other = "direct_ft" if section == "train" else "train"
+    assert cfg[other]["rank"] == 2
+    out = str(tmp_path / "out")
+    command = "train" if method == "hypernoise" else "baseline"
+    assert main([command, "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "report.csv"))
 
 
 def test_empty_multi_step_rejected_at_load_exit_2(tmp_path, capsys):
@@ -485,10 +546,30 @@ def test_multi_step_rows_measure_their_own_fidelity(tmp_path):
     x = cli._heldout_noise(cfg, g)
     ref = np.random.default_rng(cfg.seed + 910_000).standard_normal(
         (cfg["evaluation"]["heldout"], g.latent_dim))
-    fidelity = [kl_knn(g.generate(x + hn.perturb(x), steps=s), g.generate(ref, steps=s))
-                for s in (1, 2)]
+    # at the latent's dimension, as the CLI estimates them
+    fidelity = [kl_knn(g.generate(x + hn.perturb(x), steps=s), g.generate(ref, steps=s),
+                       d=min(g.latent_dim, g.output_dim)) for s in (1, 2)]
     assert [float(r[6]) for r in rows] == fidelity
     assert fidelity[1] != fidelity[0]
+
+
+def test_fidelity_estimate_obeys_the_dpi_on_the_readme_network():
+    # the kNN output KL at the latent's dimension is at most the exact noise
+    # KL; at the ambient 48 the step-1 fidelity read 0.955 against 0.0845
+    cfg = load_config(str(BENCH_CONFIGS / "paper_small.ini"))
+    g, r = cli._build(cfg)
+    hn = init_hypernet(g, rank=cfg["train"]["rank"], alpha=cfg["train"]["adapter_alpha"],
+                       seed=cfg.seed)
+    training.train_hypernoise(hn, g, r, cfg.train_config())
+    exact = exact_noise_kl(hn, cli._heldout_noise(cfg, g)).exact_kl
+    estimates = []
+    for seed in range(1000, 1008):
+        rng = np.random.default_rng(seed)
+        x_mod, x_base = rng.standard_normal((2, 2000, g.latent_dim))
+        estimates.append(kl_knn(g.generate(x_mod + hn.perturb(x_mod)), g.generate(x_base),
+                                d=min(g.latent_dim, g.output_dim)))
+    se = np.std(estimates, ddof=1) / np.sqrt(len(estimates))
+    assert np.mean(estimates) <= exact + 2 * se
 
 
 @pytest.mark.parametrize("section", ["train", "direct_ft"])
@@ -1106,6 +1187,37 @@ def test_diversity_zero_steps_identical(tmp_path):
     numeric = [r for r in rows if r[0] not in ("mean", "sd")]
     for r in numeric:
         assert float(r[1]) == float(r[2])   # zero-init network leaves outputs
+
+
+def test_diversity_of_a_constant_generator_exits_0(tmp_path):
+    # the log's modulated/base ratio divided by a zero base mean: exit 1
+    # after report.csv and the SVG were written
+    text = AFFINE_TRAIN.replace("matrix = 1 0.3; 0 0.9", "matrix = 0 0; 0 0")
+    out = str(tmp_path / "out")
+    assert main(["diversity", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 0
+    assert not os.path.exists(os.path.join(out, "FAILED"))
+    _, rows = read_csv(os.path.join(out, "report.csv"))
+    assert rows[-2][:3] == ["mean", "0.0", "0.0"]
+    assert "(ratio nan)" in Path(out, "run.log").read_text()
+
+
+def test_train_needs_the_diversity_rows_it_averages(tmp_path, capsys):
+    # train averaged the 10 held-out rows it had, not the 64 configured;
+    # diversity draws its own rows and keeps running such a config
+    text = AFFINE_TRAIN.replace("heldout = 1000", "heldout = 10\ndiversity_samples = 64")
+    cfg = write(tmp_path, "c.ini", text)
+    out = str(tmp_path / "train")
+    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert os.listdir(out) == []
+    assert ("config error: [evaluation] diversity_samples: train averages that many of the "
+            "heldout rows, so must be <= 10, got 64") in capsys.readouterr().err
+    out = str(tmp_path / "diversity")
+    assert main(["diversity", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "report.csv"))
+    text = AFFINE_TRAIN.replace("heldout = 1000", "heldout = 64\ndiversity_samples = 64")
+    assert main(["train", "--config", write(tmp_path, "ok.ini", text),
+                 "--out", str(tmp_path / "ok"), "--quiet"]) == 0
 
 
 def test_mean_pairwise_matches_pdist():

@@ -177,12 +177,12 @@ def test_echo_lists_exactly_the_keys_that_apply(generator, reward, optimizer):
 
 
 def test_theory_echo_round_trips():
-    # a theory config needs no generator or reward; its echo wrote their
-    # required keys empty, and `latent_dim =` did not parse
+    # a theory run reads [run] and [theory] alone, and its echo lists only
+    # those (it once listed 36 keys, 31 of them ignored)
     cfg = load_config("[run]\nmethod = theory\nseed = 3\n", is_text=True)
     echo = cfg.resolved_echo()
     assert load_config(echo, is_text=True).values == cfg.values
-    assert "[reward]\n\n" in echo
+    assert echo == "[run]\nmethod = theory\nseed = 3\nout_dir = out\n\n[theory]\nn = 20000\n\n"
 
 
 BENCH_CONFIGS = os.path.join(os.path.dirname(__file__), os.pardir, "bench", "configs")
@@ -194,8 +194,7 @@ SPECS = {
     "direct_ft.ini": (PAPER_SMALL_GENERATOR, REDNESS),
     "noise_opt.ini": (PAPER_SMALL_GENERATOR, REDNESS),
     "paper_small.ini": (PAPER_SMALL_GENERATOR, REDNESS),
-    "theory_audit.ini": ({"variant": None, "latent_dim": None, "step_mix": 0.5},
-                         {"variant": None}),
+    "theory_audit.ini": None,       # no generator or reward: the suite builds its own
     "train_wide.ini": ({"variant": "decoder", "latent_dim": 64, "step_mix": 0.5,
                         "height": 32, "width": 32, "hidden": [256],
                         "activation": "tanh"}, REDNESS),
@@ -208,11 +207,29 @@ def test_specs_keep_their_values():
     assert [os.path.basename(p) for p in paths] == sorted(SPECS)
     for path in paths:
         cfg = load_config(path)
-        assert (cfg.generator_spec(), cfg.reward_spec()) == SPECS[os.path.basename(path)]
+        if cfg.method == "theory":
+            assert cfg.applying("generator") == cfg.applying("reward") == []
+        else:
+            assert (cfg.generator_spec(), cfg.reward_spec()) == SPECS[os.path.basename(path)]
     cfg = load_config(GOOD, is_text=True)
     assert cfg.generator_spec() == {"variant": "affine", "latent_dim": 2, "step_mix": 0.5,
                                     "matrix": [[1.0, 0.5], [0.0, 1.0]], "bias": [0.1, 0.2]}
     assert cfg.reward_spec() == {"variant": "linear", "c": [1.0, -2.0]}
+
+
+# the keys a bench config can set: the sum of len(cfg.applying(section))
+SETTABLE = {"best_of_n.ini": 41, "direct_ft.ini": 41, "noise_opt.ini": 41,
+            "paper_small.ini": 40, "theory_audit.ini": 4, "train_wide.ini": 40}
+
+
+def test_settable_keys_follow_the_method():
+    # [run] method, seed, out_dir and [theory] n for the theory suite; every
+    # section but [theory] for the other methods
+    paths = sorted(glob.glob(os.path.join(BENCH_CONFIGS, "*.ini")))
+    for path in paths:
+        cfg = load_config(path)
+        assert sum(len(cfg.applying(s)) for s in cfg.values) == SETTABLE[os.path.basename(path)]
+        assert bool(cfg.applying("theory")) == (cfg.method == "theory")
 
 
 NONSQUARE = (GOOD.replace("variant = affine", "variant = mlp\noutput_dim = 3")
@@ -254,7 +271,8 @@ MLP_DRIFT = (NONSQUARE.replace("method = hypernoise", "method = direct_ft")
 @pytest.mark.parametrize("text,message", [
     (THEORY + "n = 999\n",
      "[theory] n: must be >= 1000, the smallest sample the moment checks accept"),
-    (THEORY + "n = 2000\nknn_k = 1000\n", "[theory] knn_k: must be in [1, 999] for n = 2000"),
+    # the suite's kNN rank is the run's, oracles.KNN_K
+    (THEORY + "n = 2000\nknn_k = 1000\n", "[theory] knn_k: unknown key"),
     (GOOD + "[best_of_n]\ncounts =\n", "[best_of_n] counts: needs at least one entry, all >= 1"),
     (GOOD + "[evaluation]\nheldout = 5\n",
      "[evaluation] heldout: must be >= 6 for the knn_kl fidelity"),

@@ -87,6 +87,12 @@ def test_input_validation():
     ({"variant": "affine", "bias": [1.0, 2.0]}, "bias"),
     ({"variant": "mlp"}, "output_dim"),
     ({"variant": "mlp", "latent_dim": "x"}, "latent_dim"),
+    # a bare int() error; a width-1 layer; a bare float() error; a
+    # "convex combination" that ran at 7.5
+    ({"variant": "mlp", "output_dim": 2, "hidden": ["x"]}, "hidden"),
+    ({"variant": "mlp", "output_dim": 2, "hidden": [1.5]}, "hidden"),
+    ({"variant": "affine", "step_mix": "a"}, "step_mix"),
+    ({"variant": "affine", "step_mix": 7.5}, "step_mix"),
 ])
 def test_unbuildable_spec_names_its_key(spec, key):
     # hidden or height 0 failed later as an adapter rank, a wrong-size

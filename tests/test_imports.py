@@ -58,7 +58,7 @@ batch_size = 16
 steps = 2
 
 [evaluation]
-heldout = 50
+heldout = 64
 fidelity_metric = {metric}
 """
 AFFINE = "variant = affine\nlatent_dim = 2"
@@ -83,11 +83,12 @@ def subcommand(config: Path) -> str:
 @pytest.mark.parametrize("method,generator,metric,key", [
     ("hypernoise", AFFINE, "knn_kl", "[evaluation] fidelity_metric"),
     ("direct_ft", MLP, "closed_form_gaussian_kl", "[generator] variant"),
-    ("theory", AFFINE, "knn_kl", "[run] method"),
+    ("theory", None, None, "[run] method"),     # a theory config reads [run] and [theory]
 ], ids=["knn_kl", "direct_ft-mlp", "theory"])
 def test_knn_config_without_scipy_exit_2(tmp_path, method, generator, metric, key):
     cfg = tmp_path / "c.ini"
-    cfg.write_text(SMALL.format(method=method, generator=generator, metric=metric))
+    cfg.write_text(SMALL.format(method=method, generator=generator, metric=metric)
+                   if generator else f"[run]\nmethod = {method}\n")
     proc = python(WITHOUT_SCIPY, subcommand(cfg), "--config", str(cfg), "--out", "out",
                   "--quiet", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr

@@ -411,6 +411,36 @@ def test_evaluator_reraises_in_submission_order(monkeypatch):
     assert calls == [1, 2, 3]
 
 
+def test_kl_knn_at_the_dimension_of_an_isometric_embedding():
+    # an orthonormal 6 -> 48 map keeps every distance, so at d = 6 the
+    # embedded sets give the estimate of the originals; at the ambient 48
+    # it read 0.912 against 0.114, and scaling that by 6/48 afterwards also
+    # scales log(m / (n - 1)) and misses by 7/8 log(2000/1999)
+    rng = np.random.default_rng(5)
+    basis = np.linalg.qr(rng.standard_normal((48, 6)))[0]
+    p = rng.standard_normal((2000, 6)) + 0.2
+    q = rng.standard_normal((2000, 6))
+    assert abs(kl_knn(p @ basis.T, q @ basis.T, d=6) - kl_knn(p, q)) <= 1e-9
+    for d in (0, 49):
+        with pytest.raises(ValueError, match="d must be in"):
+            kl_knn(p @ basis.T, q @ basis.T, d=d)
+
+
+def test_dpi_check_estimates_outputs_at_the_latent_dimension(monkeypatch):
+    g = make_generator({"variant": "decoder", "latent_dim": 3, "height": 2, "width": 2,
+                        "hidden": [4]}, seed=0)
+    hn = init_hypernet(g, rank=1, alpha=1.0, seed=0)
+    dims, real = [], oracles.kl_knn
+
+    def recording(p, q, k, d=None):
+        dims.append((p.shape[1], d))
+        return real(p, q, k, d=d)
+
+    monkeypatch.setattr(oracles, "kl_knn", recording)
+    dpi_check(hn, g, 200, seed=0)
+    assert dims == [(3, None), (12, 3)]
+
+
 def kl_knn_brute_force(p, q, k):
     """The same estimator from explicit difference norms: no tree, no rotation."""
     n, m, d = p.shape[0], q.shape[0], p.shape[1]
