@@ -78,7 +78,8 @@ class RunContext:
     def finish(self):
         if self.evaluator.estimates:
             self.log_lines.append(f"evaluator {self.evaluator.estimates} estimates, "
-                                  f"busy {self.evaluator.busy_s:.3f} s")
+                                  f"busy {self.evaluator.busy_s:.3f} s "
+                                  f"on {self.evaluator.threads} threads")
         for name, (wall, faults) in self.phases.items():
             self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults")
         self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")

@@ -251,19 +251,36 @@ def kd_tree() -> type:
     return cKDTree
 
 
+def _knn_blocks(n: int, width: int) -> tuple[list[slice], np.ndarray]:
+    """Row blocks of kl_knn's rotation of P and its distances over n rows
+    `width` values wide, and one scratch array that holds the largest.  A
+    block holds an eighth of rowblocks.ROW_BLOCK's values (512 rows of 48),
+    so that its temporaries stay a small part of even a 2000-row set."""
+    blocks = rowblocks.row_blocks(n, 8 * width)
+    return blocks, np.empty((max(b.stop - b.start for b in blocks), width))
+
+
 def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of each p_i's k-th nearest neighbor among the other points of P
-    and among Q, from k-d trees built in Q's centred principal axes.  Kept
-    apart from kl_knn so the rotated copies are freed before it measures
-    the distances."""
+    and among Q, from k-d trees built in Q's centred principal axes, queried
+    on rowblocks.cpu_share() workers.  Q's centred copy becomes its rotated
+    one before P's rotation is made, one row block at a time through one
+    scratch block, so the two rotated sets and that block are the most this
+    holds at once.  Kept apart from kl_knn so the rotated copies are freed
+    before it measures the distances."""
     mean = q.mean(axis=0)
     q_rot = q - mean
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
     q_rot = q_rot @ axes
-    p_rot = (p - mean) @ axes
-    tree = kd_tree()
-    return (tree(p_rot).query(p_rot, k=[k + 1], workers=rowblocks.WORKERS)[1][:, 0],  # not self
-            tree(q_rot).query(p_rot, k=[k], workers=rowblocks.WORKERS)[1][:, 0])
+    p_rot = np.empty_like(p)
+    blocks, scratch = _knn_blocks(*p.shape)
+    for rows in blocks:
+        np.matmul(np.subtract(p[rows], mean, out=scratch[:rows.stop - rows.start]), axes,
+                  out=p_rot[rows])
+    del scratch
+    tree, workers = kd_tree(), rowblocks.cpu_share()
+    return (tree(p_rot).query(p_rot, k=[k + 1], workers=workers)[1][:, 0],  # not self
+            tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0])
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
@@ -289,7 +306,8 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     original points.  The estimate therefore changes only where rounding in
     the rotated coordinates reorders two neighbors tied to within it.  Each
     query point's neighbors are found on their own, so the queries run on
-    rowblocks.WORKERS threads without changing a bit of the result.
+    rowblocks.cpu_share() threads, and P's rotation and the distances one
+    row block at a time, without changing a bit of the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -306,18 +324,19 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
         if not np.all(np.isfinite(s)):
             raise ValueError(f"{name} contains non-finite values")
     near_p, near_q = _kth_neighbors(p, q, k)
-    # |x[near] - p| row by row through one buffer: the same bits as
-    # np.linalg.norm(x[near] - p, axis=1) without its temporaries ("clip"
-    # skips take's own buffering; every index is in range, as each set holds
-    # more than k points)
-    buf = np.empty_like(p)
-    dists = []
-    for x, near in ((p, near_p), (q, near_q)):
-        np.take(x, near, axis=0, out=buf, mode="clip")
-        buf -= p
-        np.square(buf, out=buf)
-        dists.append(np.sqrt(buf.sum(axis=1)))
-    rho, nu = dists
+    # |x[near] - p| one row block at a time through one buffer: the same
+    # bits as np.linalg.norm(x[near] - p, axis=1) without its temporaries
+    # ("clip" skips take's own buffering; every index is in range, as each
+    # set holds more than k points)
+    rho, nu = np.empty(n), np.empty(n)
+    blocks, buf = _knn_blocks(*p.shape)
+    for rows in blocks:
+        part = buf[:rows.stop - rows.start]
+        for x, near, dist in ((p, near_p, rho), (q, near_q, nu)):
+            np.take(x, near[rows], axis=0, out=part, mode="clip")
+            part -= p[rows]
+            np.square(part, out=part)
+            np.sqrt(part.sum(axis=1), out=dist[rows])
     if np.any(rho == 0.0) or np.any(nu == 0.0):
         if _retried:
             raise ValueError("duplicate points persist after jitter; cannot estimate")
@@ -342,40 +361,60 @@ class Estimate:
 
 
 class KnnEvaluator:
-    """Runs kl_knn estimates on one background thread, so the caller can go
-    on (training, say) while the k-d tree queries, which release the GIL,
-    run beside it.
+    """Runs kl_knn estimates on min(2, rowblocks.WORKERS) background
+    threads, so the caller can go on (training, say) while the k-d tree
+    queries, which release the GIL, run beside it.
 
-    `submit` first waits for the estimate submitted before it, so at most
-    one is in flight and at most one pair of point sets is held for it; the
-    callers resolve their estimates in submission order.  An estimate's
-    error is re-raised by the next `submit`, by `close` or by float() of it,
-    whichever comes first, so errors surface in submission order.  Every
-    wait runs inside `wait()`, so a caller can charge it to a phase.  The
-    thread is rowblocks.pool(1)'s, started by the first estimate, and it calls
-    kl_knn through this module's global at call time, so a wrapper bound to
-    `oracles.kl_knn` sees every estimate."""
+    `submit` starts its estimate and only then waits for the one submitted
+    before it, so two estimates can run at once, each querying on its share
+    of the CPUs (rowblocks.cpu_share()), and at most one is in flight when
+    `submit` returns; the callers resolve their estimates in submission
+    order.  On one thread, `submit` waits first: the new estimate could
+    only queue behind the old.  An estimate's error is re-raised by the
+    next `submit`, by `close` or by float() of it, whichever comes first,
+    so errors surface in submission order: a `submit` that re-raises one
+    first waits for the estimate it started and drops its result or error.
+    Every wait runs inside `wait()`, so a caller can charge it to a phase.
+    The threads are rowblocks.pool(threads)'s, started by the first
+    estimate, and they call kl_knn through this module's global at call
+    time, so a wrapper bound to `oracles.kl_knn` sees every estimate."""
 
     def __init__(self, wait: Callable[[], ContextManager] = nullcontext):
         self._wait = wait
         self._last: Optional[Estimate] = None
         self.estimates = 0
-        self.busy_s = 0.0     # the thread's wall seconds inside kl_knn
+        self.threads = 0
+        self._busy: list[float] = []     # each estimate's wall seconds in kl_knn
+
+    @property
+    def busy_s(self) -> float:
+        """The threads' wall seconds inside kl_knn, summed over threads."""
+        return sum(self._busy)
 
     def _estimate(self, p: np.ndarray, q: np.ndarray, options: dict) -> float:
         t0 = time.perf_counter()
         try:
             return kl_knn(p, q, **options)
         finally:
-            self.busy_s += time.perf_counter() - t0
+            self._busy.append(time.perf_counter() - t0)     # atomic, unlike +=
 
     def submit(self, samples_p: np.ndarray, samples_q: np.ndarray, **options) -> Estimate:
         """Start kl_knn(samples_p, samples_q, **options); the caller must
         not change either array until the estimate is resolved."""
-        self.close()
-        self._last = Estimate(rowblocks.pool(1).submit(self._estimate, samples_p, samples_q,
-                                                       options), self._wait)
+        self.threads = min(2, rowblocks.WORKERS)
+        if self.threads == 1:
+            self.close()
+        future = rowblocks.pool(self.threads).submit(self._estimate, samples_p, samples_q,
+                                                     options)
         self.estimates += 1
+        try:
+            self.close()
+        except BaseException:
+            if not future.cancel():
+                with self._wait():
+                    future.exception()      # waits; drops its value or error
+            raise
+        self._last = Estimate(future, self._wait)
         return self._last
 
     def close(self):

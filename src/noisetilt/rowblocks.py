@@ -1,4 +1,4 @@
-"""Row blocks and the one thread pool that runs them.
+"""Row blocks, the thread pool that runs them, and the kNN estimates' pool.
 
 A row-wise map (row i of its result depends on row i of its input alone)
 can be cut into blocks of rows and the blocks run side by side, each
@@ -30,7 +30,7 @@ ROW_BLOCK = 4096
 # dimension of 32 or more, which this floor does not prevent
 MIN_BLOCK_ROWS = 64
 
-# set on the pool's own threads
+# on a pool's own threads, `threads` is the size of that pool
 _in_pool = threading.local()
 
 
@@ -70,22 +70,33 @@ def run_blocks(fn: Callable[[slice], None], blocks: list[slice]) -> None:
 
     Each call must write only its own rows, so the result has the same bits
     however the blocks are scheduled."""
-    if WORKERS == 1 or len(blocks) == 1 or getattr(_in_pool, "marked", False):
+    if WORKERS == 1 or len(blocks) == 1 or hasattr(_in_pool, "threads"):
         for rows in blocks:
             fn(rows)
         return
-    for _ in pool(WORKERS).map(fn, blocks):
+    for _ in pool(WORKERS, "blocks").map(fn, blocks):
         pass
 
 
-def _mark_pool_thread():
-    _in_pool.marked = True
+def cpu_share() -> int:
+    """The workers a call that spreads over threads of its own (a k-d tree
+    query) may use: WORKERS, or on a thread of a pool its even share of
+    them, at least one; so each of two estimates running at once on
+    KnnEvaluator's threads queries on max(1, WORKERS // 2)."""
+    return max(1, WORKERS // getattr(_in_pool, "threads", 1))
+
+
+def _mark_pool_thread(threads: int):
+    _in_pool.threads = threads
 
 
 @functools.cache
-def pool(workers: int) -> ThreadPoolExecutor:
-    """One pool per worker count, kept for the life of the process: making
-    its threads anew costs about 0.3 ms a call, as much as a cheap map's
-    whole pass.  The oracles' KnnEvaluator's one thread is pool(1), started
-    by its first estimate."""
-    return ThreadPoolExecutor(workers, initializer=_mark_pool_thread)
+def pool(workers: int, task: str = "estimates") -> ThreadPoolExecutor:
+    """`workers` threads for one kind of task, kept for the life of the
+    process: making them anew costs about 0.3 ms a call, as much as a cheap
+    map's whole pass.  run_blocks maps its blocks onto pool(WORKERS,
+    "blocks"); the oracles' KnnEvaluator runs its estimates on
+    pool(min(2, WORKERS)), started by its first estimate.  No thread serves
+    both, so a blocked training layer never queues behind an estimate."""
+    return ThreadPoolExecutor(workers, thread_name_prefix=f"noisetilt-{task}",
+                              initializer=_mark_pool_thread, initargs=(workers,))

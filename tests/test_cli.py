@@ -721,11 +721,31 @@ def counting_kl_knn(monkeypatch, fail_on=None, pause=0.005):
 
 
 def test_one_estimate_in_flight_and_none_after_main(tmp_path, monkeypatch):
-    state = counting_kl_knn(monkeypatch)
+    # a submit starts its estimate before it waits for the one before, so
+    # two run at once on two threads; one is left in flight between
+    # submissions, and none once main returns
+    monkeypatch.setattr(rowblocks, "WORKERS", max(2, rowblocks.WORKERS))
+    state = counting_kl_knn(monkeypatch, pause=0.05)
     for name, argv in knn_runs(tmp_path).items():
         assert main(argv + ["--out", str(tmp_path / name), "--quiet"]) == 0
         assert state["running"] == 0, name
+    assert state["calls"] == 3 + 8 + 4 and state["most"] == 2
+
+
+def test_one_thread_runs_one_estimate_at_a_time(tmp_path, monkeypatch):
+    # on one worker the evaluator has one thread and waits for each
+    # estimate before it starts the next, so a failed estimate is the last
+    monkeypatch.setattr(rowblocks, "WORKERS", 1)
+    state = counting_kl_knn(monkeypatch)
+    runs = knn_runs(tmp_path)
+    for name, argv in runs.items():
+        out = tmp_path / "ok" / name
+        assert main(argv + ["--out", str(out), "--quiet"]) == 0
+        assert state["running"] == 0, name
+        assert " on 1 threads\n" in (out / "run.log").read_text()
     assert state["calls"] == 3 + 8 + 4 and state["most"] == 1
+    check_failed_estimate_reported(tmp_path / "failed", runs,
+                                   counting_kl_knn(monkeypatch, fail_on=3), started_past=0)
 
 
 def abort_training_at(monkeypatch, step):
@@ -751,13 +771,20 @@ def test_failed_estimate_reported_as_when_made_inline(tmp_path, monkeypatch, abo
         # tradeoff's third estimate is step 20's; the fourth would be 29's
         runs = {"tradeoff": runs["tradeoff"]}
         abort_training_at(monkeypatch, 25)
+    monkeypatch.setattr(rowblocks, "WORKERS", max(2, rowblocks.WORKERS))
     state = counting_kl_knn(monkeypatch, fail_on=3)
+    check_failed_estimate_reported(tmp_path, runs, state, started_past=1)
+
+
+def check_failed_estimate_reported(tmp_path, runs, state, started_past):
+    """Each run exits 1 and reports the error of its third estimate, after
+    which at most `started_past` more estimates started."""
     for name, argv in runs.items():
         state["calls"] = 0
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 1, name
         assert Path(out, "FAILED").read_text() == "ValueError: estimate 3 failed\n"
-        assert state["calls"] == 3 and state["running"] == 0, name
+        assert 3 <= state["calls"] <= 3 + started_past and state["running"] == 0, name
         assert "FAILED: ValueError: estimate 3 failed" in Path(out, "run.log").read_text()
 
 

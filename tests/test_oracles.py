@@ -2,6 +2,8 @@
 import os
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -385,30 +387,117 @@ def test_evaluator_estimates_off_the_calling_thread(monkeypatch):
 
 
 def test_evaluator_reraises_in_submission_order(monkeypatch):
-    calls = []
-    real = oracles.kl_knn
+    # the second and third estimates fail; a submit that re-raises the
+    # second's error first waits for the estimate it had started, which
+    # on two threads may have run and on one never started, and drops it
+    pairs = _point_pairs(3)
+    number = {id(p): i + 1 for i, (p, _) in enumerate(pairs)}
+    real, running = oracles.kl_knn, []
 
     def failing(p, q):
-        calls.append(len(calls) + 1)
-        if len(calls) in (2, 3):
-            raise ValueError(f"estimate {len(calls)} failed")
-        return real(p, q)
+        calls.append(number[id(p)])
+        running.append(1)
+        try:
+            if number[id(p)] in (2, 3):
+                time.sleep(0.05)
+                raise ValueError(f"estimate {number[id(p)]} failed")
+            return real(p, q)
+        finally:
+            running.pop()
 
     monkeypatch.setattr(oracles, "kl_knn", failing)
-    evaluator = oracles.KnnEvaluator()
-    (p, q), = _point_pairs(1)
-    first = evaluator.submit(p, q)
-    second = evaluator.submit(p, q)
-    with pytest.raises(ValueError, match="estimate 2 failed"):
-        evaluator.submit(p, q)      # waits for the second, which failed
-    assert calls == [1, 2] and float(first) == real(p, q)
-    with pytest.raises(ValueError, match="estimate 2 failed"):
-        float(second)
-    evaluator.submit(p, q)
-    with pytest.raises(ValueError, match="estimate 3 failed"):
+    for workers in (1, max(2, rowblocks.WORKERS)):
+        monkeypatch.setattr(rowblocks, "WORKERS", workers)
+        calls = []
+        evaluator = oracles.KnnEvaluator()
+        first = evaluator.submit(*pairs[0])
+        second = evaluator.submit(*pairs[1])
+        with pytest.raises(ValueError, match="estimate 2 failed"):
+            evaluator.submit(*pairs[2])     # waits for the second, which failed
+        assert not running
+        evaluator.close()                   # the third's error was dropped
+        assert sorted(calls) in ([[1, 2]] if workers == 1 else [[1, 2], [1, 2, 3]])
+        assert float(first) == real(*pairs[0])
+        with pytest.raises(ValueError, match="estimate 2 failed"):
+            float(second)
+        calls.clear()
+        evaluator.submit(*pairs[2])
+        with pytest.raises(ValueError, match="estimate 3 failed"):
+            evaluator.close()
+        evaluator.close()                   # nothing left in flight
+        assert calls == [3]
+
+
+def test_evaluator_starts_an_estimate_before_waiting_for_the_one_before(monkeypatch):
+    # the first estimate ends once the second has started, or at a timeout:
+    # on two threads the second starts at once; waiting for the first
+    # before starting the second would time out.  One thread keeps one
+    # estimate in flight, so there the first times out
+    pairs = _point_pairs(2)
+    started = threading.Event()
+    real = oracles.kl_knn
+
+    def first_waits_for_second(p, q):
+        if p is pairs[1][0]:
+            started.set()
+            return real(p, q)
+        return float(started.wait(timeout))
+
+    monkeypatch.setattr(oracles, "kl_knn", first_waits_for_second)
+    for workers, timeout, overlapped in ((max(2, rowblocks.WORKERS), 5.0, 1.0),
+                                         (1, 0.2, 0.0)):
+        monkeypatch.setattr(rowblocks, "WORKERS", workers)
+        started.clear()
+        evaluator = oracles.KnnEvaluator()
+        first = evaluator.submit(*pairs[0])
+        second = evaluator.submit(*pairs[1])
+        assert float(first) == overlapped, workers
+        assert float(second) == real(*pairs[1])
         evaluator.close()
-    evaluator.close()               # nothing left in flight
-    assert calls == [1, 2, 3]
+        assert evaluator.threads == min(2, workers)
+
+
+def test_kl_knn_on_an_evaluator_thread_same_bits(monkeypatch):
+    # an evaluator thread queries on half the workers and every call
+    # rotates and measures its sets in row blocks: the same bits as the
+    # whole-array distances, inline or not; the 1054 rows end in a block
+    # that took in a short tail, the 5000 rows in a short block
+    monkeypatch.setattr(rowblocks, "WORKERS", max(2, rowblocks.WORKERS))
+    assert rowblocks.cpu_share() == rowblocks.WORKERS
+    assert rowblocks.pool(2).submit(rowblocks.cpu_share).result() == rowblocks.WORKERS // 2
+    g, _ = decoder_and_redness()
+    rng = np.random.default_rng(14)
+    cases = [(g.generate(rng.standard_normal((2000, 6)) + 0.2),
+              g.generate(rng.standard_normal((2000, 6))), 6),
+             (rng.standard_normal((5000, 2)) + 0.3, rng.standard_normal((5000, 2)), 2),
+             (g.generate(rng.standard_normal((1054, 6)) + 0.2),
+              g.generate(rng.standard_normal((1500, 6))), 6)]
+    evaluator = oracles.KnnEvaluator()
+    for p, q, d in cases:
+        near_p, near_q = oracles._kth_neighbors(p, q, 5)
+        rho = np.linalg.norm(p[near_p] - p, axis=1)
+        nu = np.linalg.norm(q[near_q] - p, axis=1)
+        whole = float(d * np.mean(np.log(nu / rho)) + np.log(len(q) / (len(p) - 1)))
+        assert float(evaluator.submit(p, q, d=d)) == kl_knn(p, q, d=d) == whole, p.shape
+    assert evaluator.threads == 2
+
+
+def test_kl_knn_holds_little_beyond_its_rotated_sets():
+    # two estimates run at once on an evaluator; each holds its two rotated
+    # sets, one row block of temporaries and the trees: a whole centred
+    # copy of P took the peak to 3.0 x p.nbytes
+    g, _ = decoder_and_redness()
+    rng = np.random.default_rng(15)
+    p = g.generate(rng.standard_normal((2000, 6)) + 0.2)
+    q = g.generate(rng.standard_normal((2000, 6)))
+    kl_knn(p, q, d=6)
+    tracemalloc.start()
+    try:
+        kl_knn(p, q, d=6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * p.nbytes
 
 
 def test_kl_knn_at_the_dimension_of_an_isometric_embedding():
