@@ -1,15 +1,15 @@
 """Experiment configuration: a flat INI file with typed sections.
 
 Unknown sections or keys are hard errors (they are almost always typos), and
-so is a key set outside its scope: the [run] methods that read its section
-(a theory run reads only [run] and [theory], every other run every section
-but [theory]) and the variants or optimizer it acts under.  The resolved
-echo holds every key that applies, defaults included, and parses back to an
-identical configuration.
+so is a key set outside its scope: the [run] methods that read it (each
+method its own section, see `_READERS`) and the variants or optimizer it
+acts under.  The resolved echo holds every key that applies, defaults
+included, and parses back to an identical configuration.
 Every config `load_config` accepts runs; others raise a ConfigError naming
 section and key (exit 2).  Validation builds what the run builds and calls
-the library's checks, so each rule lives once, where the library needs it;
-the [train], [noise_opt] and [direct_ft] keys are settings dataclass fields.
+the library's checks on the keys that apply, so each rule lives once, where
+the library needs it; the [train], [noise_opt] and [direct_ft] keys are
+settings dataclass fields.
 """
 from __future__ import annotations
 
@@ -37,6 +37,15 @@ _REQUIRED = object()
 
 # the scope of a key that acts only on a generator built of layers
 _NETWORK = ("generator", "variant", ("mlp", "decoder"))
+# the scope of the [evaluation] keys only the noise network's runs read
+_HYPERNOISE = ("run", "method", ("hypernoise",))
+_METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
+_BUILDS = _METHODS[:-1]     # the methods that build the generator and reward
+# section -> the [run] methods that read it; the theory suite builds its own fixtures
+_READERS = {"run": _METHODS, "generator": _BUILDS, "reward": _BUILDS,
+            "train": ("hypernoise",), "noise_opt": ("noise_opt",),
+            "best_of_n": ("best_of_n",), "direct_ft": ("direct_ft",),
+            "evaluation": _BUILDS, "theory": ("theory",)}
 
 
 def _fields(cls, **scopes) -> dict[str, tuple]:
@@ -57,8 +66,7 @@ def _default(fn, name: str):
 # owner values) acts only under those values.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
-        "method": (("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory"),
-                   "hypernoise"),
+        "method": (_METHODS, "hypernoise"),
         "seed": ("int", 0),
         "out_dir": ("str", "out"),
     },
@@ -91,12 +99,13 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
     },
     # an affine generator's adapter is a bias shift, its drift closed form
     "direct_ft": _fields(DirectFinetuneConfig, rank=_NETWORK, eval_samples=_NETWORK),
-    "evaluation": {
+    "evaluation": {     # a baseline's base reward mean reads heldout
         "heldout": ("int", 2000),
-        "fidelity_metric": (("knn_kl", "closed_form_gaussian_kl"), "knn_kl"),
-        "multi_step": ("ints", [1]),
-        "diversity_seeds": ("int", 20),
-        "diversity_samples": ("int", 64),
+        "fidelity_metric": (("knn_kl", "closed_form_gaussian_kl"), "knn_kl", _HYPERNOISE),
+        "multi_step": ("ints", [1], _HYPERNOISE),
+        "diversity_seeds": ("int", 20, _HYPERNOISE),
+        # a direct_ft config of the benchmark harness's tests sets it, unread
+        "diversity_samples": ("int", 64, ("run", "method", ("hypernoise", "direct_ft"))),
     },
     "theory": {
         "n": ("int", 20000),
@@ -165,10 +174,8 @@ class ExperimentConfig:
 
     def _outside(self, section: str, key: str) -> list[tuple]:
         """The scopes of `key` this config falls outside: the [run] methods
-        that read its section, then the key's own variants or optimizer."""
-        readers = tuple(m for m in _SCHEMA["run"]["method"][0]
-                        if section == "run" or (m == "theory") == (section == "theory"))
-        scopes = [("run", "method", readers)] + list(_SCHEMA[section][key][2:])
+        that read its section, then the key's own methods, variants or optimizer."""
+        scopes = [("run", "method", _READERS[section])] + list(_SCHEMA[section][key][2:])
         return [(s, owner, allowed) for s, owner, allowed in scopes
                 if self.values[s][owner] not in allowed]
 
@@ -254,46 +261,49 @@ def _validate(cfg: ExperimentConfig):
             section, key = knn
             raise ConfigError(f"[{section}] {key}: {cfg.values[section][key]} makes kNN "
                               f"estimates, which need scipy ({exc})") from None
+    v = cfg.values
     if cfg.method == "theory":
         # the theory suite builds its own fixtures from n alone
         with _section("theory"):
-            check_theory_scale(cfg.values["theory"]["n"])
+            check_theory_scale(v["theory"]["n"])
         return
-    g = cfg.values["generator"]
-    t = cfg.values["train"]
-    d = cfg.values["direct_ft"]
     with _section("generator"):
-        gen = make_generator(cfg.generator_spec(), g["weight_seed"])
+        gen = make_generator(cfg.generator_spec(), v["generator"]["weight_seed"])
     with _section("reward"):
         make_reward(cfg.reward_spec()).evaluate_batch([[0.0] * gen.output_dim])
-    with _section("train"):     # each method builds only its own adapter stack
-        if cfg.method == "hypernoise":
-            init_hypernet(gen, t["rank"], t["adapter_alpha"])
-        # diversity runs with no training step; train and tradeoff check for one
-        cfg.train_config().validate(min_steps=0)
-    with _section("direct_ft"):
-        if cfg.method == "direct_ft":
-            AdaptedGenerator(gen, d["rank"])
-        cfg.direct_ft_config().validate()
-    with _section("noise_opt"):
-        cfg.noise_opt_config().validate()
-    with _section("best_of_n"):
-        check_counts(cfg.values["best_of_n"]["counts"])
-    ev = cfg.values["evaluation"]
+    ev = v["evaluation"]
     # reward_se and the mean pairwise distance need two rows
     for key in ("diversity_seeds", "diversity_samples", "heldout"):
-        if ev[key] < 2:
+        if key in cfg.applying("evaluation") and ev[key] < 2:
             raise ConfigError(f"[evaluation] {key}: must be >= 2")
-    if ev["fidelity_metric"] == "knn_kl":
-        with _section("evaluation", "heldout"):
-            check_knn_points(ev["heldout"], "for the knn_kl fidelity")
-    with _section("direct_ft", "eval_samples"):     # on affine it holds its default
-        check_knn_points(d["eval_samples"],
-                         f"to estimate the drift of a {g['variant']} generator")
-    for section, key, steps in (("train", "generation_steps", [t["generation_steps"]]),
-                                ("evaluation", "multi_step", ev["multi_step"])):
-        with _section(section, key):
-            gen.check_steps(steps)
+    # each method's own section and the adapter stack it builds
+    if cfg.method == "hypernoise":
+        t = v["train"]
+        with _section("train"):
+            init_hypernet(gen, t["rank"], t["adapter_alpha"])
+            # diversity runs with no training step; train and tradeoff check for one
+            cfg.train_config().validate(min_steps=0)
+        if ev["fidelity_metric"] == "knn_kl":
+            with _section("evaluation", "heldout"):
+                check_knn_points(ev["heldout"], "for the knn_kl fidelity")
+        for section, key, steps in (("train", "generation_steps", [t["generation_steps"]]),
+                                    ("evaluation", "multi_step", ev["multi_step"])):
+            with _section(section, key):
+                gen.check_steps(steps)
+    elif cfg.method == "direct_ft":
+        d = v["direct_ft"]
+        with _section("direct_ft"):
+            AdaptedGenerator(gen, d["rank"])
+            cfg.direct_ft_config().validate()
+        with _section("direct_ft", "eval_samples"):     # on affine it holds its default
+            check_knn_points(d["eval_samples"], "to estimate the drift of a "
+                             f"{v['generator']['variant']} generator")
+    elif cfg.method == "noise_opt":
+        with _section("noise_opt"):
+            cfg.noise_opt_config().validate()
+    else:
+        with _section("best_of_n"):
+            check_counts(v["best_of_n"]["counts"])
 
 
 def load_config(path_or_text: str, is_text: bool = False) -> ExperimentConfig:

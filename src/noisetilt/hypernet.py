@@ -73,21 +73,6 @@ class NoiseHypernetwork:
         activation slope bounds.  Sound input for the log-det error theorem."""
         return self.stack.lipschitz_upper_bound()
 
-    def lipschitz_lower_bound(self, n_pairs: int, seed: int = 0) -> float:
-        """Max sampled difference quotient; a lower bound of the true constant."""
-        if n_pairs < 1:
-            raise ValueError("n_pairs must be >= 1")
-        rng = np.random.default_rng(seed)
-        d = self.backbone.latent_dim
-        x = rng.standard_normal((n_pairs, d))
-        y = rng.standard_normal((n_pairs, d))
-        fx = self.perturb(x)
-        fy = self.perturb(y)
-        num = np.linalg.norm(fx - fy, axis=1)
-        den = np.linalg.norm(x - y, axis=1)
-        mask = den > 0
-        return float(np.max(num[mask] / den[mask], initial=0.0))
-
     # -- construction helpers ----------------------------------------------
 
     def set_constant(self, c: np.ndarray):

@@ -50,7 +50,11 @@ def read_csv(path: str) -> tuple[list[str], list[list[str]]]:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        return header, [row for row in reader]
+        rows = list(reader)
+    for i, row in enumerate(rows, start=1):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {i} has {len(row)} cells, header has {len(header)}")
+    return header, rows
 
 
 # ---------------------------------------------------------------------------

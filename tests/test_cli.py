@@ -24,6 +24,7 @@ from noisetilt.objectives import exact_noise_kl
 from noisetilt.oracles import kl_knn
 from noisetilt.reporting import read_csv
 from noisetilt.training import load_checkpoint
+from method_configs import as_method, readers
 from test_baselines import NanFromCall
 
 AFFINE_TRAIN = """
@@ -147,22 +148,24 @@ def test_condition_dim_is_an_unknown_key_exit_2(tmp_path, capsys):
     ("noise_opt", "learning_rate = -0.05"),
 ])
 def test_run_time_failures_rejected_at_load_exit_2(tmp_path, capsys, section, line):
-    text = AFFINE_TRAIN + f"\n[{section}]\n{line}\n"
-    if section == "theory":     # only a theory config reads [theory]
+    # each section as a config of the method that reads it
+    if section == "theory":
         text = f"[run]\nmethod = theory\n[theory]\n{line}\n"
-    if section == "train":
+    elif section == "train":
         key = line.split(" = ")[0]
         text = re.sub(rf"^{key} = .*$", line, AFFINE_TRAIN, flags=re.M)
         if line not in text:
             text = text.replace("[train]", f"[train]\n{line}")
+    else:
+        text = as_method(AFFINE_TRAIN, section, **{section: line})
     out = str(tmp_path / "out")
-    command = "validate-theory" if section == "theory" else "train"
+    command = {"theory": "validate-theory", "train": "train"}.get(section, "baseline")
     assert main([command, "--config", write(tmp_path, "c.ini", text),
                  "--out", out, "--quiet"]) == 2
     assert not os.path.exists(os.path.join(out, "report.csv"))
     key = line.split(" = ")[0]
     err = capsys.readouterr().err
-    assert f"[{section}] {key}:" in err
+    assert f"[{section}] {key}:" in err and "applies only when" not in err
     if key == "knn_k":
         assert "[theory] knn_k: unknown key" in err
 
@@ -256,6 +259,11 @@ OWNERS = {
     "quadratic": ("variant = affine\nlatent_dim = 2", "variant = quadratic\nq = 1 0; 0 1"),
 }
 OWNERS.update(linear=OWNERS["affine"], redness=OWNERS["decoder"], adam=OWNERS["affine"])
+# the key whose values scope each owner's keys
+OWNER_KEYS = {"affine": "[generator] variant", "mlp": "[generator] variant",
+              "decoder": "[generator] variant", "quadratic": "[reward] variant",
+              "linear": "[reward] variant", "redness": "[reward] variant",
+              "adam": "[train] optimizer"}
 
 
 @pytest.mark.parametrize("owner,section,line", [
@@ -289,11 +297,14 @@ def test_keys_outside_their_scope_exit_2(tmp_path, capsys, owner, section, line)
              "train": "steps = 2\noptimizer = " + ("adam" if owner == "adam" else "sgd")}
     parts[section] += "\n" + line
     out = str(tmp_path / "out")
-    cfg = write(tmp_path, "c.ini", small_train(**parts))
-    assert main(["train", "--config", cfg, "--out", out, "--quiet"]) == 2
+    method = "direct_ft" if section == "direct_ft" else "hypernoise"
+    cfg = write(tmp_path, "c.ini", as_method(small_train(**parts), method))
+    command = "baseline" if method == "direct_ft" else "train"
+    assert main([command, "--config", cfg, "--out", out, "--quiet"]) == 2
     assert not os.path.exists(out)
     key = line.split(" = ")[0]
-    assert f"config error: [{section}] {key}: applies only when" in capsys.readouterr().err
+    assert (f"config error: [{section}] {key}: applies only when {OWNER_KEYS[owner]} is"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("section,line", [
@@ -311,12 +322,12 @@ def test_theory_config_keys_outside_run_and_theory_exit_2(tmp_path, capsys, sect
     assert not os.path.exists(out)
     key = line.split(" = ")[0]
     assert (f"config error: [{section}] {key}: applies only when [run] method is "
-            "hypernoise or direct_ft or noise_opt or best_of_n") in capsys.readouterr().err
+            f"{' or '.join(readers(section, key))}") in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("method", ["hypernoise", "direct_ft", "noise_opt", "best_of_n"])
 def test_theory_section_outside_a_theory_config_exit_2(tmp_path, capsys, method):
-    text = AFFINE_TRAIN.replace("method = hypernoise", f"method = {method}")
+    text = as_method(AFFINE_TRAIN, method)
     out = str(tmp_path / "out")
     cfg = write(tmp_path, "c.ini", text + "\n[theory]\nn = 5000\n")
     command = "train" if method == "hypernoise" else "baseline"
@@ -326,17 +337,41 @@ def test_theory_section_outside_a_theory_config_exit_2(tmp_path, capsys, method)
             in capsys.readouterr().err)
 
 
+# a key of each section only some methods read, with a value it could take
+UNREAD = [("train", "steps = 7"), ("direct_ft", "steps = 3"), ("noise_opt", "steps = 5"),
+          ("best_of_n", "counts = 4"), ("evaluation", "fidelity_metric = knn_kl"),
+          ("evaluation", "multi_step = 1"), ("evaluation", "diversity_seeds = 20"),
+          ("evaluation", "diversity_samples = 64")]
+
+
+@pytest.mark.parametrize("method,section,line", [
+    (method, section, line) for method in ("hypernoise", "direct_ft", "noise_opt", "best_of_n")
+    for section, line in UNREAD if method not in readers(section, line.split(" = ")[0])])
+def test_keys_another_method_reads_exit_2(tmp_path, capsys, method, section, line):
+    # each loaded, was echoed into config-resolved.ini and did nothing (a
+    # noise_opt config's [train] generation_steps could even reject it)
+    text = as_method(AFFINE_TRAIN, method)
+    text = (text.replace(f"[{section}]\n", f"[{section}]\n{line}\n") if f"[{section}]" in text
+            else text + f"\n[{section}]\n{line}\n")
+    out = str(tmp_path / "out")
+    command = "train" if method == "hypernoise" else "baseline"
+    assert main([command, "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    key = line.split(" = ")[0]
+    assert (f"config error: [{section}] {key}: applies only when [run] method is "
+            f"{' or '.join(readers(section, key))}\n") in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", ["hypernoise", "direct_ft"])
 def test_tiny_generator_runs_its_own_adapter_rank(tmp_path, method):
     # a 1 -> 1 -> 1 mlp takes rank 1; the default rank 2 of the adapter
     # stack the other method builds rejected each config at load
     section = "train" if method == "hypernoise" else "direct_ft"
-    text = small_train("variant = mlp\nlatent_dim = 1\noutput_dim = 1\nhidden = 1",
-                       "variant = linear\nc = 1",
-                       train="steps = 2\n" + ("rank = 1" if section == "train" else ""),
-                       direct_ft="steps = 2\nbatch_size = 4\neval_every = 1\neval_samples = 8\n"
-                                 + ("rank = 1" if section == "direct_ft" else ""))
-    text = text.replace("method = hypernoise", f"method = {method}")
+    text = as_method(small_train("variant = mlp\nlatent_dim = 1\noutput_dim = 1\nhidden = 1",
+                                 "variant = linear\nc = 1", train="steps = 2\nrank = 1",
+                                 direct_ft="steps = 2\nbatch_size = 4\neval_every = 1\n"
+                                           "eval_samples = 8\nrank = 1"), method)
     cfg = load_config(text, is_text=True)
     assert cfg[section]["rank"] == 1
     other = "direct_ft" if section == "train" else "train"
@@ -394,11 +429,12 @@ def _rows(matrix):
 
 @st.composite
 def small_configs(draw):
-    """(INI text of a small `train` config, its [train] steps, clean).  At
-    most two knobs draw from wide ranges, the rest from the ranges their
+    """(INI text of a small `train` config, its [train] steps, clean, stray).
+    At most two knobs draw from wide ranges, the rest from the ranges their
     generator, reward and adapters can be built from; a clean config has
     no wide knob and sets only keys that apply to its variants and
-    optimizer (the "scope" knob may set others)."""
+    optimizer (the "scope" knob may set others).  A stray config sets a key
+    of a section only other methods read (the scope knob again)."""
     wide = draw(st.sets(st.sampled_from(
         ["output_dim", "sizes", "activation", "matrix", "bias", "reward", "q",
          "steps", "optimizer", "rank", "float", "scope"]), max_size=2))
@@ -467,22 +503,26 @@ def small_configs(draw):
     float_key = draw(st.sampled_from(["clip_norm", "learning_rate", "adapter_alpha"]))
     train.append(f"{float_key} = " + pick("float", st.just("0.5"),
                                           st.sampled_from(["0.5", "nan", "inf", "-inf"])))
-    direct_ft = f"rank = {pick(*ranks)}" if keep(variant != "affine") else ""
+    direct_ft = f"rank = {pick(*ranks)}" if keep(False) else ""
+    stray = [f"\n[{section}]\n{line}\n" for section, line in (
+        ("noise_opt", "steps = 2"), ("best_of_n", "counts = 4"), ("theory", "n = 2000"))
+        if keep(False)]
     text = small_train("\n".join(generator), "\n".join([f"variant = {reward}"] + payload),
-                       "\n".join(train), direct_ft)
-    return text, steps, not wide
+                       "\n".join(train), direct_ft) + "".join(stray)
+    return text, steps, not wide, bool(direct_ft or stray)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_configs())
 def test_every_accepted_config_runs(case):
-    text, steps, clean = case
+    text, steps, clean, stray = case
     try:
         load_config(text, is_text=True)
         accepted = True
     except ConfigError:
         accepted = False
     assert accepted or not clean, text
+    assert not (accepted and stray), text
     with tempfile.TemporaryDirectory() as tmp:
         cfg = os.path.join(tmp, "c.ini")
         with open(cfg, "w") as fh:
@@ -578,9 +618,8 @@ def test_adapter_rank_checked_at_load_time(tmp_path, section, capsys):
     # hypernetwork, its 4x8 head
     text = DECODER_TRAIN.format(steps=1)
     if section == "direct_ft":
-        text = text.replace("method = hypernoise", "method = direct_ft") + (
-            "\n[direct_ft]\nsteps = 5\nbatch_size = 8\neval_every = 5\n"
-            "eval_samples = 50\n")
+        text = as_method(text, "direct_ft", direct_ft="steps = 5\nbatch_size = 8\n"
+                                                      "eval_every = 5\neval_samples = 50")
     argv = ["train"] if section == "train" else ["baseline"]
     for rank, code in ((0, 2), (5, 2), (4, 0)):
         cfg = write(tmp_path, f"r{rank}.ini",
@@ -596,11 +635,10 @@ def test_adapter_rank_checked_at_load_time(tmp_path, section, capsys):
 def test_drift_eval_samples_checked_at_load_time(tmp_path, capsys):
     # too few points for the kNN drift of a decoder, exit 1 at run time;
     # an affine generator measures its drift in closed form
-    text = DECODER_TRAIN.format(steps=1).replace("method = hypernoise",
-                                                 "method = direct_ft")
     for samples, code in ((5, 2), (6, 0)):
-        cfg = write(tmp_path, f"e{samples}.ini", text + (
-            f"\n[direct_ft]\nsteps = 2\nbatch_size = 4\neval_samples = {samples}\n"))
+        cfg = write(tmp_path, f"e{samples}.ini", as_method(
+            DECODER_TRAIN.format(steps=1), "direct_ft",
+            direct_ft=f"steps = 2\nbatch_size = 4\neval_samples = {samples}"))
         out = str(tmp_path / f"out{samples}")
         assert main(["baseline", "--config", cfg, "--out", out, "--quiet"]) == code
     assert "[direct_ft] eval_samples:" in capsys.readouterr().err
@@ -645,10 +683,9 @@ def knn_runs(tmp_path):
     train's 3 multi-step rows, tradeoff's 4 + 4 logged steps and the
     direct_ft baseline's 4 drift evaluations."""
     hyper = write(tmp_path, "h.ini", KNN_DECODER)
-    direct = write(tmp_path, "d.ini", KNN_DECODER.replace(
-        "method = hypernoise", "method = direct_ft") + (
-        "\n[direct_ft]\nsteps = 30\nbatch_size = 8\neval_every = 10\n"
-        "eval_samples = 100\n"))
+    direct = write(tmp_path, "d.ini", as_method(
+        KNN_DECODER, "direct_ft",
+        direct_ft="steps = 30\nbatch_size = 8\neval_every = 10\neval_samples = 100"))
     return {"train": ["train", "--config", hyper], "tradeoff": ["tradeoff", hyper, direct],
             "baseline": ["baseline", "--config", direct]}
 
@@ -900,12 +937,11 @@ def wide_runs(tmp_path, diversity_samples):
     best_of_n baseline on the wide decoder."""
     hyper = write(tmp_path, "h.ini", WIDE_DECODER + (
         f"multi_step = 1 2\ndiversity_samples = {diversity_samples}\n"))
-    direct = write(tmp_path, "d.ini", WIDE_DECODER.replace(
-        "method = hypernoise", "method = direct_ft") + (
-        "\n[direct_ft]\nsteps = 20\nbatch_size = 8\neval_every = 10\n"
-        "eval_samples = 100\n"))
-    best = write(tmp_path, "b.ini", WIDE_DECODER.replace(
-        "method = hypernoise", "method = best_of_n") + "\n[best_of_n]\ncounts = 1 8\n")
+    direct = write(tmp_path, "d.ini", as_method(
+        WIDE_DECODER, "direct_ft",
+        direct_ft="steps = 20\nbatch_size = 8\neval_every = 10\neval_samples = 100"))
+    best = write(tmp_path, "b.ini", as_method(WIDE_DECODER, "best_of_n",
+                                              best_of_n="counts = 1 8"))
     return {"train": ["train", "--config", hyper], "tradeoff": ["tradeoff", hyper, direct],
             "baseline": ["baseline", "--config", best]}
 
@@ -948,8 +984,7 @@ def test_zero_train_steps_rejected_before_training(tmp_path, capsys):
     # diversity runs with no training step; train and tradeoff need one
     text = AFFINE_TRAIN.replace("steps = 120", "steps = 0")
     cfg_h = write(tmp_path, "h0.ini", text)
-    cfg_d = write(tmp_path, "d0.ini", text.replace("method = hypernoise", "method = direct_ft")
-                  + "\n[direct_ft]\nsteps = 1\n")
+    cfg_d = write(tmp_path, "d0.ini", as_method(text, "direct_ft", direct_ft="steps = 1"))
     for argv in (["train", "--config", cfg_h], ["tradeoff", cfg_h, cfg_d]):
         out = str(tmp_path / argv[0])
         assert main(argv + ["--out", out, "--quiet"]) == 2, argv[0]
@@ -1064,9 +1099,8 @@ def test_validate_theory_logs_each_check_group(tmp_path):
 
 
 def test_baseline_best_of_n(tmp_path):
-    text = AFFINE_TRAIN.replace("method = hypernoise", "method = best_of_n")
-    text += "\n[best_of_n]\ncounts = 1 8 64\n"
-    cfg = write(tmp_path, "bon.ini", text)
+    cfg = write(tmp_path, "bon.ini", as_method(AFFINE_TRAIN, "best_of_n",
+                                               best_of_n="counts = 1 8 64"))
     out = str(tmp_path / "out")
     assert main(["baseline", "--config", cfg, "--out", out, "--quiet"]) == 0
     _, rows = read_csv(os.path.join(out, "report.csv"))
@@ -1074,9 +1108,17 @@ def test_baseline_best_of_n(tmp_path):
     assert best == sorted(best) and len(best) == 3
 
 
+def test_baseline_runs_below_the_knn_heldout_minimum(tmp_path):
+    # best_of_n makes no estimate, but the knn_kl minimum of 6 rejected it
+    cfg = write(tmp_path, "bon.ini", as_method(AFFINE_TRAIN, "best_of_n",
+                                               evaluation="heldout = 3"))
+    out = str(tmp_path / "out")
+    assert main(["baseline", "--config", cfg, "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "report.csv"))
+
+
 def test_baseline_noise_opt(tmp_path):
-    text = AFFINE_TRAIN.replace("method = hypernoise", "method = noise_opt")
-    cfg = write(tmp_path, "no.ini", text)
+    cfg = write(tmp_path, "no.ini", as_method(AFFINE_TRAIN, "noise_opt"))
     out = str(tmp_path / "out")
     assert main(["baseline", "--config", cfg, "--out", out, "--quiet"]) == 0
     _, rows = read_csv(os.path.join(out, "report.csv"))
@@ -1089,21 +1131,20 @@ def test_baseline_wrong_method_exit_2(tmp_path):
                  str(tmp_path / "out"), "--quiet"]) == 2
 
 
-def test_tradeoff_mismatch_exit_2(tmp_path):
+def test_tradeoff_mismatch_exit_2(tmp_path, capsys):
     cfg_h = write(tmp_path, "h.ini", AFFINE_TRAIN)
-    cfg_d = write(tmp_path, "d.ini", AFFINE_TRAIN
-                  .replace("method = hypernoise", "method = direct_ft")
+    cfg_d = write(tmp_path, "d.ini", as_method(AFFINE_TRAIN, "direct_ft")
                   .replace("seed = 1", "seed = 2"))
     assert main(["tradeoff", cfg_h, cfg_d, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 2
+    assert "tradeoff configs disagree on [run] seed" in capsys.readouterr().err
 
 
 def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):
     cfg_h = write(tmp_path, "h.ini", text)
-    cfg_d = write(tmp_path, "d.ini", text
-                  .replace("method = hypernoise", "method = direct_ft")
-                  + "\n[direct_ft]\nsteps = 120\neval_every = 20\n"
-                    "optimizer = sgd\nlearning_rate = 0.01\n")
+    cfg_d = write(tmp_path, "d.ini", as_method(
+        text, "direct_ft",
+        direct_ft="steps = 120\neval_every = 20\noptimizer = sgd\nlearning_rate = 0.01"))
     return cfg_h, cfg_d
 
 
@@ -1152,10 +1193,9 @@ def test_paper_small_calls_fire_every_benchmark_span(tmp_path, monkeypatch):
     monkeypatch.setattr(rowblocks, "pool", lambda workers: InlineExecutor())
     knn = knn_runs(tmp_path)
     runs = {"train": knn["train"], "tradeoff": knn["tradeoff"]}
-    for method, section in (("noise_opt", "[noise_opt]\nsteps = 20\n"),
-                            ("best_of_n", "[best_of_n]\ncounts = 1 4 16\n")):
-        cfg = write(tmp_path, f"{method}.ini", KNN_DECODER.replace(
-            "method = hypernoise", f"method = {method}") + section)
+    for method, lines in (("noise_opt", "steps = 20"), ("best_of_n", "counts = 1 4 16")):
+        cfg = write(tmp_path, f"{method}.ini", as_method(KNN_DECODER, method,
+                                                         **{method: lines}))
         runs[method] = ["baseline", "--config", cfg]
     tracer = Tracer()
     undo = instrument(tracer)
@@ -1192,9 +1232,8 @@ def test_plot_curve_of_a_tradeoff_csv(tmp_path):
     # the two methods log at different steps, so each column has blank
     # cells; the plot exited 2 with "curve plots need numeric columns"
     cfg_h, _ = tradeoff_configs(tmp_path)
-    cfg_d = write(tmp_path, "d30.ini", AFFINE_TRAIN.replace(
-        "method = hypernoise", "method = direct_ft")
-        + "\n[direct_ft]\nsteps = 120\neval_every = 30\noptimizer = sgd\n")
+    cfg_d = write(tmp_path, "d30.ini", as_method(
+        AFFINE_TRAIN, "direct_ft", direct_ft="steps = 120\neval_every = 30\noptimizer = sgd"))
     out = tmp_path / "out"
     assert main(["tradeoff", cfg_h, cfg_d, "--out", str(out), "--quiet"]) == 0
     _, rows = read_csv(str(out / "tradeoff.csv"))
@@ -1264,3 +1303,16 @@ def test_plot_subcommand(tmp_path):
     empty.write_text("x,y\n")
     assert main(["plot", str(empty), "--kind", "curve", "--out",
                  str(tmp_path / "e.svg"), "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("kind,text", [("curve", "x,y,z\n0,1,2\n1,2\n"),
+                                       ("bars", "label,value\na\n")])
+def test_plot_short_row_exit_2(tmp_path, capsys, kind, text):
+    # an IndexError traceback, exit 1
+    csv = tmp_path / "short.csv"
+    csv.write_text(text)
+    out = tmp_path / "short.svg"
+    assert main(["plot", str(csv), "--kind", kind, "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    row = 2 if kind == "curve" else 1
+    assert f"error: {csv}: row {row} has" in capsys.readouterr().err

@@ -10,6 +10,7 @@ from noisetilt.config import ConfigError, load_config
 from noisetilt.generators import make_generator
 from noisetilt.rewards import QuadraticReward, RednessReward, make_reward
 from noisetilt.training import TrainConfig
+from method_configs import as_method
 
 GOOD = """
 [run]
@@ -218,13 +219,14 @@ def test_specs_keep_their_values():
 
 
 # the keys a bench config can set: the sum of len(cfg.applying(section))
-SETTABLE = {"best_of_n.ini": 41, "direct_ft.ini": 41, "noise_opt.ini": 41,
-            "paper_small.ini": 40, "theory_audit.ini": 4, "train_wide.ini": 40}
+SETTABLE = {"best_of_n.ini": 15, "direct_ft.ini": 23, "noise_opt.ini": 17,
+            "paper_small.ini": 28, "theory_audit.ini": 4, "train_wide.ini": 28}
 
 
 def test_settable_keys_follow_the_method():
-    # [run] method, seed, out_dir and [theory] n for the theory suite; every
-    # section but [theory] for the other methods
+    # [run] method, seed, out_dir and [theory] n for the theory suite; for
+    # the others [generator], [reward], the method's own section and
+    # [evaluation] (a baseline's heldout, and a direct_ft's diversity_samples)
     paths = sorted(glob.glob(os.path.join(BENCH_CONFIGS, "*.ini")))
     for path in paths:
         cfg = load_config(path)
@@ -264,8 +266,7 @@ def test_settings_sections_default_to_their_dataclasses():
 
 
 THEORY = "[run]\nmethod = theory\n[theory]\n"
-MLP_DRIFT = (NONSQUARE.replace("method = hypernoise", "method = direct_ft")
-             + "\n[direct_ft]\neval_samples = 5\n")
+MLP_DRIFT = as_method(NONSQUARE, "direct_ft", direct_ft="eval_samples = 5")
 
 
 @pytest.mark.parametrize("text,message", [
@@ -273,7 +274,8 @@ MLP_DRIFT = (NONSQUARE.replace("method = hypernoise", "method = direct_ft")
      "[theory] n: must be >= 1000, the smallest sample the moment checks accept"),
     # the suite's kNN rank is the run's, oracles.KNN_K
     (THEORY + "n = 2000\nknn_k = 1000\n", "[theory] knn_k: unknown key"),
-    (GOOD + "[best_of_n]\ncounts =\n", "[best_of_n] counts: needs at least one entry, all >= 1"),
+    (as_method(GOOD, "best_of_n", best_of_n="counts ="),
+     "[best_of_n] counts: needs at least one entry, all >= 1"),
     (GOOD + "[evaluation]\nheldout = 5\n",
      "[evaluation] heldout: must be >= 6 for the knn_kl fidelity"),
     (MLP_DRIFT, "[direct_ft] eval_samples: must be >= 6 to estimate the drift of a mlp "

@@ -65,11 +65,18 @@ def test_jacobian_batch_matches_fd():
         np.testing.assert_allclose(jac[i], ref, rtol=1e-5, atol=1e-7)
 
 
+def sampled_lipschitz(hn, seed):
+    """The largest Jacobian spectral norm over 500 Gaussian draws: the norm
+    at any point is at most the Lipschitz constant."""
+    x = np.random.default_rng(seed).standard_normal((500, hn.backbone.latent_dim))
+    return max(np.linalg.norm(j, 2) for j in hn.jacobian_batch(x))
+
+
 def test_lipschitz_bounds_bracket():
     g, hn = fresh()
     hn.randomize_adapters(6)
     upper = hn.lipschitz_upper_bound()
-    lower = hn.lipschitz_lower_bound(500, seed=0)
+    lower = sampled_lipschitz(hn, seed=0)
     assert 0.0 < lower <= upper
 
 
@@ -80,7 +87,7 @@ def test_lipschitz_budget_exact():
     hn.randomize_adapters(7)
     achieved = hn.set_lipschitz_budget(0.3)
     assert achieved == pytest.approx(0.3, rel=1e-9)
-    assert hn.lipschitz_lower_bound(500, seed=1) <= achieved + 1e-9
+    assert sampled_lipschitz(hn, seed=1) <= achieved + 1e-9
 
 
 def test_set_constant():

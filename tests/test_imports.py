@@ -9,6 +9,8 @@ from pathlib import Path
 
 import pytest
 
+from method_configs import as_method
+
 ROOT = Path(__file__).resolve().parent.parent
 BENCH_CONFIGS = ROOT / "bench" / "configs"
 # the bench configs whose runs make kNN estimates
@@ -65,6 +67,11 @@ AFFINE = "variant = affine\nlatent_dim = 2"
 MLP = "variant = mlp\nlatent_dim = 2\nhidden = 4"
 
 
+def small(method: str, generator: str, metric: str) -> str:
+    """SMALL as a `method` config, with only the keys that method reads."""
+    return as_method(SMALL.format(method=method, generator=generator, metric=metric), method)
+
+
 def python(script: str, *args: str, cwd: Path) -> subprocess.CompletedProcess:
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1",
                OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
@@ -87,8 +94,8 @@ def subcommand(config: Path) -> str:
 ], ids=["knn_kl", "direct_ft-mlp", "theory"])
 def test_knn_config_without_scipy_exit_2(tmp_path, method, generator, metric, key):
     cfg = tmp_path / "c.ini"
-    cfg.write_text(SMALL.format(method=method, generator=generator, metric=metric)
-                   if generator else f"[run]\nmethod = {method}\n")
+    cfg.write_text(small(method, generator, metric) if generator
+                   else f"[run]\nmethod = {method}\n")
     proc = python(WITHOUT_SCIPY, subcommand(cfg), "--config", str(cfg), "--out", "out",
                   "--quiet", cwd=tmp_path)
     assert proc.returncode == 2, proc.stderr
@@ -99,8 +106,7 @@ def test_knn_config_without_scipy_exit_2(tmp_path, method, generator, metric, ke
 
 def test_closed_form_train_runs_without_scipy(tmp_path):
     cfg = tmp_path / "c.ini"
-    cfg.write_text(SMALL.format(method="hypernoise", generator=AFFINE,
-                                metric="closed_form_gaussian_kl"))
+    cfg.write_text(small("hypernoise", AFFINE, "closed_form_gaussian_kl"))
     proc = python(WITHOUT_SCIPY, "train", "--config", str(cfg), "--out", "out", "--quiet",
                   cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
@@ -115,7 +121,7 @@ def test_configs_that_load_no_scipy_run_without_it(tmp_path, config):
     path = BENCH_CONFIGS / config
     if config == "direct_ft_affine.ini":    # its drift is closed form
         path = tmp_path / config
-        path.write_text(SMALL.format(method="direct_ft", generator=AFFINE, metric="knn_kl"))
+        path.write_text(small("direct_ft", AFFINE, "knn_kl"))
     proc = python(LOAD_THEN_RUN, str(path), subcommand(path), "--config", str(path),
                   "--out", "out", "--quiet", cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
