@@ -22,7 +22,7 @@ import numpy as np
 from . import oracles, reporting, rowblocks
 from .baselines import (DirectFinetuneConfig, best_of_n, measure_drift, noise_opt,
                         train_direct_finetune)
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_seed
 from .generators import Generator, make_generator
 from .hypernet import init_hypernet
 from .oracles import kl_knn  # noqa: F401  (bench/test_bench.py: the tracer rebinds it)
@@ -425,12 +425,19 @@ def main(argv=None) -> int:
             cfg = load_config(args.config)
             cfg_d = None
         if args.seed_override is not None:
-            cfg["run"]["seed"] = args.seed_override
+            try:
+                cfg["run"]["seed"] = parse_seed(args.seed_override)
+            except ValueError as exc:
+                raise ConfigError(f"--seed-override: {exc}") from None
             if cfg_d is not None:
                 cfg_d["run"]["seed"] = args.seed_override
         out_dir = args.out or cfg["run"]["out_dir"]
         ctx = RunContext(out_dir, args.quiet)
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out_dir}: "
+                              f"{exc.strerror or exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -60,14 +60,14 @@ def _default(fn, name: str):
     return inspect.signature(fn).parameters[name].default
 
 
-# section -> key -> (type, default[, scope]). Types: int, float, str,
+# section -> key -> (type, default[, scope]). Types: int, float, str, seed,
 # ints/floats (comma-separated), matrix (semicolon-separated rows), or the
 # tuple of strings the key may be.  A key with a scope (section, owner key,
 # owner values) acts only under those values.
 _SCHEMA: dict[str, dict[str, tuple]] = {
     "run": {
         "method": (_METHODS, "hypernoise"),
-        "seed": ("int", 0),
+        "seed": ("seed", 0),
         "out_dir": ("str", "out"),
     },
     "generator": {
@@ -81,7 +81,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "matrix": ("matrix", [], ("generator", "variant", ("affine",))),
         "bias": ("floats", [], ("generator", "variant", ("affine",))),
         "step_mix": ("float", SPEC_DEFAULTS["step_mix"]),
-        "weight_seed": ("int", 0),
+        "weight_seed": ("seed", 0),
     },
     "reward": {
         "variant": ("str", _REQUIRED),     # linear | quadratic | redness
@@ -122,9 +122,17 @@ def _finite(token: str) -> float:
     return value
 
 
+def parse_seed(token) -> int:
+    """A seed numpy's generators take: an integer >= 0."""
+    value = int(token)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
+
+
 def _parse_value(section: str, key: str, kind: str | tuple, raw: str):
     raw = raw.strip()
-    scalars = {"int": int, "float": _finite, "str": str}
+    scalars = {"int": int, "float": _finite, "str": str, "seed": parse_seed}
     try:
         if isinstance(kind, tuple):
             if raw not in kind:
@@ -262,6 +270,8 @@ def _validate(cfg: ExperimentConfig):
             raise ConfigError(f"[{section}] {key}: {cfg.values[section][key]} makes kNN "
                               f"estimates, which need scipy ({exc})") from None
     v = cfg.values
+    if not v["run"]["out_dir"]:
+        raise ConfigError("[run] out_dir: must not be empty")
     if cfg.method == "theory":
         # the theory suite builds its own fixtures from n alone
         with _section("theory"):

@@ -5,6 +5,7 @@ leaves a half-written report.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import os
@@ -18,18 +19,26 @@ def fmt(value) -> str:
     return str(value)
 
 
-def atomic_write(path: str, data: str):
+@contextlib.contextmanager
+def atomic_file(path: str, mode: str = "w"):
+    """A file opened in `mode` beside `path` that replaces `path` when the
+    block ends, or is removed if the block raises."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(data)
+        with os.fdopen(fd, mode, newline=None if "b" in mode else "") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write(path: str, data: str):
+    with atomic_file(path) as fh:
+        fh.write(data)
 
 
 def write_csv(path: str, columns: list[str], rows: list[list]):

@@ -1,17 +1,17 @@
 """The descent loop of both trained methods (fresh noise every step, SGD or
 Adam, global gradient-norm clipping, rollback on a failed step), the noise
-network's training on it, and a self-describing binary checkpoint format.
+network's training on it, and its checkpoint: a numpy .npz archive.
 """
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from . import autodiff as ad
+from . import reporting
 from .generators import Generator
 from .hypernet import NoiseHypernetwork
 from .objectives import hypernoise_loss
@@ -195,73 +195,47 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: magic, u32 header length, JSON header, raw little-endian
-# float64 arrays in manifest order.
+# Checkpoints: an .npz archive (a zip of CRC-checked .npy files) of the adapter
+# parameters by params() name and a JSON header, a 0-d string under _HEADER.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"NTCK"
-_VERSION = 1
+_HEADER = "__header__"
+_VERSION = 2
 
 
 def save_checkpoint(path: str, hn: NoiseHypernetwork, extra: Optional[dict] = None):
-    params = hn.params()
-    header = {
-        "version": _VERSION,
-        "backbone_hash": hn.backbone.spec_hash(),
-        "rank": hn.rank,
-        "alpha": hn.alpha,
-        "manifest": [[name, list(arr.shape)] for name, arr in params.items()],
-        "extra": extra or {},
-    }
-    blob = json.dumps(header, sort_keys=True).encode()
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for arr in params.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    header = {"version": _VERSION, "backbone_hash": hn.backbone.spec_hash(),
+              "rank": hn.rank, "alpha": hn.alpha, "extra": extra or {}}
+    with reporting.atomic_file(path, "wb") as fh:   # a file object: no .npz suffix
+        np.savez(fh, **hn.params(), **{_HEADER: np.array(json.dumps(header, sort_keys=True))})
 
 
 def load_checkpoint(path: str, hn: NoiseHypernetwork) -> dict:
-    """Restore adapter parameters; refuses checkpoints from a different
-    backbone, rank, or alpha.  Returns the header's extra record."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        raw = fh.read(4)
-        if len(raw) != 4:
-            raise CheckpointError(f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<I", raw)
-        blob = fh.read(hlen)
-        if len(blob) != hlen:
-            raise CheckpointError(f"{path}: truncated header")
-        try:
-            header = json.loads(blob)
-        except ValueError as exc:
-            raise CheckpointError(f"{path}: corrupt header ({exc})") from exc
-        if header.get("version") != _VERSION:
-            raise CheckpointError(f"{path}: unsupported version {header.get('version')}")
-        if header.get("backbone_hash") != hn.backbone.spec_hash():
-            raise CheckpointError(
-                f"{path}: checkpoint was written for a different backbone")
-        if header.get("rank") != hn.rank or header.get("alpha") != hn.alpha:
-            raise CheckpointError(
-                f"{path}: adapter configuration mismatch "
-                f"(rank {header.get('rank')} vs {hn.rank}, "
-                f"alpha {header.get('alpha')} vs {hn.alpha})")
-        params = hn.params()
-        manifest = header.get("manifest", [])
-        if [m[0] for m in manifest] != list(params.keys()):
-            raise CheckpointError(f"{path}: parameter manifest mismatch")
-        values = {}
-        for name, shape in manifest:
-            shape = tuple(shape)
-            if params[name].shape != shape:
-                raise CheckpointError(f"{path}: shape mismatch for {name!r}")
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(8 * count)
-            if len(raw) != 8 * count:
-                raise CheckpointError(f"{path}: truncated data for {name!r}")
-            values[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-        hn.set_params(values)
-        return header.get("extra", {})
+    """Restore adapter parameters; refuses a file np.load cannot read as
+    such an archive, and checkpoints from a different backbone, rank, or
+    alpha.  Returns the header's extra record."""
+    try:
+        with np.load(path, allow_pickle=False) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        header = json.loads(arrays.pop(_HEADER)[()])
+        version = header["version"]
+    except Exception as exc:    # zipfile and numpy raise many kinds on a damaged file
+        raise CheckpointError(f"{path}: not a readable checkpoint "
+                              f"({type(exc).__name__}: {exc})") from None
+    if version != _VERSION:
+        raise CheckpointError(f"{path}: unsupported version {version}")
+    if header.get("backbone_hash") != hn.backbone.spec_hash():
+        raise CheckpointError(f"{path}: checkpoint was written for a different backbone")
+    if header.get("rank") != hn.rank or header.get("alpha") != hn.alpha:
+        raise CheckpointError(f"{path}: adapter configuration mismatch (rank "
+                              f"{header.get('rank')} vs {hn.rank}, alpha "
+                              f"{header.get('alpha')} vs {hn.alpha})")
+    params = hn.params()
+    if arrays.keys() != params.keys():
+        raise CheckpointError(f"{path}: parameters {sorted(arrays)}, expected {sorted(params)}")
+    for name, arr in arrays.items():
+        if arr.dtype != np.float64 or arr.shape != params[name].shape:
+            raise CheckpointError(f"{path}: {name!r} is {arr.dtype} {arr.shape}, "
+                                  f"expected float64 {params[name].shape}")
+    hn.set_params(arrays)
+    return header.get("extra", {})

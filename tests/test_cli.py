@@ -1,4 +1,5 @@
 """End-to-end runs of the command-line interface."""
+import json
 import os
 import re
 import resource
@@ -79,7 +80,8 @@ def test_rerun_byte_identical(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     assert main(["train", "--config", cfg, "--out", out1, "--quiet"]) == 0
     assert main(["train", "--config", cfg, "--out", out2, "--quiet"]) == 0
-    for name in ("report.csv", "history.csv", os.path.join("plots", "history.svg")):
+    for name in ("report.csv", "history.csv", "checkpoint.bin",
+                 os.path.join("plots", "history.svg")):
         a = Path(out1, name).read_bytes()
         b = Path(out2, name).read_bytes()
         assert a == b, name
@@ -1036,6 +1038,98 @@ def test_subcommands_reject_another_method_exit_2(tmp_path, capsys, argv, messag
     assert main(argv + ["--out", str(out), "--quiet"]) == 2
     assert os.listdir(out) == []
     assert f"config error: [run] method: {message}\n" in capsys.readouterr().err
+
+
+def test_bench_checkpoint_is_a_plain_npz_archive(tmp_path):
+    # the network a paper_small train call saves, read back by numpy alone
+    cfg_path = str(BENCH_CONFIGS / "paper_small.ini")
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    cfg = load_config(cfg_path)
+    t = cfg["train"]
+    hn = init_hypernet(cli._build(cfg)[0], rank=t["rank"], alpha=t["adapter_alpha"])
+    with np.load(out / "checkpoint.bin", allow_pickle=False) as archive:
+        assert archive.files == [*hn.params(), training._HEADER]
+        params = {name: archive[name] for name in hn.params()}
+        header = json.loads(archive[training._HEADER][()])
+    assert header["version"] == 2
+    assert load_checkpoint(str(out / "checkpoint.bin"), hn) == {"steps": t["steps"],
+                                                                "seed": cfg.seed}
+    for name, arr in hn.params().items():
+        np.testing.assert_array_equal(arr, params[name])
+    assert not [name for name in os.listdir(out) if name.startswith(".tmp-")]
+
+
+@pytest.mark.parametrize("edit,flags,message", [
+    # loaded, then failed the run with exit 1: "expected non-negative integer"
+    (("seed = 1", "seed = -3"), [], "[run] seed: must be >= 0, got -3"),
+    (None, ["--seed-override", "-2"],
+     "--seed-override: must be >= 0, got -2"),
+    # exited 2 with "[generator] expected non-negative integer"
+    (("hidden = 16", "hidden = 16\nweight_seed = -1"), [],
+     "[generator] weight_seed: must be >= 0, got -1"),
+], ids=["run-seed", "seed-override", "weight_seed"])
+def test_negative_seeds_rejected_before_anything_is_written(tmp_path, capsys, edit,
+                                                             flags, message):
+    text = (BENCH_CONFIGS / "best_of_n.ini").read_text()
+    text = text.replace(*edit) if edit else text
+    out = tmp_path / "out"
+    assert main(["baseline", "--config", write(tmp_path, "c.ini", text),
+                 "--out", str(out), "--quiet"] + flags) == 2
+    assert not out.exists()
+    assert f"config error: {message}\n" in capsys.readouterr().err
+
+
+def test_empty_out_dir_rejected_at_load_exit_2(tmp_path, capsys, monkeypatch):
+    # os.makedirs("") raised FileNotFoundError: exit 1, a traceback, no FAILED
+    monkeypatch.chdir(tmp_path)
+    text = AFFINE_TRAIN.replace("seed = 1", "seed = 1\nout_dir =")
+    assert main(["train", "--config", write(tmp_path, "c.ini", text), "--quiet"]) == 2
+    assert "config error: [run] out_dir: must not be empty\n" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["c.ini"]
+
+
+def test_uncreatable_output_directory_exit_2(tmp_path, capsys):
+    # an --out naming a file raised FileExistsError with a traceback
+    cfg = write(tmp_path, "c.ini", AFFINE_TRAIN)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for out in (taken, taken / "sub"):
+        assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"config error: cannot create output directory {out}: " in \
+            capsys.readouterr().err
+    assert taken.read_text() == ""
+
+
+def test_every_artifact_is_written_by_rename(tmp_path, monkeypatch):
+    # checkpoint.bin was written in place, so a crash could leave half of it
+    targets = set()
+    replace = os.replace
+
+    def spy(src, dst, **kwargs):
+        targets.add(os.path.abspath(dst))
+        return replace(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "replace", spy)
+    cfg_h, cfg_d = tradeoff_configs(tmp_path)
+    runs = {
+        "train": ["train", "--config", cfg_h],
+        "direct_ft": ["baseline", "--config", cfg_d],
+        "noise_opt": ["baseline", "--config", write(
+            tmp_path, "no.ini", as_method(AFFINE_TRAIN, "noise_opt", noise_opt="steps = 20"))],
+        "best_of_n": ["baseline", "--config", write(
+            tmp_path, "bon.ini", as_method(AFFINE_TRAIN, "best_of_n", best_of_n="counts = 1 8"))],
+        "tradeoff": ["tradeoff", cfg_h, cfg_d],
+        "validate-theory": ["validate-theory", "--config", write(
+            tmp_path, "th.ini", "[run]\nmethod = theory\n[theory]\nn = 2000\n")],
+        "diversity": ["diversity", "--config", cfg_h],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main(argv + ["--out", str(out), "--quiet"]) == 0, name
+        written = {os.path.abspath(p) for p in out.rglob("*") if p.is_file()}
+        assert os.path.join(out, "run.log") in written, name
+        assert written <= targets, (name, sorted(written - targets))
 
 
 def test_validate_theory(tmp_path):

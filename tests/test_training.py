@@ -1,4 +1,5 @@
 """Training loop behavior and the checkpoint format."""
+import io
 import re
 import tracemalloc
 from pathlib import Path
@@ -156,18 +157,62 @@ def test_checkpoint_refuses_wrong_rank(tmp_path):
         load_checkpoint(path, hn2)
 
 
-def test_checkpoint_corruption_detected(tmp_path):
+def rearchived(path, **changes):
+    """The bytes of checkpoint `path` archived again with `changes` (None drops a name)."""
+    with np.load(path, allow_pickle=False) as archive:
+        arrays = {**archive, **changes}
+    buf = io.BytesIO()
+    np.savez(buf, **{name: arr for name, arr in arrays.items() if arr is not None})
+    return buf.getvalue()
+
+
+def flip_data_byte(raw, path, hn):
+    at = raw.index(hn.params()["head.down"].tobytes()) + 4
+    return raw[:at] + bytes([raw[at] ^ 0x01]) + raw[at + 1:]
+
+
+def npy_bytes(arr):
+    buf = io.BytesIO()
+    np.save(buf, arr)
+    return buf.getvalue()
+
+
+# name -> damaged(raw checkpoint bytes, its path, the network saved) -> bytes
+CORRUPTIONS = {
+    "empty": lambda raw, path, hn: b"",
+    "truncated_4": lambda raw, path, hn: raw[:4],
+    "truncated_20": lambda raw, path, hn: raw[:20],
+    "truncated_half": lambda raw, path, hn: raw[:len(raw) // 2],
+    "one_byte_short": lambda raw, path, hn: raw[:-1],
+    "random_bytes": lambda raw, path, hn: np.random.default_rng(0).bytes(len(raw)),
+    "plain_npy": lambda raw, path, hn: npy_bytes(np.zeros(3)),
+    "no_header": lambda raw, path, hn: rearchived(path, **{training._HEADER: None}),
+    "object_header": lambda raw, path, hn: rearchived(
+        path, **{training._HEADER: np.array({"version": 2}, dtype=object)}),
+    "header_not_json": lambda raw, path, hn: rearchived(
+        path, **{training._HEADER: np.array("{version: 2")}),
+    "flipped_data_byte": flip_data_byte,
+    "wrong_shape": lambda raw, path, hn: rearchived(path, **{"head.bias": np.zeros(3)}),
+    "wrong_dtype": lambda raw, path, hn: rearchived(
+        path, **{"head.bias": np.zeros(2, dtype=np.float32)}),
+}
+
+
+@pytest.mark.parametrize("case", CORRUPTIONS)
+def test_checkpoint_corruption_detected(tmp_path, case):
     g, hn, _ = affine_setup()
+    rng = np.random.default_rng(3)
+    hn.set_params({name: rng.standard_normal(arr.shape) for name, arr in hn.params().items()})
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, hn)
-    raw = bytearray(Path(path).read_bytes())
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(b"XXXX" + raw[4:])
-    with pytest.raises(CheckpointError, match="not a checkpoint"):
-        load_checkpoint(str(bad), hn)
-    bad.write_bytes(raw[:20])
-    with pytest.raises(CheckpointError, match="truncated"):
-        load_checkpoint(str(bad), hn)
+    bad.write_bytes(CORRUPTIONS[case](Path(path).read_bytes(), path, hn))
+    _, fresh, _ = affine_setup()
+    before = {name: arr.copy() for name, arr in fresh.params().items()}
+    with pytest.raises(CheckpointError, match=re.escape(str(bad))):
+        load_checkpoint(str(bad), fresh)
+    for name, arr in fresh.params().items():    # a refused file changes nothing
+        np.testing.assert_array_equal(arr, before[name])
 
 
 def test_wide_training_steps_reuse_the_arena(monkeypatch):
