@@ -24,7 +24,7 @@ from .baselines import (DirectFinetuneConfig, best_of_n, measure_drift, noise_op
                         train_direct_finetune)
 from .config import ConfigError, ExperimentConfig, load_config, parse_seed
 from .generators import Generator, make_generator
-from .hypernet import init_hypernet
+from .hypernet import NoiseHypernetwork, init_hypernet
 from .oracles import kl_knn  # noqa: F401  (bench/test_bench.py: the tracer rebinds it)
 from .rewards import Reward, make_reward
 from .training import TrainHistory, save_checkpoint, train_hypernoise
@@ -32,6 +32,15 @@ from .training import TrainHistory, save_checkpoint, train_hypernoise
 REPORT_COLUMNS = ["method", "step", "generation_steps", "reward_mean",
                   "reward_se", "base_reward_mean", "fidelity",
                   "diversity_mean_pairwise", "lipschitz_audit"]
+
+# subcommand -> (help, the [run] methods each config it reads may name)
+SUBCOMMANDS = {
+    "validate-theory": ("run every oracle check", ("theory",)),
+    "train": ("train the residual noise network", ("hypernoise",)),
+    "baseline": ("run the configured baseline method", ("noise_opt", "best_of_n", "direct_ft")),
+    "tradeoff": ("reward-vs-fidelity curves, both methods", ("hypernoise",), ("direct_ft",)),
+    "diversity": ("pairwise-distance collapse audit", ("hypernoise",)),
+}
 
 
 class RunContext:
@@ -102,6 +111,13 @@ def _build(cfg: ExperimentConfig) -> tuple[Generator, Reward]:
     g = make_generator(cfg.generator_spec(), seed=cfg["generator"]["weight_seed"])
     r = make_reward(cfg.reward_spec())
     return g, r
+
+
+def _build_hypernoise(cfg: ExperimentConfig) -> tuple[Generator, Reward, NoiseHypernetwork]:
+    """The generator, the reward and the untrained noise network."""
+    g, r = _build(cfg)
+    t = cfg["train"]
+    return g, r, init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
 
 
 def _heldout_noise(cfg: ExperimentConfig, g: Generator) -> np.ndarray:
@@ -176,7 +192,6 @@ def _check_train_steps(cfg: ExperimentConfig):
 # ---------------------------------------------------------------------------
 
 def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    _expect_method(cfg, "validate-theory", "theory")
     _echo_config(ctx, cfg)
     report = oracles.run_theory_suite(cfg["theory"]["n"], cfg.seed, ctx.phase)
     rows = [[c.name, c.statistic, c.tolerance, c.status] for c in report.checks]
@@ -192,7 +207,6 @@ def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 
 def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    _expect_method(cfg, "train", "hypernoise")
     _check_train_steps(cfg)
     n_div, heldout = cfg["evaluation"]["diversity_samples"], cfg["evaluation"]["heldout"]
     if n_div > heldout:     # diversity is measured on held-out rows; `diversity` draws its own
@@ -200,9 +214,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
                           f"heldout rows, so must be <= {heldout}, got {n_div}")
     _echo_config(ctx, cfg)
     with ctx.phase("build"):
-        g, r = _build(cfg)
-        t = cfg["train"]
-        hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
+        g, r, hn = _build_hypernoise(cfg)
     history = TrainHistory()
     try:
         with ctx.phase("train"):
@@ -217,7 +229,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
                      history.reward_term, history.grad_norm)])
     with ctx.phase("write"):
         save_checkpoint(ctx.path("checkpoint.bin"), hn,
-                        extra={"steps": t["steps"], "seed": cfg.seed})
+                        extra={"steps": cfg["train"]["steps"], "seed": cfg.seed})
 
     with ctx.phase("evaluate"):
         x = _heldout_noise(cfg, g)
@@ -253,7 +265,6 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 
 def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    _expect_method(cfg, "baseline", "noise_opt", "best_of_n", "direct_ft")
     _echo_config(ctx, cfg)
     g, r = _build(cfg)
     base_mean = float(oracles.reward_values(g, r, _heldout_noise(cfg, g)).mean())
@@ -284,8 +295,6 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
                  ctx: RunContext) -> int:
-    _expect_method(cfg_h, "tradeoff", "hypernoise")
-    _expect_method(cfg_d, "tradeoff's second config", "direct_ft")
     for section in ("generator", "reward"):
         if cfg_h[section] != cfg_d[section]:
             raise ConfigError(f"tradeoff configs disagree in [{section}]")
@@ -296,10 +305,8 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
         raise ConfigError("tradeoff configs disagree on the step budget")
     _echo_config(ctx, cfg_h)
     with ctx.phase("build"):
-        g, r = _build(cfg_h)
+        g, r, hn = _build_hypernoise(cfg_h)
         x = _heldout_noise(cfg_h, g)
-        t = cfg_h["train"]
-        hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg_h.seed)
     with ctx.phase("evaluate"):
         y_ref = _fidelity_reference(cfg_h, g)
     curve_h: list[tuple] = []      # (step, reward, fidelity or its Estimate)
@@ -341,12 +348,9 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 
 
 def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    _expect_method(cfg, "diversity", "hypernoise")
     _echo_config(ctx, cfg)
-    g, r = _build(cfg)
-    t = cfg["train"]
-    hn = init_hypernet(g, rank=t["rank"], alpha=t["adapter_alpha"], seed=cfg.seed)
-    if t["steps"] > 0:
+    g, r, hn = _build_hypernoise(cfg)
+    if cfg["train"]["steps"] > 0:
         train_hypernoise(hn, g, r, cfg.train_config())
     ev = cfg["evaluation"]
     n_samples = ev["diversity_samples"]
@@ -382,22 +386,16 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="noisetilt", description="noise-space reward tilting experiments")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, config=True):
-        if config:
+    for name, (help_text, *methods) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if len(methods) > 1:
+            p.add_argument("config_hypernoise")
+            p.add_argument("config_direct")
+        else:
             p.add_argument("--config", required=True)
         p.add_argument("--out", default=None, help="output directory override")
         p.add_argument("--seed-override", type=int, default=None)
         p.add_argument("--quiet", action="store_true")
-
-    common(sub.add_parser("validate-theory", help="run every oracle check"))
-    common(sub.add_parser("train", help="train the residual noise network"))
-    common(sub.add_parser("baseline", help="run the configured baseline method"))
-    p_t = sub.add_parser("tradeoff", help="reward-vs-fidelity curves, both methods")
-    p_t.add_argument("config_hypernoise")
-    p_t.add_argument("config_direct")
-    common(p_t, config=False)
-    common(sub.add_parser("diversity", help="pairwise-distance collapse audit"))
     p_p = sub.add_parser("plot", help="render a CSV as a deterministic SVG")
     p_p.add_argument("csv_path")
     p_p.add_argument("--kind", choices=["curve", "bars"], required=True)
@@ -417,49 +415,41 @@ def main(argv=None) -> int:
             print(f"wrote {args.out}")
         return 0
 
+    methods = SUBCOMMANDS[args.command][1:]
     try:
-        if args.command == "tradeoff":
-            cfg = load_config(args.config_hypernoise)
-            cfg_d = load_config(args.config_direct)
-        else:
-            cfg = load_config(args.config)
-            cfg_d = None
+        paths = [args.config_hypernoise, args.config_direct] if len(methods) > 1 else [args.config]
+        cfgs = [load_config(path) for path in paths]
         if args.seed_override is not None:
             try:
-                cfg["run"]["seed"] = parse_seed(args.seed_override)
+                seed = parse_seed(args.seed_override)
             except ValueError as exc:
                 raise ConfigError(f"--seed-override: {exc}") from None
-            if cfg_d is not None:
-                cfg_d["run"]["seed"] = args.seed_override
-        out_dir = args.out or cfg["run"]["out_dir"]
+            for cfg in cfgs:
+                cfg["run"]["seed"] = seed
+        out_dir = args.out or cfgs[0]["run"]["out_dir"]
         ctx = RunContext(out_dir, args.quiet)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out_dir}: "
                               f"{exc.strerror or exc}") from None
+        for i, (cfg, allowed) in enumerate(zip(cfgs, methods)):
+            _expect_method(cfg, f"{args.command}'s second config" if i else args.command,
+                           *allowed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    if args.command in ("validate-theory", "train", "baseline", "tradeoff"):
-        # their wall times depend on how many threads the kNN queries, the
-        # theory suite's row blocks and the wide training layers had
-        ctx.log(f"workers {rowblocks.WORKERS}")
+    # wall times depend on how many threads the kNN queries, the theory
+    # suite's row blocks and the wide training layers had
+    ctx.log(f"workers {rowblocks.WORKERS}")
+    # looked up per call, so a wrapper rebound over a run_* name is the one called
+    run = {"validate-theory": run_validate_theory, "train": run_train,
+           "baseline": run_baseline, "tradeoff": run_tradeoff,
+           "diversity": run_diversity}[args.command]
     try:
         try:
-            if args.command == "validate-theory":
-                code = run_validate_theory(cfg, ctx)
-            elif args.command == "train":
-                code = run_train(cfg, ctx)
-            elif args.command == "baseline":
-                code = run_baseline(cfg, ctx)
-            elif args.command == "tradeoff":
-                code = run_tradeoff(cfg, cfg_d, ctx)
-            elif args.command == "diversity":
-                code = run_diversity(cfg, ctx)
-            else:  # pragma: no cover
-                raise AssertionError(args.command)
+            code = run(*cfgs, ctx)
         finally:
             # an estimate still in flight was submitted before anything
             # raised here, so its error is the one to report

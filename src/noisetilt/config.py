@@ -206,20 +206,20 @@ class ExperimentConfig:
     def reward_spec(self) -> dict:
         return {key: self.values["reward"][key] for key in self.applying("reward")}
 
-    def _settings(self, cls, section: str, seed: Optional[int]):
-        """`cls` from the keys of `section` it has a field for, and the seed."""
+    def _settings(self, cls, section: str):
+        """`cls` from the keys of `section` it has a field for, and [run] seed."""
         names = {f.name for f in fields(cls)}
         return cls(**{k: v for k, v in self.values[section].items() if k in names},
-                   seed=self.seed if seed is None else seed)
+                   seed=self.seed)
 
-    def train_config(self, seed: Optional[int] = None) -> TrainConfig:
-        return self._settings(TrainConfig, "train", seed)
+    def train_config(self) -> TrainConfig:
+        return self._settings(TrainConfig, "train")
 
-    def noise_opt_config(self, seed: Optional[int] = None) -> NoiseOptConfig:
-        return self._settings(NoiseOptConfig, "noise_opt", seed)
+    def noise_opt_config(self) -> NoiseOptConfig:
+        return self._settings(NoiseOptConfig, "noise_opt")
 
-    def direct_ft_config(self, seed: Optional[int] = None) -> DirectFinetuneConfig:
-        return self._settings(DirectFinetuneConfig, "direct_ft", seed)
+    def direct_ft_config(self) -> DirectFinetuneConfig:
+        return self._settings(DirectFinetuneConfig, "direct_ft")
 
     def resolved_echo(self) -> str:
         """INI text with every key that applies, defaults included."""
@@ -237,10 +237,11 @@ class ExperimentConfig:
 
 @contextlib.contextmanager
 def _section(name: str, key: str = ""):
-    """Re-raise a ValueError as a ConfigError naming `name` and, if given, `key`."""
+    """Re-raise a ValueError, or a MemoryError from building what the config
+    asks for, as a ConfigError naming `name` and, if given, `key`."""
     try:
         yield
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"[{name}] {key}{': ' if key else ''}{exc}") from None
 
 

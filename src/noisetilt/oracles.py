@@ -18,9 +18,10 @@ from typing import Callable, ContextManager, Optional
 import numpy as np
 
 from . import rowblocks
-from .generators import Generator
-from .hypernet import NoiseHypernetwork
-from .rewards import Reward
+from .generators import Generator, make_generator
+from .hypernet import NoiseHypernetwork, init_hypernet
+from .objectives import error_term, exact_noise_kl, theorem_bound
+from .rewards import LinearReward, RednessReward, Reward
 
 
 # the neighbor rank of the output fidelity and drift estimates
@@ -529,11 +530,6 @@ def run_theory_suite(n: int, seed: int = 0,
     """Every theoretical claim exercised once at sample size n.  Each group
     of checks runs inside ``phase(group)``, so that a caller can time it."""
     check_theory_scale(n)
-    from .generators import make_generator
-    from .hypernet import init_hypernet
-    from .objectives import error_term, exact_noise_kl, theorem_bound
-    from .rewards import LinearReward, RednessReward
-
     report = TheoryReport()
     d = 4
     a = np.array([[1.0, 0.2, 0.0, 0.0],

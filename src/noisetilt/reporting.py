@@ -9,7 +9,6 @@ import contextlib
 import csv
 import io
 import os
-import tempfile
 
 
 def fmt(value) -> str:
@@ -22,10 +21,12 @@ def fmt(value) -> str:
 @contextlib.contextmanager
 def atomic_file(path: str, mode: str = "w"):
     """A file opened in `mode` beside `path` that replaces `path` when the
-    block ends, or is removed if the block raises."""
+    block ends, or is removed if the block raises.  It is created with mode
+    0666 less the umask, like a file opened for writing."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-")
+    tmp = os.path.join(directory, f".tmp-{os.getpid()}-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, newline=None if "b" in mode else "") as fh:
             yield fh

@@ -3,6 +3,7 @@ import json
 import os
 import re
 import resource
+import stat
 import tempfile
 import threading
 import time
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from noisetilt import autodiff as ad
-from noisetilt import cli, oracles, rowblocks, training
+from noisetilt import cli, generators, oracles, rowblocks, training
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
 from noisetilt.generators import Generator
@@ -1038,6 +1039,96 @@ def test_subcommands_reject_another_method_exit_2(tmp_path, capsys, argv, messag
     assert main(argv + ["--out", str(out), "--quiet"]) == 2
     assert os.listdir(out) == []
     assert f"config error: [run] method: {message}\n" in capsys.readouterr().err
+
+
+# the [run] method of each bench config
+BENCH_METHODS = {"best_of_n.ini": "best_of_n", "direct_ft.ini": "direct_ft",
+                 "noise_opt.ini": "noise_opt", "paper_small.ini": "hypernoise",
+                 "theory_audit.ini": "theory", "train_wide.ini": "hypernoise"}
+# (id, argv with None for the config under test, the methods it may name,
+# what the error says it expects)
+METHOD_CHECKS = [
+    ("validate-theory", ["validate-theory", "--config", None], ("theory",),
+     "validate-theory expects theory"),
+    ("train", ["train", "--config", None], ("hypernoise",), "train expects hypernoise"),
+    ("baseline", ["baseline", "--config", None], ("noise_opt", "best_of_n", "direct_ft"),
+     "baseline expects noise_opt, best_of_n, or direct_ft"),
+    ("tradeoff", ["tradeoff", None, str(BENCH_CONFIGS / "direct_ft.ini")], ("hypernoise",),
+     "tradeoff expects hypernoise"),
+    ("tradeoff-second", ["tradeoff", str(BENCH_CONFIGS / "paper_small.ini"), None],
+     ("direct_ft",), "tradeoff's second config expects direct_ft"),
+    ("diversity", ["diversity", "--config", None], ("hypernoise",),
+     "diversity expects hypernoise"),
+]
+
+
+def test_method_checks_cover_every_subcommand_and_bench_config():
+    assert {argv[0] for _, argv, _, _ in METHOD_CHECKS} == set(cli.SUBCOMMANDS)
+    assert set(BENCH_METHODS) == {p.name for p in BENCH_CONFIGS.glob("*.ini")}
+    for name, method in BENCH_METHODS.items():
+        assert load_config(str(BENCH_CONFIGS / name)).method == method
+
+
+@pytest.mark.parametrize("argv,message", [
+    pytest.param([str(BENCH_CONFIGS / name) if arg is None else arg for arg in argv],
+                 f"{expects}, got {method!r}", id=f"{case}-{name[:-4]}")
+    for case, argv, methods, expects in METHOD_CHECKS
+    for name, method in BENCH_METHODS.items() if method not in methods])
+def test_every_subcommand_rejects_each_bench_config_of_another_method(tmp_path, capsys,
+                                                                      argv, message):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert os.listdir(out) == []
+    assert f"config error: [run] method: {message}\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [*cli.SUBCOMMANDS, "plot"])
+def test_every_subcommand_prints_its_help(capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: noisetilt {command} ")
+
+
+def test_diversity_run_log_names_its_workers(tmp_path):
+    # its training splits wide layers across the workers, yet its log left them out
+    out = tmp_path / "out"
+    assert main(["diversity", "--config", write(tmp_path, "t.ini", AFFINE_TRAIN),
+                 "--out", str(out), "--quiet"]) == 0
+    lines = (out / "run.log").read_text().splitlines()
+    assert lines.count(f"workers {rowblocks.WORKERS}") == 1
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["022", "077"])
+def test_artifacts_take_the_umask(tmp_path, umask, mode):
+    # every artifact was 0600 whatever the umask
+    cfg = write(tmp_path, "t.ini", AFFINE_TRAIN)
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert main(["train", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    finally:
+        os.umask(old)
+    for name in ("report.csv", "checkpoint.bin", "run.log", "plots/history.svg"):
+        assert stat.S_IMODE(os.stat(out / name).st_mode) == mode, name
+
+
+def test_generator_too_large_for_the_host_exit_2(tmp_path, capsys, monkeypatch):
+    # numpy's MemoryError left load_config as a traceback, exit 1; the failed
+    # allocation is simulated, since under overcommit a real one can succeed
+    def refuse(rng, n_in, n_out, activation):
+        raise MemoryError(f"Unable to allocate an array with shape ({n_out}, {n_in})")
+
+    monkeypatch.setattr(generators, "_init_layer", refuse)
+    text = (BENCH_CONFIGS / "best_of_n.ini").read_text()
+    text = text.replace("hidden = 16", "hidden = 100000000000")
+    out = tmp_path / "out"
+    assert main(["baseline", "--config", write(tmp_path, "c.ini", text),
+                 "--out", str(out), "--quiet"]) == 2
+    assert not out.exists()
+    assert ("config error: [generator] Unable to allocate an array with shape "
+            "(100000000000, 6)\n") in capsys.readouterr().err
 
 
 def test_bench_checkpoint_is_a_plain_npz_archive(tmp_path):
