@@ -2,9 +2,10 @@
 
 Subcommands: validate-theory, train, baseline, tradeoff, diversity, plot.
 Exit codes: 0 success, 1 runtime failure (partial artifacts kept next to a
-FAILED marker), 2 configuration error.  All randomness flows from the
-config seed, so re-running a config reproduces report.csv byte for byte;
-wall-clock timings go to run.log, which is excluded from that guarantee.
+FAILED marker) or a failed theory check, 2 configuration error.  All
+randomness flows from the config seed, so re-running a config reproduces
+report.csv byte for byte; wall-clock timings go to run.log, which is
+excluded from that guarantee.
 """
 from __future__ import annotations
 
@@ -179,14 +180,6 @@ def _expect_method(cfg: ExperimentConfig, what: str, *methods: str):
         raise ConfigError(f"[run] method: {what} expects {expected}, got {cfg.method!r}")
 
 
-def _check_train_steps(cfg: ExperimentConfig):
-    """`train` and `tradeoff` need a training step; `diversity` runs with none."""
-    try:
-        cfg.train_config().validate()
-    except ValueError as exc:
-        raise ConfigError(f"[train] {exc}") from None
-
-
 # ---------------------------------------------------------------------------
 # Subcommand bodies (raise on failure; exit-code mapping happens in main)
 # ---------------------------------------------------------------------------
@@ -207,7 +200,6 @@ def run_validate_theory(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 
 def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
-    _check_train_steps(cfg)
     n_div, heldout = cfg["evaluation"]["diversity_samples"], cfg["evaluation"]["heldout"]
     if n_div > heldout:     # diversity is measured on held-out rows; `diversity` draws its own
         raise ConfigError(f"[evaluation] diversity_samples: train averages that many of the "
@@ -236,7 +228,6 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
         delta = hn.perturb(x)
         x_mod = x + delta
         lip = hn.lipschitz_upper_bound()
-        final_step = history.steps[-1] if history.steps else 0
         rows = []
         for gen_steps in cfg["evaluation"]["multi_step"]:
             vals, fidelity = _modulated(ctx, g, r, _fidelity_reference(cfg, g, gen_steps),
@@ -245,7 +236,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
             # a block of at least MIN_BLOCK_ROWS rows: very few rows would
             # take another BLAS path and change the last bits
             y_div = g.generate(x_mod[:max(n_div, rowblocks.MIN_BLOCK_ROWS)], steps=gen_steps)
-            rows.append(["hypernoise", final_step, gen_steps, float(vals.mean()),
+            rows.append(["hypernoise", history.steps[-1], gen_steps, float(vals.mean()),
                          float(vals.std(ddof=1) / np.sqrt(len(vals))), base_mean,
                          fidelity, _mean_pairwise(y_div[:n_div]), lip])
         for row in rows:    # the estimates, resolved in submission order
@@ -300,7 +291,6 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
             raise ConfigError(f"tradeoff configs disagree in [{section}]")
     if cfg_h.seed != cfg_d.seed:
         raise ConfigError("tradeoff configs disagree on [run] seed")
-    _check_train_steps(cfg_h)
     if cfg_h["train"]["steps"] != cfg_d["direct_ft"]["steps"]:
         raise ConfigError("tradeoff configs disagree on the step budget")
     _echo_config(ctx, cfg_h)
@@ -350,8 +340,7 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
     g, r, hn = _build_hypernoise(cfg)
-    if cfg["train"]["steps"] > 0:
-        train_hypernoise(hn, g, r, cfg.train_config())
+    train_hypernoise(hn, g, r, cfg.train_config())
     ev = cfg["evaluation"]
     n_samples = ev["diversity_samples"]
     rows = []

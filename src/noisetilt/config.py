@@ -292,8 +292,7 @@ def _validate(cfg: ExperimentConfig):
         t = v["train"]
         with _section("train"):
             init_hypernet(gen, t["rank"], t["adapter_alpha"])
-            # diversity runs with no training step; train and tradeoff check for one
-            cfg.train_config().validate(min_steps=0)
+            cfg.train_config().validate()
         if ev["fidelity_metric"] == "knn_kl":
             with _section("evaluation", "heldout"):
                 check_knn_points(ev["heldout"], "for the knn_kl fidelity")

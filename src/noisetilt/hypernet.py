@@ -35,15 +35,6 @@ class NoiseHypernetwork:
         """Trainable arrays, keyed by stable names (manifest order)."""
         return self.stack.params()
 
-    def set_params(self, values: dict[str, np.ndarray]):
-        current = self.params()
-        for name, arr in values.items():
-            if name not in current:
-                raise KeyError(f"unknown parameter {name!r}")
-            if current[name].shape != np.shape(arr):
-                raise ValueError(f"shape mismatch for {name!r}")
-            current[name][...] = arr
-
     # -- evaluation ---------------------------------------------------------
 
     def perturb(self, x0: np.ndarray) -> np.ndarray:

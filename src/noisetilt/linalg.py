@@ -13,17 +13,20 @@ class SingularMatrixError(ValueError):
 
 def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
                 eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a vector map at `x`.
+    """Central-difference Jacobian of a map along the last axis of `x`.
 
-    Entry (i, j) = (fn(x + eps e_j)_i - fn(x - eps e_j)_i) / (2 eps).
+    Entry (..., i, j) = (fn(x + eps e_j)_i - fn(x - eps e_j)_i) / (2 eps):
+    (m, d) for a vector of d entries, (B, m, d) for a (B, d) batch of rows
+    of a row-wise map, whose rows all move by the same step.
     """
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=np.float64)
+    d = x.shape[-1]
     cols = []
-    for j in range(x.size):
-        step = np.zeros_like(x)
-        step.flat[j] = eps
+    for j in range(d):
+        step = np.zeros(d)
+        step[j] = eps
         hi = np.asarray(fn(x + step), dtype=np.float64)
         lo = np.asarray(fn(x - step), dtype=np.float64)
         if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):

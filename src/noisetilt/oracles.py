@@ -20,15 +20,16 @@ import numpy as np
 from . import rowblocks
 from .generators import Generator, make_generator
 from .hypernet import NoiseHypernetwork, init_hypernet
+from .linalg import jacobian_fd
 from .objectives import error_term, exact_noise_kl, theorem_bound
 from .rewards import LinearReward, RednessReward, Reward
 
 
 # the neighbor rank of the output fidelity and drift estimates
 KNN_K = 5
-# the fewest samples the moment checks accept, the effective sample size below
-# which a pushforward check is inconclusive, and the Stein check's difference step
-MIN_MOMENT_SAMPLES, MIN_ESS, STEIN_EPS = 1000, 200.0, 1e-5
+# the fewest samples the moment checks accept, and the effective sample size
+# below which a pushforward check is inconclusive
+MIN_MOMENT_SAMPLES, MIN_ESS = 1000, 200.0
 
 
 class SamplerError(RuntimeError):
@@ -210,7 +211,7 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
     output depends on row i of its input alone.  It is evaluated one row
     block at a time, on rowblocks.WORKERS threads, so it must also be safe
     to call from several threads at once.  The Jacobian trace is estimated
-    by central differences along each coordinate, which keeps this route
+    by `jacobian_fd`'s central differences, which keeps this route
     independent of any reverse-mode machinery.
     """
     if n < MIN_MOMENT_SAMPLES:
@@ -218,16 +219,14 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, d))
     lhs_terms = np.empty(n)
-    trace_terms = np.zeros(n)
+    trace_terms = np.empty(n)
 
     def block(rows):
         xb = x[rows]
         lhs_terms[rows] = np.sum(xb * f(xb), axis=1)
-        trace = trace_terms[rows]
-        for j in range(d):
-            step = np.zeros(d)
-            step[j] = STEIN_EPS
-            trace += (f(xb + step)[:, j] - f(xb - step)[:, j]) / (2 * STEIN_EPS)
+        jac = jacobian_fd(f, xb)
+        # the diagonal summed in coordinate order (np.trace sums pairwise)
+        trace_terms[rows] = sum(jac[:, j, j] for j in range(d))
     rowblocks.run_blocks(block, rowblocks.row_blocks(n))
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())

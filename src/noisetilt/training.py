@@ -35,9 +35,11 @@ class TrainConfig:
     log_every: int = 10
     generation_steps: int = 1
 
-    def validate(self, min_steps: int = 1):
+    def validate(self):
         """Raise ValueError, led by the field, on values the loop cannot run."""
-        check_descent(self, min_steps)
+        check_descent(self)
+        if not 0.0 <= self.momentum < 1.0:     # heavy-ball momentum needs beta in [0, 1)
+            raise ValueError(f"momentum: must be in [0, 1), got {self.momentum}")
         if not self.alpha > 0:
             raise ValueError("alpha: must be > 0")
         if self.log_every < 1:
@@ -103,10 +105,10 @@ class Adam:
 OPTIMIZERS = {"sgd": Sgd, "adam": lambda lr, momentum=0.0: Adam(lr)}
 
 
-def check_descent(cfg, min_steps: int = 1):
+def check_descent(cfg):
     """Raise ValueError, led by the field, on a descent `cfg` cannot run."""
-    if cfg.steps < min_steps:
-        raise ValueError(f"steps: must be >= {min_steps}")
+    if cfg.steps < 1:
+        raise ValueError("steps: must be >= 1")
     if cfg.batch_size < 1:
         raise ValueError("batch_size: must be >= 1")
     if not cfg.learning_rate > 0:
@@ -237,5 +239,6 @@ def load_checkpoint(path: str, hn: NoiseHypernetwork) -> dict:
         if arr.dtype != np.float64 or arr.shape != params[name].shape:
             raise CheckpointError(f"{path}: {name!r} is {arr.dtype} {arr.shape}, "
                                   f"expected float64 {params[name].shape}")
-    hn.set_params(arrays)
+    for name, arr in arrays.items():    # every array checked before any is written
+        params[name][...] = arr
     return header.get("extra", {})

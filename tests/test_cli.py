@@ -396,16 +396,36 @@ def test_empty_multi_step_rejected_at_load_exit_2(tmp_path, capsys):
 
 
 def test_negative_train_steps_rejected_at_load(tmp_path, capsys):
-    # diversity treated a negative step count as none; at zero steps it
-    # runs, and every other [train] rule still applies
+    # diversity treated a negative step count as none, and ran zero steps;
+    # with a step to run, every other [train] rule still applies
     generator, reward = "variant = affine\nlatent_dim = 2", "variant = linear\nc = 1 -1"
-    for train in ("steps = -3", "steps = 0\noptimizer = adamw"):
+    for train in ("steps = -3", "steps = 0", "steps = 1\noptimizer = adamw"):
         out = str(tmp_path / "out")
         cfg = write(tmp_path, "c.ini", small_train(generator, reward, train))
         assert main(["diversity", "--config", cfg, "--out", out, "--quiet"]) == 2
     err = capsys.readouterr().err
-    assert "[train] steps: must be >= 0" in err
+    assert err.count("[train] steps: must be >= 1") == 2
     assert "[train] optimizer:" in err
+
+
+@pytest.mark.parametrize("momentum", ["-0.5", "1.0", "1.5"])
+def test_momentum_outside_unit_interval_rejected_at_load(tmp_path, capsys, momentum):
+    # a negative momentum ran as plain SGD, bytes equal to momentum 0; at 1.5
+    # the velocity grew until the energy guard aborted the run with exit 1
+    text = AFFINE_TRAIN.replace("[train]", f"[train]\nmomentum = {momentum}")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 2
+    assert not os.path.exists(out)
+    assert f"[train] momentum: must be in [0, 1), got {momentum}" in capsys.readouterr().err
+
+
+def test_momentum_below_one_runs(tmp_path):
+    text = AFFINE_TRAIN.replace("[train]", "[train]\nmomentum = 0.9")
+    out = str(tmp_path / "out")
+    assert main(["train", "--config", write(tmp_path, "c.ini", text),
+                 "--out", out, "--quiet"]) == 0
+    assert os.path.exists(os.path.join(out, "report.csv"))
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -432,7 +452,7 @@ def _rows(matrix):
 
 @st.composite
 def small_configs(draw):
-    """(INI text of a small `train` config, its [train] steps, clean, stray).
+    """(INI text of a small `train` config, clean, stray).
     At most two knobs draw from wide ranges, the rest from the ranges their
     generator, reward and adapters can be built from; a clean config has
     no wide knob and sets only keys that apply to its variants and
@@ -496,7 +516,7 @@ def small_configs(draw):
         payload["q"] = _rows(q.tolist())
     scoped = {"linear": ("c",), "quadratic": ("q", "sign"), "redness": ("scale",)}[reward]
     payload = [f"{key} = {value}" for key, value in payload.items() if keep(key in scoped)]
-    steps = pick("steps", st.integers(0, 2), st.integers(-1, 2))
+    steps = pick("steps", st.integers(1, 2), st.integers(-1, 2))
     optimizer = pick("optimizer", st.sampled_from(["sgd", "adam"]),
                      st.sampled_from(["sgd", "adam", "adamw"]))
     ranks = "rank", st.just(1), st.integers(0, 5)
@@ -512,13 +532,13 @@ def small_configs(draw):
         if keep(False)]
     text = small_train("\n".join(generator), "\n".join([f"variant = {reward}"] + payload),
                        "\n".join(train), direct_ft) + "".join(stray)
-    return text, steps, not wide, bool(direct_ft or stray)
+    return text, not wide, bool(direct_ft or stray)
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_configs())
 def test_every_accepted_config_runs(case):
-    text, steps, clean, stray = case
+    text, clean, stray = case
     try:
         load_config(text, is_text=True)
         accepted = True
@@ -532,8 +552,7 @@ def test_every_accepted_config_runs(case):
             fh.write(text)
         code = main(["train", "--config", cfg, "--out", os.path.join(tmp, "out"),
                      "--quiet"])
-    # train needs a step; every other config is rejected or runs
-    assert code == (0 if accepted and steps != 0 else 2), text
+    assert code == (0 if accepted else 2), text
 
 
 DECODER_TRAIN = """
@@ -984,15 +1003,17 @@ def test_streamed_evaluation_writes_the_bytes_of_one_block(tmp_path, monkeypatch
 
 
 def test_zero_train_steps_rejected_before_training(tmp_path, capsys):
-    # diversity runs with no training step; train and tradeoff need one
+    # train and tradeoff refused zero steps after making the output
+    # directory; diversity ran them and audited the untrained network
     text = AFFINE_TRAIN.replace("steps = 120", "steps = 0")
     cfg_h = write(tmp_path, "h0.ini", text)
     cfg_d = write(tmp_path, "d0.ini", as_method(text, "direct_ft", direct_ft="steps = 1"))
-    for argv in (["train", "--config", cfg_h], ["tradeoff", cfg_h, cfg_d]):
+    for argv in (["train", "--config", cfg_h], ["tradeoff", cfg_h, cfg_d],
+                 ["diversity", "--config", cfg_h]):
         out = str(tmp_path / argv[0])
         assert main(argv + ["--out", out, "--quiet"]) == 2, argv[0]
-        assert os.listdir(out) == []
-    assert capsys.readouterr().err.count("[train] steps: must be >= 1") == 2
+        assert not os.path.exists(out), argv[0]
+    assert capsys.readouterr().err.count("[train] steps: must be >= 1") == 3
 
 
 def test_runtime_failure_exit_1_with_marker(tmp_path):
@@ -1427,17 +1448,6 @@ def test_plot_curve_of_a_tradeoff_csv(tmp_path):
     assert main(["plot", str(out / "tradeoff.csv"), "--kind", "curve",
                  "--out", str(svg), "--quiet"]) == 0
     assert svg.read_text().count("<polyline") == 4
-
-
-def test_diversity_zero_steps_identical(tmp_path):
-    text = AFFINE_TRAIN.replace("steps = 120", "steps = 0")
-    cfg = write(tmp_path, "div.ini", text)
-    out = str(tmp_path / "out")
-    assert main(["diversity", "--config", cfg, "--out", out, "--quiet"]) == 0
-    _, rows = read_csv(os.path.join(out, "report.csv"))
-    numeric = [r for r in rows if r[0] not in ("mean", "sd")]
-    for r in numeric:
-        assert float(r[1]) == float(r[2])   # zero-init network leaves outputs
 
 
 def test_diversity_of_a_constant_generator_exits_0(tmp_path):

@@ -59,10 +59,8 @@ def test_jacobian_batch_matches_fd():
     g, hn = fresh()
     hn.randomize_adapters(5)
     x = np.random.default_rng(3).standard_normal((4, 4))
-    jac = hn.jacobian_batch(x)
-    for i in range(4):
-        ref = jacobian_fd(lambda v: hn.perturb(v), x[i])
-        np.testing.assert_allclose(jac[i], ref, rtol=1e-5, atol=1e-7)
+    np.testing.assert_allclose(hn.jacobian_batch(x), jacobian_fd(hn.perturb, x),
+                               rtol=1e-5, atol=1e-7)
 
 
 def sampled_lipschitz(hn, seed):
@@ -97,11 +95,3 @@ def test_set_constant():
     hn.set_constant(c)
     x = np.random.default_rng(4).standard_normal((10, 4))
     np.testing.assert_array_equal(hn.perturb(x), np.broadcast_to(c, (10, 4)))
-
-
-def test_set_params_validation():
-    g, hn = fresh()
-    with pytest.raises(KeyError):
-        hn.set_params({"nope": np.zeros(2)})
-    with pytest.raises(ValueError):
-        hn.set_params({"head.bias": np.zeros(7)})

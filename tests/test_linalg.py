@@ -29,6 +29,27 @@ def test_jacobian_fd_nonfinite_names_coordinate():
         jacobian_fd(f, np.array([1.0, 1e-5]), eps=1e-5)
 
 
+def two_outputs(v):
+    """test_jacobian_fd_nonlinear's map over the last axis: no BLAS call."""
+    return np.stack([np.sin(v[..., 0]) * v[..., 1], v[..., 0] ** 2], axis=-1)
+
+
+def test_jacobian_fd_batch_of_rows():
+    x = np.random.default_rng(2).standard_normal((5, 2))
+    jac = jacobian_fd(two_outputs, x)
+    assert jac.shape == (5, 2, 2)
+    for i in range(5):
+        np.testing.assert_array_equal(jac[i], jacobian_fd(two_outputs, x[i]))
+
+
+def test_jacobian_fd_nonfinite_batch_names_coordinate():
+    def f(v):
+        with np.errstate(divide="ignore"):
+            return 1.0 / v[..., 1:]
+    with pytest.raises(ValueError, match="coordinate 1"):
+        jacobian_fd(f, np.array([[1.0, 2.0], [1.0, 1e-5]]), eps=1e-5)
+
+
 def test_jacobian_fd_rejects_bad_eps():
     with pytest.raises(ValueError):
         jacobian_fd(lambda v: v, np.zeros(2), eps=0.0)

@@ -195,6 +195,8 @@ CORRUPTIONS = {
     "wrong_shape": lambda raw, path, hn: rearchived(path, **{"head.bias": np.zeros(3)}),
     "wrong_dtype": lambda raw, path, hn: rearchived(
         path, **{"head.bias": np.zeros(2, dtype=np.float32)}),
+    "missing_param": lambda raw, path, hn: rearchived(path, **{"head.bias": None}),
+    "extra_param": lambda raw, path, hn: rearchived(path, nope=np.zeros(2)),
 }
 
 
@@ -202,7 +204,8 @@ CORRUPTIONS = {
 def test_checkpoint_corruption_detected(tmp_path, case):
     g, hn, _ = affine_setup()
     rng = np.random.default_rng(3)
-    hn.set_params({name: rng.standard_normal(arr.shape) for name, arr in hn.params().items()})
+    for arr in hn.params().values():
+        arr[...] = rng.standard_normal(arr.shape)
     path = str(tmp_path / "ck.bin")
     save_checkpoint(path, hn)
     bad = tmp_path / "bad.bin"
