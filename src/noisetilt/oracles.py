@@ -251,36 +251,145 @@ def kd_tree() -> type:
     return cKDTree
 
 
-def _knn_blocks(n: int, width: int) -> tuple[list[slice], np.ndarray]:
-    """Row blocks of kl_knn's rotation of P and its distances over n rows
-    `width` values wide, and one scratch array that holds the largest.  A
-    block holds an eighth of rowblocks.ROW_BLOCK's values (512 rows of 48),
-    so that its temporaries stay a small part of even a 2000-row set."""
+def _knn_blocks(n: int, width: int) -> tuple[list[slice], int]:
+    """Row blocks of kl_knn's rotations and distances over n rows `width`
+    values wide, and the rows of the largest, which sets the scratch block
+    that each of those steps holds.  A block holds an eighth of
+    rowblocks.ROW_BLOCK's values (512 rows of 48), so that its temporaries
+    stay a small part of even a 2000-row set."""
     blocks = rowblocks.row_blocks(n, 8 * width)
-    return blocks, np.empty((max(b.stop - b.start for b in blocks), width))
+    return blocks, max(b.stop - b.start for b in blocks)
+
+
+def _rotate_rows(x: np.ndarray, mean: np.ndarray, axes: np.ndarray,
+                 out: np.ndarray) -> np.ndarray:
+    """(x - mean) @ axes into `out`, one row block at a time through one
+    scratch block."""
+    blocks, most = _knn_blocks(*x.shape)
+    scratch = np.empty((most, x.shape[1]))
+    for rows in blocks:
+        np.matmul(np.subtract(x[rows], mean, out=scratch[:rows.stop - rows.start]), axes,
+                  out=out[rows])
+    return out
+
+
+def _tree_sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The squared distance between each row of x and the same row of y,
+    summed as scipy's cKDTree sums it: four running sums over the
+    coordinates in steps of four (numpy reduces the middle axis of a
+    C-ordered array in order), added left to right, then the coordinates
+    left over.  These are the bits by which the tree ranks neighbors."""
+    sq = np.subtract(x, y)
+    np.square(sq, out=sq)
+    fours = sq.shape[1] - sq.shape[1] % 4
+    acc = sq[:, :fours].reshape(len(sq), -1, 4).sum(axis=1)
+    dist = ((acc[:, 0] + acc[:, 1]) + acc[:, 2]) + acc[:, 3]
+    for j in range(fours, sq.shape[1]):
+        dist += sq[:, j]
+    return dist
+
+
+def _kth_by_products(p: np.ndarray, mean: np.ndarray, axes: np.ndarray,
+                     q_rot: np.ndarray, k: int) -> np.ndarray:
+    """Index of each p_i's k-th nearest row of q_rot, P being rotated into
+    Q's axes as (p - mean) @ axes, from blocked products: the index a k-d
+    tree on q_rot returns.
+
+    For a block of P's rows, |q|^2 - 2 p.q is |p - q|^2 less |p|^2 up to a
+    rounding error under half of `margin`; every q within `margin` of the
+    row's k-th value is a candidate, and the candidates are ranked by their
+    distance in the tree's own arithmetic (_tree_sq_distances), so rounding
+    orders them as it orders them in the tree.  Only an exact tie can part
+    the two: it goes to the lower index here, to the point the tree visits
+    first there.  P is rotated one _knn_blocks block at a time by the calls
+    _rotate_rows makes on the whole of P, so its rows have the bits the tree
+    is given; a block of products and its partitioned copy together hold
+    about P's size less one such block, so the caller frees its own rotated
+    P first."""
+    (n, width), m = p.shape, len(q_rot)
+    q_sq = np.einsum("ij,ij->i", q_rot, q_rot)
+    reach = np.sqrt(q_sq.max())
+    blocks, most = _knn_blocks(n, width)
+    rows_per = max(1, (n - most) * width // (2 * m))
+    buf = np.empty((2, rows_per, m))
+    p_block = np.empty((most, width))
+    near = np.empty(n, dtype=np.intp)
+    for rows in blocks:
+        p_rot = _rotate_rows(p[rows], mean, axes, p_block[:rows.stop - rows.start])
+        # |fl(q_sq - 2 p.q) - (|p - q|^2 - |p|^2)| <= gamma_(width+1) (|q|^2 + 2 |p||q|)
+        # and the tree's sums are off by gamma_width |p - q|^2: each is under
+        # (width + 2) eps / 2 (|p| + |q|)^2, a quarter of the margin
+        margin = np.sqrt(np.einsum("ij,ij->i", p_rot, p_rot))
+        margin += reach
+        margin *= margin
+        margin *= 2.0 * (width + 2) * np.finfo(np.float64).eps
+        for start in range(0, len(p_rot), rows_per):
+            pb = p_rot[start:start + rows_per]
+            prod, kth = buf[0, :len(pb)], buf[1, :len(pb)]
+            np.matmul(pb * -2.0, q_rot.T, out=prod)     # -2 p.q, exactly (a power of two)
+            prod += q_sq
+            np.copyto(kth, prod)
+            kth.partition(k - 1, axis=1)
+            kth = kth[:, k - 1]
+            kth += margin[start:start + len(pb)]
+            row, col = np.divmod(np.flatnonzero(prod <= kth[:, None]), m)
+            order = np.lexsort((col, _tree_sq_distances(q_rot[col], pb[row]), row))
+            counts = np.bincount(row, minlength=len(pb))
+            first = rows.start + start
+            near[first:first + len(pb)] = col[order[np.cumsum(counts) - counts + (k - 1)]]
+    return near
+
+
+def _outside_share(p_rot: np.ndarray, q_rot: np.ndarray) -> float:
+    """The share of p_rot's rows outside q_rot's bounding box."""
+    lo, hi = q_rot.min(axis=0), q_rot.max(axis=0)
+    outside = sum(int(np.count_nonzero(np.any((p_rot[rows] < lo) | (p_rot[rows] > hi),
+                                              axis=1)))
+                  for rows in _knn_blocks(*p_rot.shape)[0])
+    return outside / len(p_rot)
 
 
 def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of each p_i's k-th nearest neighbor among the other points of P
-    and among Q, from k-d trees built in Q's centred principal axes, queried
-    on rowblocks.cpu_share() workers.  Q's centred copy becomes its rotated
-    one before P's rotation is made, one row block at a time through one
-    scratch block, so the two rotated sets and that block are the most this
-    holds at once.  Kept apart from kl_knn so the rotated copies are freed
+    and among Q.
+
+    Both queries run in Q's centred principal axes when at most half of
+    P's rotated rows lie outside Q's bounding box: k-d trees answer them, on
+    rowblocks.cpu_share() workers.  That holds for every near set: a
+    hypernoise estimate's share is 0.03-0.07, the theory suite's pairs' less.
+    A set further out (a direct fine-tune's drift sets: 0.46 before its
+    first step, 0.99 and more once its outputs have collapsed away from Q)
+    leaves a tree on Q little to prune, so blocked products answer Q's query
+    on the calling thread (_kth_by_products), with the tree's indices; P's
+    self-query then runs on a tree in P's own centred principal axes, which
+    fit a collapsed set where Q's do not.  So the route, which only the
+    share picks, changes the estimate only where, as with any rotation,
+    rounding in P's rotated coordinates reorders two of its neighbors tied
+    to within it.
+
+    Q's centred copy becomes its rotated one before P's rotation is made,
+    and the rotations work one row block at a time through one scratch
+    block, so the two rotated sets and that block are the most the trees'
+    route holds at once.  The products' route drops P's first rotation for
+    its blocks of products, and makes P's own once Q's is freed, so it
+    holds no more.  Kept apart from kl_knn so the rotated copies are freed
     before it measures the distances."""
     mean = q.mean(axis=0)
     q_rot = q - mean
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
     q_rot = q_rot @ axes
-    p_rot = np.empty_like(p)
-    blocks, scratch = _knn_blocks(*p.shape)
-    for rows in blocks:
-        np.matmul(np.subtract(p[rows], mean, out=scratch[:rows.stop - rows.start]), axes,
-                  out=p_rot[rows])
-    del scratch
+    p_rot = _rotate_rows(p, mean, axes, np.empty_like(p))
     tree, workers = kd_tree(), rowblocks.cpu_share()
-    return (tree(p_rot).query(p_rot, k=[k + 1], workers=workers)[1][:, 0],  # not self
-            tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0])
+    if _outside_share(p_rot, q_rot) <= 0.5:
+        near_q = tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0]
+    else:
+        del p_rot
+        near_q = _kth_by_products(p, mean, axes, q_rot, k)
+        del q_rot
+        mean = p.mean(axis=0)
+        p_rot = p - mean
+        _rotate_rows(p, mean, np.linalg.eigh(p_rot.T @ p_rot)[1], p_rot)
+    return tree(p_rot).query(p_rot, k=[k + 1], workers=workers)[1][:, 0], near_q  # not self
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
@@ -304,10 +413,15 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     only a few of their axes).  A rotation preserves every distance, and the
     trees only pick the neighbors: rho and nu are measured between the
     original points.  The estimate therefore changes only where rounding in
-    the rotated coordinates reorders two neighbors tied to within it.  Each
-    query point's neighbors are found on their own, so the queries run on
-    rowblocks.cpu_share() threads, and P's rotation and the distances one
-    row block at a time, without changing a bit of the result.
+    the rotated coordinates reorders two neighbors tied to within it.  When
+    more than half of P lies outside Q's bounding box in those axes (a
+    direct fine-tune's drift), the trees prune little: blocked products
+    find each point's neighbors in Q, with the indices a tree on Q returns,
+    and P's own tree is built in P's principal axes (_kth_neighbors).  Each
+    query point's neighbors are found on their own, so the tree queries run
+    on rowblocks.cpu_share() threads, and the rotations, products and
+    distances one row block at a time, without changing a bit of the
+    result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -329,7 +443,8 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     # ("clip" skips take's own buffering; every index is in range, as each
     # set holds more than k points)
     rho, nu = np.empty(n), np.empty(n)
-    blocks, buf = _knn_blocks(*p.shape)
+    blocks, most = _knn_blocks(*p.shape)
+    buf = np.empty((most, p.shape[1]))
     for rows in blocks:
         part = buf[:rows.stop - rows.start]
         for x, near, dist in ((p, near_p, rho), (q, near_q, nu)):

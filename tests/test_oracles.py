@@ -1,4 +1,5 @@
 """Sampling oracles, identity checks, and divergence estimators."""
+import functools
 import os
 import sys
 import threading
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from noisetilt import autodiff as ad
 from noisetilt import oracles, rowblocks
+from noisetilt.baselines import DirectFinetuneConfig, measure_drift, train_direct_finetune
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import (DpiReport, SamplerError, bilipschitz_check,
@@ -482,22 +484,112 @@ def test_kl_knn_on_an_evaluator_thread_same_bits(monkeypatch):
     assert evaluator.threads == 2
 
 
+@functools.cache
+def drift_sets() -> dict:
+    """The README run's direct fine-tune drift sets, as measure_drift draws
+    them: its decoder and reward (paper_small.ini) fine-tuned for
+    direct_ft.ini's 300 steps, and at each evaluated step (0, 25, ..., 275, 299)
+    2000 fine-tuned outputs and 2000 base outputs."""
+    g, r = decoder_and_redness(seed=1)
+    cfg = DirectFinetuneConfig(steps=300, eval_every=25, seed=1)
+    sets = {}
+
+    def keep(step, adapted):
+        def estimate(p, q, d):
+            sets[step] = (p, q)
+            return 0.0
+        return measure_drift(adapted, cfg, step, estimate)
+
+    train_direct_finetune(g, r, cfg, eval_hook=keep)
+    return sets
+
+
 def test_kl_knn_holds_little_beyond_its_rotated_sets():
     # two estimates run at once on an evaluator; each holds its two rotated
     # sets, one row block of temporaries and the trees: a whole centred
-    # copy of P took the peak to 3.0 x p.nbytes
+    # copy of P took the peak to 3.0 x p.nbytes.  A drift set collapsed
+    # far from Q takes the blocked products, which drop P's first rotation
+    # to make room for their blocks (P's size less one row block)
     g, _ = decoder_and_redness()
     rng = np.random.default_rng(15)
-    p = g.generate(rng.standard_normal((2000, 6)) + 0.2)
-    q = g.generate(rng.standard_normal((2000, 6)))
-    kl_knn(p, q, d=6)
-    tracemalloc.start()
-    try:
+    near = (g.generate(rng.standard_normal((2000, 6)) + 0.2),
+            g.generate(rng.standard_normal((2000, 6))))
+    for p, q in (near, drift_sets()[299]):
         kl_knn(p, q, d=6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2.5 * p.nbytes
+        tracemalloc.start()
+        try:
+            kl_knn(p, q, d=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * p.nbytes
+
+
+@pytest.mark.parametrize("step", [25, 100, 299])
+def test_far_drift_sets_same_bits_as_the_tree(step, monkeypatch):
+    # the products and P's own axes find the neighbors the trees in Q's
+    # axes find, so the drift estimate keeps its bits
+    p, q = drift_sets()[step]
+    near_p, near_q = oracles._kth_neighbors(p, q, 5)
+    value = kl_knn(p, q, d=6)
+    monkeypatch.setattr(oracles, "_outside_share", lambda p_rot, q_rot: 0.0)
+    tree_p, tree_q = oracles._kth_neighbors(p, q, 5)
+    assert np.array_equal(near_p, tree_p) and np.array_equal(near_q, tree_q)
+    assert kl_knn(p, q, d=6) == value
+
+
+def test_only_far_sets_reach_the_products(monkeypatch):
+    calls, real = [], oracles._kth_by_products
+
+    def counting(p, mean, axes, q_rot, k):
+        calls.append(len(p))
+        return real(p, mean, axes, q_rot, k)
+
+    monkeypatch.setattr(oracles, "_kth_by_products", counting)
+    run_theory_suite(2000, seed=0)          # its four kNN pairs
+    g, _ = decoder_and_redness(seed=1)
+    rng = np.random.default_rng(16)
+    kl_knn(g.generate(rng.standard_normal((2000, 6)) + 0.2),
+           g.generate(rng.standard_normal((2000, 6))), d=6)
+    assert calls == []
+    far = [step for step in drift_sets() if step >= 25]
+    for step in far:
+        kl_knn(*drift_sets()[step], d=6)
+    assert calls == [2000] * len(far) == [2000] * 12
+
+
+@pytest.mark.parametrize("k", [2, 5, 8])
+def test_products_rank_near_ties_as_the_tree_does(k):
+    # Q packed into 1e-14 of a unit sphere around each p: the k-th distances
+    # differ from their neighbors' by a few ulps, and |q|^2 - 2 p.q alone
+    # misorders some; the products' margin and exact ranking return the
+    # tree's index wherever its k-th distance is not exactly tied
+    rng = np.random.default_rng(18)
+    q = 1e-14 * rng.standard_normal((300, 48))
+    q -= q.mean(axis=0)
+    p = rng.standard_normal((300, 48))
+    p /= np.linalg.norm(p, axis=1)[:, None]
+    tree = oracles.kd_tree()(q).query(p, k=[k])[1][:, 0]
+    dist = np.array([oracles._tree_sq_distances(q, np.broadcast_to(row, q.shape)) for row in p])
+    untied = np.count_nonzero(dist == dist[np.arange(len(p)), tree][:, None], axis=1) == 1
+    assert untied.sum() >= 250
+    near = oracles._kth_by_products(p, np.zeros(48), np.eye(48), q, k)   # rotates by nothing
+    assert np.array_equal(near[untied], tree[untied])
+    products_alone = np.argsort(np.einsum("ij,ij->i", q, q) - 2.0 * p @ q.T, axis=1,
+                                kind="stable")[:, k - 1]
+    assert np.any(products_alone[untied] != tree[untied])
+
+
+def test_tree_sq_distances_are_the_trees():
+    # the products rank their candidates in the tree's own arithmetic; a
+    # plain sum over 48 coordinates differs from it in about half the rows
+    rng = np.random.default_rng(17)
+    for width in (1, 2, 4, 6, 7, 48):
+        q = rng.standard_normal((3000, width)) * rng.uniform(0.1, 10.0, width)
+        p = 3.0 * rng.standard_normal((500, width)) + 2.0
+        dist, near = oracles.kd_tree()(q).query(p, k=[3])
+        assert np.array_equal(np.sqrt(oracles._tree_sq_distances(q[near[:, 0]], p)),
+                              dist[:, 0]), width
 
 
 def test_kl_knn_at_the_dimension_of_an_isometric_embedding():
@@ -572,6 +664,38 @@ def assert_close_estimates(value, reference):
 def test_kl_knn_matches_brute_force(case):
     p, q, k = case
     assert_close_estimates(kl_knn(p, q, k), kl_knn_brute_force(p, q, k))
+
+
+@st.composite
+def far_sample_pairs(draw):
+    """sample_pairs with P moved out of Q's bounding box in Q's principal
+    axes: every p lies further from Q's mean than sqrt(d) times Q's
+    radius, which bounds every point of that box."""
+    p, q, k = draw(sample_pairs())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    centre = q.mean(axis=0)
+    radius_q = np.linalg.norm(q - centre, axis=1).max()
+    radius_p = np.linalg.norm(p - p.mean(axis=0), axis=1).max()
+    direction = rng.standard_normal(p.shape[1])
+    direction /= np.linalg.norm(direction)
+    reach = np.sqrt(p.shape[1]) * radius_q + radius_p
+    return p - p.mean(axis=0) + centre + draw(st.floats(1.01, 10.0)) * reach * direction, q, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(far_sample_pairs())
+def test_kl_knn_far_sets_match_brute_force(case):
+    p, q, k = case
+    calls, real = [], oracles._kth_by_products
+
+    def counting(p, mean, axes, q_rot, k):
+        calls.append(k)
+        return real(p, mean, axes, q_rot, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracles, "_kth_by_products", counting)
+        assert_close_estimates(kl_knn(p, q, k), kl_knn_brute_force(p, q, k))
+    assert calls == [k]
 
 
 @settings(max_examples=50, deadline=None)
