@@ -293,6 +293,13 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
         raise ConfigError("tradeoff configs disagree on [run] seed")
     if cfg_h["train"]["steps"] != cfg_d["direct_ft"]["steps"]:
         raise ConfigError("tradeoff configs disagree on the step budget")
+    # a kNN estimate's bias depends on its sample count, so when both curves
+    # are kNN estimates (eval_samples applies to a network's drift) they share one
+    ev, samples = cfg_h["evaluation"], cfg_d["direct_ft"]["eval_samples"]
+    if (ev["fidelity_metric"] == "knn_kl" and "eval_samples" in cfg_d.applying("direct_ft")
+            and ev["heldout"] != samples):
+        raise ConfigError("tradeoff configs disagree on the kNN sample count: [evaluation] "
+                          f"heldout = {ev['heldout']}, [direct_ft] eval_samples = {samples}")
     _echo_config(ctx, cfg_h)
     with ctx.phase("build"):
         g, r, hn = _build_hypernoise(cfg_h)

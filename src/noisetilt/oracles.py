@@ -252,11 +252,11 @@ def kd_tree() -> type:
 
 
 def _knn_blocks(n: int, width: int) -> tuple[list[slice], int]:
-    """Row blocks of kl_knn's rotations and distances over n rows `width`
-    values wide, and the rows of the largest, which sets the scratch block
-    that each of those steps holds.  A block holds an eighth of
-    rowblocks.ROW_BLOCK's values (512 rows of 48), so that its temporaries
-    stay a small part of even a 2000-row set."""
+    """Row blocks of kl_knn's rotations, bounding-box count and distances
+    over n rows `width` values wide, and the rows of the largest, which sets
+    the scratch block that each of those steps holds.  A block holds an
+    eighth of rowblocks.ROW_BLOCK's values (512 rows of 48), so that its
+    temporaries stay a small part of even a 2000-row set."""
     blocks = rowblocks.row_blocks(n, 8 * width)
     return blocks, max(b.stop - b.start for b in blocks)
 
@@ -273,70 +273,46 @@ def _rotate_rows(x: np.ndarray, mean: np.ndarray, axes: np.ndarray,
     return out
 
 
-def _tree_sq_distances(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The squared distance between each row of x and the same row of y,
-    summed as scipy's cKDTree sums it: four running sums over the
-    coordinates in steps of four (numpy reduces the middle axis of a
-    C-ordered array in order), added left to right, then the coordinates
-    left over.  These are the bits by which the tree ranks neighbors."""
-    sq = np.subtract(x, y)
-    np.square(sq, out=sq)
-    fours = sq.shape[1] - sq.shape[1] % 4
-    acc = sq[:, :fours].reshape(len(sq), -1, 4).sum(axis=1)
-    dist = ((acc[:, 0] + acc[:, 1]) + acc[:, 2]) + acc[:, 3]
-    for j in range(fours, sq.shape[1]):
-        dist += sq[:, j]
-    return dist
+def _sq_distances(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """|x - p|^2 row by row, overwriting x: kl_knn's distance, by which it
+    measures rho and nu and the products rank their candidates."""
+    x -= p
+    np.square(x, out=x)
+    return x.sum(axis=1)
 
 
-def _kth_by_products(p: np.ndarray, mean: np.ndarray, axes: np.ndarray,
-                     q_rot: np.ndarray, k: int) -> np.ndarray:
-    """Index of each p_i's k-th nearest row of q_rot, P being rotated into
-    Q's axes as (p - mean) @ axes, from blocked products: the index a k-d
-    tree on q_rot returns.
-
-    For a block of P's rows, |q|^2 - 2 p.q is |p - q|^2 less |p|^2 up to a
-    rounding error under half of `margin`; every q within `margin` of the
-    row's k-th value is a candidate, and the candidates are ranked by their
-    distance in the tree's own arithmetic (_tree_sq_distances), so rounding
-    orders them as it orders them in the tree.  Only an exact tie can part
-    the two: it goes to the lower index here, to the point the tree visits
-    first there.  P is rotated one _knn_blocks block at a time by the calls
-    _rotate_rows makes on the whole of P, so its rows have the bits the tree
-    is given; a block of products and its partitioned copy together hold
-    about P's size less one such block, so the caller frees its own rotated
-    P first."""
-    (n, width), m = p.shape, len(q_rot)
-    q_sq = np.einsum("ij,ij->i", q_rot, q_rot)
+def _kth_by_products(p: np.ndarray, q: np.ndarray, mean: np.ndarray, k: int) -> np.ndarray:
+    """Index of each p_i's k-th nearest row of q by kl_knn's distance, ties
+    to the lower index.  Products |q_c|^2 - 2 p_c.q_c on both sets centred
+    on Q's mean `mean` pick the candidates within `margin` of a row's k-th
+    one, and those are ranked by the distance itself.  Q's centred copy and
+    the blocks of products hold about Q's and P's sizes."""
+    (n, width), m = p.shape, len(q)
+    q_c = q - mean
+    q_sq = np.einsum("ij,ij->i", q_c, q_c)
     reach = np.sqrt(q_sq.max())
-    blocks, most = _knn_blocks(n, width)
-    rows_per = max(1, (n - most) * width // (2 * m))
+    rows_per = max(1, n * width // (2 * m))
     buf = np.empty((2, rows_per, m))
-    p_block = np.empty((most, width))
     near = np.empty(n, dtype=np.intp)
-    for rows in blocks:
-        p_rot = _rotate_rows(p[rows], mean, axes, p_block[:rows.stop - rows.start])
-        # |fl(q_sq - 2 p.q) - (|p - q|^2 - |p|^2)| <= gamma_(width+1) (|q|^2 + 2 |p||q|)
-        # and the tree's sums are off by gamma_width |p - q|^2: each is under
-        # (width + 2) eps / 2 (|p| + |q|)^2, a quarter of the margin
-        margin = np.sqrt(np.einsum("ij,ij->i", p_rot, p_rot))
-        margin += reach
-        margin *= margin
-        margin *= 2.0 * (width + 2) * np.finfo(np.float64).eps
-        for start in range(0, len(p_rot), rows_per):
-            pb = p_rot[start:start + rows_per]
-            prod, kth = buf[0, :len(pb)], buf[1, :len(pb)]
-            np.matmul(pb * -2.0, q_rot.T, out=prod)     # -2 p.q, exactly (a power of two)
-            prod += q_sq
-            np.copyto(kth, prod)
-            kth.partition(k - 1, axis=1)
-            kth = kth[:, k - 1]
-            kth += margin[start:start + len(pb)]
-            row, col = np.divmod(np.flatnonzero(prod <= kth[:, None]), m)
-            order = np.lexsort((col, _tree_sq_distances(q_rot[col], pb[row]), row))
-            counts = np.bincount(row, minlength=len(pb))
-            first = rows.start + start
-            near[first:first + len(pb)] = col[order[np.cumsum(counts) - counts + (k - 1)]]
+    for first in range(0, n, rows_per):
+        p_c = p[first:first + rows_per] - mean
+        # with s = |p_c| + max |q_c| and u = eps / 2, the products are off by
+        # gamma_(width+1) s^2, centring moves |p_c - q_c|^2 off |p - q|^2 by
+        # 2u s^2 and kl_knn's sum is off by gamma_(width+2) s^2: (2 width + 5)
+        # u s^2 to first order.  The k-th distance lies within twice that of
+        # the k-th product; the margin doubles it again for the rest
+        margin = 2.0 * (2 * width + 5) * np.finfo(np.float64).eps * (
+            np.sqrt(np.einsum("ij,ij->i", p_c, p_c)) + reach) ** 2
+        prod, kth = buf[0, :len(p_c)], buf[1, :len(p_c)]
+        np.matmul(p_c * -2.0, q_c.T, out=prod)     # -2 p.q, exactly (a power of two)
+        prod += q_sq
+        np.copyto(kth, prod)
+        kth.partition(k - 1, axis=1)
+        kth = kth[:, k - 1] + margin
+        row, col = np.divmod(np.flatnonzero(prod <= kth[:, None]), m)
+        order = np.lexsort((col, _sq_distances(q[col], p[first + row]), row))
+        counts = np.bincount(row, minlength=len(p_c))
+        near[first:first + len(p_c)] = col[order[np.cumsum(counts) - counts + (k - 1)]]
     return near
 
 
@@ -360,20 +336,13 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     A set further out (a direct fine-tune's drift sets: 0.46 before its
     first step, 0.99 and more once its outputs have collapsed away from Q)
     leaves a tree on Q little to prune, so blocked products answer Q's query
-    on the calling thread (_kth_by_products), with the tree's indices; P's
-    self-query then runs on a tree in P's own centred principal axes, which
-    fit a collapsed set where Q's do not.  So the route, which only the
-    share picks, changes the estimate only where, as with any rotation,
-    rounding in P's rotated coordinates reorders two of its neighbors tied
-    to within it.
+    on the calling thread (_kth_by_products), and P's self-query runs on a
+    tree in P's own centred principal axes, which fit a collapsed set.
 
-    Q's centred copy becomes its rotated one before P's rotation is made,
-    and the rotations work one row block at a time through one scratch
-    block, so the two rotated sets and that block are the most the trees'
-    route holds at once.  The products' route drops P's first rotation for
-    its blocks of products, and makes P's own once Q's is freed, so it
-    holds no more.  Kept apart from kl_knn so the rotated copies are freed
-    before it measures the distances."""
+    The rotations work one row block at a time, so the two rotated sets are
+    the most either route holds at once: the products' route frees them
+    before its products and makes P's own rotation after.  Kept apart from
+    kl_knn so the rotated copies are freed before it measures distances."""
     mean = q.mean(axis=0)
     q_rot = q - mean
     axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
@@ -383,9 +352,8 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
     if _outside_share(p_rot, q_rot) <= 0.5:
         near_q = tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0]
     else:
-        del p_rot
-        near_q = _kth_by_products(p, mean, axes, q_rot, k)
-        del q_rot
+        del p_rot, q_rot
+        near_q = _kth_by_products(p, q, mean, k)
         mean = p.mean(axis=0)
         p_rot = p - mean
         _rotate_rows(p, mean, np.linalg.eigh(p_rot.T @ p_rot)[1], p_rot)
@@ -410,18 +378,15 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     Both sets are centred on the mean of Q and rotated into Q's principal
     axes before the k-d trees are built, so that the trees' axis-aligned
     splits follow the directions the data spans (a decoder's outputs span
-    only a few of their axes).  A rotation preserves every distance, and the
-    trees only pick the neighbors: rho and nu are measured between the
-    original points.  The estimate therefore changes only where rounding in
-    the rotated coordinates reorders two neighbors tied to within it.  When
-    more than half of P lies outside Q's bounding box in those axes (a
-    direct fine-tune's drift), the trees prune little: blocked products
-    find each point's neighbors in Q, with the indices a tree on Q returns,
-    and P's own tree is built in P's principal axes (_kth_neighbors).  Each
-    query point's neighbors are found on their own, so the tree queries run
-    on rowblocks.cpu_share() threads, and the rotations, products and
-    distances one row block at a time, without changing a bit of the
-    result.
+    only a few of their axes).  The trees only pick the neighbors: rho and
+    nu are measured between the original points, so the estimate changes
+    only where rounding in the rotated coordinates reorders two neighbors
+    tied to within it.  When more than half of P lies outside Q's bounding
+    box in those axes (a direct fine-tune's drift), blocked products find
+    each nu as the k-th smallest of the very distances measured, and P's
+    own tree is built in P's principal axes (_kth_neighbors).  The tree
+    queries run on rowblocks.cpu_share() threads, the rest one row block at
+    a time, without changing a bit of the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -449,9 +414,7 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
         part = buf[:rows.stop - rows.start]
         for x, near, dist in ((p, near_p, rho), (q, near_q, nu)):
             np.take(x, near[rows], axis=0, out=part, mode="clip")
-            part -= p[rows]
-            np.square(part, out=part)
-            np.sqrt(part.sum(axis=1), out=dist[rows])
+            np.sqrt(_sq_distances(part, p[rows]), out=dist[rows])
     if np.any(rho == 0.0) or np.any(nu == 0.0):
         if _retried:
             raise ValueError("duplicate points persist after jitter; cannot estimate")

@@ -707,7 +707,7 @@ def knn_runs(tmp_path):
     hyper = write(tmp_path, "h.ini", KNN_DECODER)
     direct = write(tmp_path, "d.ini", as_method(
         KNN_DECODER, "direct_ft",
-        direct_ft="steps = 30\nbatch_size = 8\neval_every = 10\neval_samples = 100"))
+        direct_ft="steps = 30\nbatch_size = 8\neval_every = 10\neval_samples = 200"))
     return {"train": ["train", "--config", hyper], "tradeoff": ["tradeoff", hyper, direct],
             "baseline": ["baseline", "--config", direct]}
 
@@ -1344,6 +1344,16 @@ def test_tradeoff_mismatch_exit_2(tmp_path, capsys):
     assert main(["tradeoff", cfg_h, cfg_d, "--out", str(tmp_path / "out"),
                  "--quiet"]) == 2
     assert "tradeoff configs disagree on [run] seed" in capsys.readouterr().err
+    # two kNN curves from different sample counts: knn_runs' tradeoff, whose
+    # heldout is 200, against a direct fine-tune estimating from 100 points
+    argv = knn_runs(tmp_path)["tradeoff"]
+    Path(argv[2]).write_text(Path(argv[2]).read_text().replace("eval_samples = 200",
+                                                               "eval_samples = 100"))
+    out = tmp_path / "knn"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert ("tradeoff configs disagree on the kNN sample count: [evaluation] heldout = 200, "
+            "[direct_ft] eval_samples = 100") in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
 
 
 def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):

@@ -508,8 +508,8 @@ def test_kl_knn_holds_little_beyond_its_rotated_sets():
     # two estimates run at once on an evaluator; each holds its two rotated
     # sets, one row block of temporaries and the trees: a whole centred
     # copy of P took the peak to 3.0 x p.nbytes.  A drift set collapsed
-    # far from Q takes the blocked products, which drop P's first rotation
-    # to make room for their blocks (P's size less one row block)
+    # far from Q takes the blocked products, which free both rotated sets
+    # first to make room for Q's centred copy and their blocks (P's size)
     g, _ = decoder_and_redness()
     rng = np.random.default_rng(15)
     near = (g.generate(rng.standard_normal((2000, 6)) + 0.2),
@@ -541,9 +541,9 @@ def test_far_drift_sets_same_bits_as_the_tree(step, monkeypatch):
 def test_only_far_sets_reach_the_products(monkeypatch):
     calls, real = [], oracles._kth_by_products
 
-    def counting(p, mean, axes, q_rot, k):
+    def counting(p, q, mean, k):
         calls.append(len(p))
-        return real(p, mean, axes, q_rot, k)
+        return real(p, q, mean, k)
 
     monkeypatch.setattr(oracles, "_kth_by_products", counting)
     run_theory_suite(2000, seed=0)          # its four kNN pairs
@@ -558,38 +558,30 @@ def test_only_far_sets_reach_the_products(monkeypatch):
     assert calls == [2000] * len(far) == [2000] * 12
 
 
+def sq_distances(p, q):
+    """(n, m) squared distances between the rows of p and of q, each summed
+    as kl_knn sums the distances it measures."""
+    return np.array([((q - row) ** 2).sum(axis=1) for row in p])
+
+
 @pytest.mark.parametrize("k", [2, 5, 8])
 def test_products_rank_near_ties_as_the_tree_does(k):
     # Q packed into 1e-14 of a unit sphere around each p: the k-th distances
     # differ from their neighbors' by a few ulps, and |q|^2 - 2 p.q alone
-    # misorders some; the products' margin and exact ranking return the
-    # tree's index wherever its k-th distance is not exactly tied
+    # misorders some; the products' margin and ranking still return the
+    # k-th smallest of kl_knn's own distances, ties to the lower index
     rng = np.random.default_rng(18)
     q = 1e-14 * rng.standard_normal((300, 48))
     q -= q.mean(axis=0)
     p = rng.standard_normal((300, 48))
     p /= np.linalg.norm(p, axis=1)[:, None]
-    tree = oracles.kd_tree()(q).query(p, k=[k])[1][:, 0]
-    dist = np.array([oracles._tree_sq_distances(q, np.broadcast_to(row, q.shape)) for row in p])
-    untied = np.count_nonzero(dist == dist[np.arange(len(p)), tree][:, None], axis=1) == 1
-    assert untied.sum() >= 250
-    near = oracles._kth_by_products(p, np.zeros(48), np.eye(48), q, k)   # rotates by nothing
-    assert np.array_equal(near[untied], tree[untied])
+    dist = sq_distances(p, q)
+    exact = np.argsort(dist, axis=1, kind="stable")[:, k - 1]
+    assert np.array_equal(oracles._kth_by_products(p, q, q.mean(axis=0), k), exact)
     products_alone = np.argsort(np.einsum("ij,ij->i", q, q) - 2.0 * p @ q.T, axis=1,
                                 kind="stable")[:, k - 1]
-    assert np.any(products_alone[untied] != tree[untied])
-
-
-def test_tree_sq_distances_are_the_trees():
-    # the products rank their candidates in the tree's own arithmetic; a
-    # plain sum over 48 coordinates differs from it in about half the rows
-    rng = np.random.default_rng(17)
-    for width in (1, 2, 4, 6, 7, 48):
-        q = rng.standard_normal((3000, width)) * rng.uniform(0.1, 10.0, width)
-        p = 3.0 * rng.standard_normal((500, width)) + 2.0
-        dist, near = oracles.kd_tree()(q).query(p, k=[3])
-        assert np.array_equal(np.sqrt(oracles._tree_sq_distances(q[near[:, 0]], p)),
-                              dist[:, 0]), width
+    rows = np.arange(len(p))
+    assert np.any(dist[rows, products_alone] != dist[rows, exact])
 
 
 def test_kl_knn_at_the_dimension_of_an_isometric_embedding():
@@ -670,7 +662,9 @@ def test_kl_knn_matches_brute_force(case):
 def far_sample_pairs(draw):
     """sample_pairs with P moved out of Q's bounding box in Q's principal
     axes: every p lies further from Q's mean than sqrt(d) times Q's
-    radius, which bounds every point of that box."""
+    radius, which bounds every point of that box.  Both sets then share an
+    offset of up to 1e6 times their spread, whose cancellation the
+    products' centring guards against."""
     p, q, k = draw(sample_pairs())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     centre = q.mean(axis=0)
@@ -679,23 +673,30 @@ def far_sample_pairs(draw):
     direction = rng.standard_normal(p.shape[1])
     direction /= np.linalg.norm(direction)
     reach = np.sqrt(p.shape[1]) * radius_q + radius_p
-    return p - p.mean(axis=0) + centre + draw(st.floats(1.01, 10.0)) * reach * direction, q, k
+    p = p - p.mean(axis=0) + centre + draw(st.floats(1.01, 10.0)) * reach * direction
+    spread = np.abs(np.vstack([p, q]) - centre).max()
+    offset = 10.0 ** draw(st.floats(-2.0, 6.0)) * spread * rng.standard_normal(p.shape[1])
+    return p + offset, q + offset, k
 
 
 @settings(max_examples=100, deadline=None)
 @given(far_sample_pairs())
 def test_kl_knn_far_sets_match_brute_force(case):
+    # and nu is, bit for bit, the k-th smallest of the distances kl_knn
+    # measures from each p to Q
     p, q, k = case
-    calls, real = [], oracles._kth_by_products
+    found, real = [], oracles._kth_by_products
 
-    def counting(p, mean, axes, q_rot, k):
-        calls.append(k)
-        return real(p, mean, axes, q_rot, k)
+    def recording(p, q, mean, k):
+        found.append(real(p, q, mean, k))
+        return found[-1]
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(oracles, "_kth_by_products", counting)
+        mp.setattr(oracles, "_kth_by_products", recording)
         assert_close_estimates(kl_knn(p, q, k), kl_knn_brute_force(p, q, k))
-    assert calls == [k]
+    assert len(found) == 1
+    dist = sq_distances(p, q)
+    assert np.array_equal(dist[np.arange(len(p)), found[0]], np.sort(dist, axis=1)[:, k - 1])
 
 
 @settings(max_examples=50, deadline=None)
