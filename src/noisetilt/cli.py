@@ -50,7 +50,8 @@ class RunContext:
         self.quiet = quiet
         self.t0 = time.monotonic()
         self.log_lines: list[str] = []
-        self.phases: dict[str, list] = {}   # name -> [wall s, minor page faults]
+        # name -> [wall s, minor page faults, ru_maxrss KiB when last left]
+        self.phases: dict[str, list] = {}
         self._open: list[str] = []
         self._mark = (self.t0, 0)
         # the run's kNN estimates; waiting for one counts as evaluate
@@ -59,7 +60,8 @@ class RunContext:
     @contextlib.contextmanager
     def phase(self, name: str):
         """Charge the wall time and minor page faults spent inside to phase
-        `name`; a phase opened inside another pauses the outer one."""
+        `name`, and note the process's peak memory when it is left; a phase
+        opened inside another pauses the outer one."""
         self._charge()
         self._open.append(name)
         try:
@@ -70,12 +72,13 @@ class RunContext:
 
     def _charge(self):
         now = time.monotonic()
-        faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        usage = resource.getrusage(resource.RUSAGE_SELF)
         if self._open:
-            totals = self.phases.setdefault(self._open[-1], [0.0, 0])
+            totals = self.phases.setdefault(self._open[-1], [0.0, 0, 0])
             totals[0] += now - self._mark[0]
-            totals[1] += faults - self._mark[1]
-        self._mark = (now, faults)
+            totals[1] += usage.ru_minflt - self._mark[1]
+            totals[2] = usage.ru_maxrss
+        self._mark = (now, usage.ru_minflt)
 
     def path(self, *parts) -> str:
         return os.path.join(self.out_dir, *parts)
@@ -90,10 +93,11 @@ class RunContext:
             self.log_lines.append(f"evaluator {self.evaluator.estimates} estimates, "
                                   f"busy {self.evaluator.busy_s:.3f} s "
                                   f"on {self.evaluator.threads} threads")
-        for name, (wall, faults) in self.phases.items():
-            self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults")
-        self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
         # ru_maxrss is in KiB on Linux
+        for name, (wall, faults, peak_kib) in self.phases.items():
+            self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults, "
+                                  f"peak_rss_mb {peak_kib / 1024:.1f}")
+        self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         self.log_lines.append(f"peak_rss_mb {peak_kib / 1024:.1f}")
         reporting.atomic_write(self.path("run.log"), "\n".join(self.log_lines) + "\n")

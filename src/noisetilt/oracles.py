@@ -49,35 +49,44 @@ class TiltedSampleSet:
         return self.weights @ self.samples
 
 
-def _weighted_moments(y: np.ndarray, w: np.ndarray, tmp: Optional[np.ndarray] = None):
-    """Weighted mean and second moment of the rows of `y` with their SNIS
-    standard errors sqrt(sum_i w_i^2 (v_i - m)^2), v_i being y_i or y_i^2
-    (the plain formula for uniform w).  One scratch array of y's shape
-    holds every term: `tmp` if given, else a new one."""
-    mean = w @ y
-    w2 = (w * w)[:, None]
-    tmp = np.multiply(y, y, out=tmp)
-    second = w @ tmp
-    tmp -= second
-    np.square(tmp, out=tmp)
-    tmp *= w2
-    se_second = np.sqrt(np.sum(tmp, axis=0))
-    np.subtract(y, mean, out=tmp)
-    np.square(tmp, out=tmp)
-    tmp *= w2
-    se_mean = np.sqrt(np.sum(tmp, axis=0))
-    return mean, second, se_mean, se_second
+def _streamed_moments(g: Generator, x: np.ndarray, w: np.ndarray):
+    """Weighted mean and second moment of the outputs y_i = g(x_i), with
+    their SNIS standard errors sqrt(sum_i w_i^2 (v_i - m)^2), v_i being y_i
+    or y_i^2 (the plain formula for uniform w).  The outputs are generated
+    one row block at a time, so only a block's outputs exist at once.
 
+    Each block writes its own partial sums (sum w v, and about the block's
+    w^2-weighted centre c_b: S0_b = sum w^2 and M2_b = sum w^2 (v - c_b)^2),
+    which are added in block order afterwards, so the bits do not depend on
+    the workers.  The errors merge as sum_b [M2_b + S0_b (c_b - m)^2]
+    (Chan, Golub & LeVeque 1979), never as E[v^2] - m^2, which cancels."""
+    blocks = rowblocks.row_blocks(len(x), g.output_dim)
+    at = {rows.start: i for i, rows in enumerate(blocks)}
+    # per block: sum w y, sum w y^2, their centres, their M2s, S0
+    parts = np.empty((len(blocks), 7, g.output_dim))
 
-def map_rows(h: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-             out: np.ndarray, width: int) -> np.ndarray:
-    """The row-wise map h over the rows of `x`, written into `out` one row
-    block at a time; `width` is the number of values per row of the
-    widest array h makes, which sets the rows per block."""
     def block(rows):
-        out[rows] = h(x[rows])
-    rowblocks.run_blocks(block, rowblocks.row_blocks(len(x), width))
-    return out
+        part, wb = parts[at[rows.start]], w[rows]
+        w2 = wb * wb
+        s0 = w2.sum()
+        y = g.generate(x[rows])
+        v = np.multiply(y, y)
+        for j, vj in enumerate((y, v)):
+            part[j] = wb @ vj
+            # a block whose weights all underflow to 0 adds nothing
+            part[2 + j] = w2 @ vj / s0 if s0 > 0 else 0.0
+        v -= part[3]
+        np.square(v, out=v)
+        part[5] = w2 @ v
+        np.subtract(y, part[2], out=v)
+        np.square(v, out=v)
+        part[4] = w2 @ v
+        part[6] = s0
+    rowblocks.run_blocks(block, blocks)
+    moments = functools.reduce(np.add, parts[:, :2])
+    se = np.sqrt(functools.reduce(
+        np.add, (part[4:6] + part[6] * (part[2:4] - moments) ** 2 for part in parts)))
+    return moments[0], moments[1], se[0], se[1]
 
 
 def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.ndarray:
@@ -85,8 +94,12 @@ def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.
     a time, so only a block's outputs exist at once; the same bits as
     r.evaluate_batch(g.generate(x, steps=steps)) (but see
     rowblocks.MIN_BLOCK_ROWS)."""
-    return map_rows(lambda xb: r.evaluate_batch(g.generate(xb, steps=steps)), x,
-                    np.empty(len(x)), g.output_dim)
+    out = np.empty(len(x))
+
+    def block(rows):
+        out[rows] = r.evaluate_batch(g.generate(x[rows], steps=steps))
+    rowblocks.run_blocks(block, rowblocks.row_blocks(len(x), g.output_dim))
+    return out
 
 
 def _snis_weights(logw: np.ndarray) -> tuple[np.ndarray, float]:
@@ -130,23 +143,21 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
                 raise SamplerError(
                     "rejection sampling needs a declared envelope: no box bound "
                     "is available for this reward")
-        accepted = []
-        drawn = 0
+        x = np.empty((n, d))
+        got = drawn = 0     # rows accepted (also those past n) and drawn
         batch = max(n, 1024)
-        while sum(len(a) for a in accepted) < n:
-            x = rng.standard_normal((batch, d))
+        while got < n:
+            xb = rng.standard_normal((batch, d))
             drawn += batch
-            logp = (reward_values(g, r, x) - envelope) / alpha
-            keep = np.log(rng.random(batch)) < logp
-            accepted.append(x[keep])
-            got = sum(len(a) for a in accepted)
+            logp = (reward_values(g, r, xb) - envelope) / alpha
+            accepted = xb[np.log(rng.random(batch)) < logp]
+            x[got:got + len(accepted)] = accepted[:n - got]
+            got += len(accepted)
             rate = got / drawn
             if drawn >= 50 * batch and rate < 1e-4:
                 raise SamplerError(
                     f"rejection acceptance rate {rate:.2e} below 1e-4; "
                     "switch to method='snis'")
-        x = np.concatenate(accepted)[:n]
-        rate = sum(len(a) for a in accepted) / drawn
         w = np.full(n, 1.0 / n)
         return TiltedSampleSet(x, w, float(n), "rejection", alpha, acceptance_rate=rate)
 
@@ -169,21 +180,18 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
                       method: str = "snis") -> MomentGapReport:
     """Two independent routes to the tilted output moments must agree:
     (a) push tilted-noise samples through g, (b) importance-weight base
-    outputs directly in output space.  Route (b) reuses route (a)'s output
-    and scratch arrays once (a)'s moments are taken."""
+    outputs directly in output space.  Both routes' outputs stream through
+    row blocks: route (b) generates them once for the rewards and once more
+    for the moments."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
     tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
-    y = np.empty((n, g.output_dim))
-    tmp = np.empty_like(y)
-    mean_a, second_a, se_ma, se_sa = _weighted_moments(
-        map_rows(g.generate, tilted.samples, y, g.output_dim), tilted.weights, tmp)
+    mean_a, second_a, se_ma, se_sa = _streamed_moments(g, tilted.samples, tilted.weights)
 
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal((n, g.latent_dim))
-    map_rows(g.generate, x, y, g.output_dim)
-    w, ess_ref = _snis_weights(r.evaluate_batch(y) / alpha)
-    mean_b, second_b, se_mb, se_sb = _weighted_moments(y, w, tmp)
+    w, ess_ref = _snis_weights(reward_values(g, r, x) / alpha)
+    mean_b, second_b, se_mb, se_sb = _streamed_moments(g, x, w)
 
     mean_gap = mean_a - mean_b
     second_gap = second_a - second_b

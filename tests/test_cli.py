@@ -874,12 +874,23 @@ def test_run_log_phase_lines(tmp_path):
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 0
         lines = Path(out, "run.log").read_text().splitlines()
-        phases = {line.split()[1]: line for line in lines if line.startswith("phase ")}
+        phases = phase_peaks(lines)
         assert sorted(phases) == ["build", "evaluate", "train", "write"], name
-        for line in phases.values():
-            _, _, wall, unit, faults, *rest = line.split()
+        assert max(phases.values()) <= float(lines[-1].split()[1]), name
+
+
+def phase_peaks(lines):
+    """{phase: peak_rss_mb when it was last left} of run.log's phase lines,
+    in order, checking each line's form."""
+    peaks = {}
+    for line in lines:
+        if line.startswith("phase "):
+            _, name, wall, unit, faults, *rest, peak = line.split()
             assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
-            assert rest == ["minor", "page", "faults"]
+            assert rest == ["minor", "page", "faults,", "peak_rss_mb"]
+            peaks[name] = float(peak)
+            assert peaks[name] > 0
+    return peaks
 
 
 def test_run_log_ends_with_peak_rss(tmp_path):
@@ -1296,12 +1307,13 @@ def test_validate_theory_logs_each_check_group(tmp_path):
     out = str(tmp_path / "out")
     assert main(["validate-theory", "--config", cfg, "--out", out, "--quiet"]) == 0
     lines = Path(out, "run.log").read_text().splitlines()
-    phases = [line.split() for line in lines if line.startswith("phase ")]
-    assert [p[1] for p in phases] == ["tilted_sampler", "pushforward", "stein", "knn",
-                                      "dpi", "bilipschitz", "logdet"]
-    for _, _, wall, unit, faults, *rest in phases:
-        assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
-        assert rest == ["minor", "page", "faults"]
+    phases = phase_peaks(lines)
+    assert list(phases) == ["tilted_sampler", "pushforward", "stein", "knn",
+                            "dpi", "bilipschitz", "logdet"]
+    # the groups run one after another, so the peak never falls from one to
+    # the next, and the last is the run's peak so far
+    peaks = list(phases.values())
+    assert peaks == sorted(peaks) and peaks[-1] <= float(lines[-1].split()[1])
 
 
 def test_baseline_best_of_n(tmp_path):

@@ -215,11 +215,6 @@ def test_pooled_reward_values_same_bits():
     one, many = on_one_and_many_workers(lambda: oracles.reward_values(g, r, x))
     assert np.array_equal(one, many)
     assert np.array_equal(many, reward_values_one_shot(g, r, x))
-    one, many = on_one_and_many_workers(
-        lambda: oracles.map_rows(g.generate, x, np.empty((POOLED_ROWS, g.output_dim)),
-                                 g.output_dim))
-    assert np.array_equal(one, many)
-    assert np.array_equal(many, g.generate(x))
 
 
 def test_pooled_stein_check_same_bits():
@@ -285,16 +280,134 @@ def test_run_blocks_raises_a_block_exception(workers, monkeypatch):
     assert seen[0] == slice(0, B)
 
 
-def test_weighted_moments_same_bits():
-    rng = np.random.default_rng(11)
-    y = rng.standard_normal((3000, 48))
-    w = rng.random(3000)
-    w /= w.sum()
+def moment_bounds(y, w):
+    """First-order bounds on how far two evaluations of
+    weighted_moments_one_shot(y, w) that add the same terms in other orders
+    (the one-shot arithmetic and per-block partials) can differ: one for
+    each moment, and one for each squared standard error.
+
+    With u = eps / 2, a sum of k products in any order is within
+    gamma(k) = k u / (1 - k u) of the exact sum of their magnitudes (Higham,
+    Accuracy and Stability of Numerical Algorithms, 3.1); g = gamma(n + 8)
+    covers the few roundings each term takes besides the additions.  So a
+    moment sum w_i v_i (v_i being y_i or y_i^2) is off by at most
+    g sum |w_i v_i| on each side.  A squared error V = sum w_i^2 (v_i - m)^2
+    is off by g V from its own terms, and by 2 d sqrt(S0 V) when the centre
+    it is taken about is off by d (Cauchy-Schwarz; S0 = sum w_i^2): d is at
+    most g A (A = max |v_i|) for the one-shot mean; per block, for the
+    block's centre, and twice more for the merge term S0_b (c_b - m)^2.
+    So the two differ by at most g (4 V + 8 A sqrt(S0 V)), where a one-pass
+    E[v^2] - m^2 would be off by about u A^2 S0."""
+    n = len(y)
+    g = (n + 8) * np.finfo(float).eps / 2
+    g /= 1 - g
+    s0 = np.sum(w * w)
+    bounds = []
+    for v, se in zip((y, y * y), weighted_moments_one_shot(y, w)[2:]):
+        bounds.append(2 * g * (np.abs(w) @ np.abs(v)))
+        bounds.append(g * (4 * se ** 2 + 8 * np.abs(v).max(axis=0) * np.sqrt(s0) * se))
+    return bounds[0], bounds[2], bounds[1], bounds[3]
+
+
+def assert_moments_within_bounds(got, y, w):
+    """`got` (mean, second, se_mean, se_second) within moment_bounds(y, w)
+    of weighted_moments_one_shot(y, w); the errors are compared squared."""
     want = weighted_moments_one_shot(y, w)
-    # a reused scratch array's old contents are never read
-    for tmp in (None, np.full_like(y, np.nan)):
-        for got, ref in zip(oracles._weighted_moments(y, w, tmp), want):
-            assert np.array_equal(got, ref)
+    bounds = moment_bounds(y, w)
+    for i, name in enumerate(("mean", "second", "se_mean", "se_second")):
+        a, b = (got[i], want[i]) if i < 2 else (got[i] ** 2, want[i] ** 2)
+        assert np.all(np.isfinite(a)), name
+        assert np.all(np.abs(a - b) <= bounds[i]), name
+
+
+def block_weights(n, kind):
+    """Normalized weights of n rows: random, uniform (a rejection sample's),
+    or SNIS weights whose second row block all underflow to 0."""
+    rng = np.random.default_rng(n)
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
+    logw = rng.standard_normal(n)
+    if kind == "underflow":
+        logw[B:2 * B] = -2000.0
+    w, _ = oracles._snis_weights(logw)
+    assert kind != "underflow" or not w[B:2 * B].any()
+    return w
+
+
+@pytest.mark.parametrize("n, kind, blocks", [
+    (3000, "snis", 1), (2 * B + 5, "snis", 2), (2 * B + 1696, "snis", 3),
+    (2 * B + 1696, "uniform", 3), (2 * B + 1696, "underflow", 3)],
+    ids=["one-block", "tail-joins", "three-blocks", "uniform", "underflow"])
+def test_streamed_moments_within_summation_bounds(n, kind, blocks):
+    # 48-value rows far from 0 (their spread is 1, their mean 10^6), so that
+    # the bounds are narrow enough to refuse a one-pass E[v^2] - m^2
+    assert len(rowblocks.row_blocks(n, 48)) == blocks
+    y = 1e6 + np.random.default_rng(n + 1).standard_normal((n, 48))
+    w = block_weights(n, kind)
+    # an identity generator's outputs are its inputs, bit for bit
+    got = oracles._streamed_moments(identity_generator(48), y, w)
+    assert_moments_within_bounds(got, y, w)
+    w2 = w * w
+    one_pass = w2 @ (y * y) - 2 * got[0] * (w2 @ y) + got[0] ** 2 * np.sum(w2)
+    want = weighted_moments_one_shot(y, w)[2] ** 2
+    assert np.any(np.abs(one_pass - want) > moment_bounds(y, w)[2])
+
+
+def rejection_as_list(g, r, alpha, n, seed):
+    """The rejection sampler's samples and acceptance rate as a list of
+    each batch's accepted rows, concatenated and cut to n."""
+    rng = np.random.default_rng(seed)
+    envelope = r.upper_bound_on_box(*g.output_range, g.output_dim)
+    accepted, drawn, batch = [], 0, max(n, 1024)
+    while sum(len(a) for a in accepted) < n:
+        x = rng.standard_normal((batch, g.latent_dim))
+        drawn += batch
+        logp = (reward_values_one_shot(g, r, x) - envelope) / alpha
+        accepted.append(x[np.log(rng.random(batch)) < logp])
+    return np.concatenate(accepted)[:n], sum(len(a) for a in accepted) / drawn
+
+
+@pytest.mark.parametrize("n", [5, 1024, 3000, B + 3])
+def test_rejection_buffer_same_bits_as_a_list(n):
+    g, r = decoder_and_redness()
+    got = sample_tilted_noise(g, r, 0.005, n, seed=7, method="rejection")
+    samples, rate = rejection_as_list(g, r, 0.005, n, seed=7)
+    assert np.array_equal(got.samples, samples)
+    assert np.array_equal(got.weights, np.full(n, 1.0 / n))
+    assert (got.ess, got.acceptance_rate) == (float(n), rate)
+
+
+def test_pushforward_check_holds_no_whole_output_array(monkeypatch):
+    # the decoder's 48 outputs a row, 6 latent values: the check holds its
+    # n x 6 latent sets (the tilted samples, the base noise, the sampler's
+    # batch and accepted rows, a few n-vectors of rewards and weights), and
+    # each worker one row block of outputs, their squares and the
+    # generator's temporaries; the whole n x 48 outputs and their scratch
+    # copy (2 x 7.7 MB at n = 20,000) took the peak to 19.7 MB on one worker
+    g, r = decoder_and_redness()
+    n = 20000
+    block_bytes = B * g.output_dim * 8
+    for workers in (1, 2):
+        monkeypatch.setattr(rowblocks, "WORKERS", workers)
+        pushforward_check(g, r, 0.005, n, seed=5, method="rejection")
+        tracemalloc.start()
+        try:
+            pushforward_check(g, r, 0.005, n, seed=5, method="rejection")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * n * g.latent_dim * 8 + 3 * workers * block_bytes, workers
+
+
+def test_pooled_streamed_moments_same_bits():
+    g, _ = decoder_and_redness()
+    x = np.random.default_rng(12).standard_normal((POOLED_ROWS, 6))
+    w = block_weights(POOLED_ROWS, "snis")
+    one, many = on_one_and_many_workers(
+        lambda: oracles._streamed_moments(g, x, w))
+    for a, b in zip(one, many):
+        assert np.array_equal(a, b)
+    assert_moments_within_bounds(many, g.generate(x), w)
 
 
 def test_kl_knn_ground_truths():
