@@ -290,8 +290,8 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
                  ctx: RunContext) -> int:
-    for section in ("generator", "reward"):
-        if cfg_h[section] != cfg_d[section]:
+    for section in ("generator", "reward"):     # the keys the direct fine-tune reads
+        if any(cfg_h[section][key] != cfg_d[section][key] for key in cfg_d.applying(section)):
             raise ConfigError(f"tradeoff configs disagree in [{section}]")
     if cfg_h.seed != cfg_d.seed:
         raise ConfigError("tradeoff configs disagree on [run] seed")

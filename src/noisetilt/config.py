@@ -37,7 +37,7 @@ _REQUIRED = object()
 
 # the scope of a key that acts only on a generator built of layers
 _NETWORK = ("generator", "variant", ("mlp", "decoder"))
-# the scope of the [evaluation] keys only the noise network's runs read
+# the scope of the keys only the noise network's runs read
 _HYPERNOISE = ("run", "method", ("hypernoise",))
 _METHODS = ("hypernoise", "direct_ft", "noise_opt", "best_of_n", "theory")
 _BUILDS = _METHODS[:-1]     # the methods that build the generator and reward
@@ -80,7 +80,7 @@ _SCHEMA: dict[str, dict[str, tuple]] = {
         "width": ("int", SPEC_DEFAULTS["width"], ("generator", "variant", ("decoder",))),
         "matrix": ("matrix", [], ("generator", "variant", ("affine",))),
         "bias": ("floats", [], ("generator", "variant", ("affine",))),
-        "step_mix": ("float", SPEC_DEFAULTS["step_mix"]),
+        "step_mix": ("float", SPEC_DEFAULTS["step_mix"], _HYPERNOISE),  # multi-step only
         "weight_seed": ("seed", 0),
     },
     "reward": {

@@ -260,11 +260,11 @@ def kd_tree() -> type:
 
 
 def _knn_blocks(n: int, width: int) -> tuple[list[slice], int]:
-    """Row blocks of kl_knn's rotations, bounding-box count and distances
-    over n rows `width` values wide, and the rows of the largest, which sets
-    the scratch block that each of those steps holds.  A block holds an
-    eighth of rowblocks.ROW_BLOCK's values (512 rows of 48), so that its
-    temporaries stay a small part of even a 2000-row set."""
+    """Row blocks of kl_knn's rotations and distances over n rows `width`
+    values wide, and the rows of the largest, which sets the scratch block
+    that each of those steps holds.  A block holds an eighth of
+    rowblocks.ROW_BLOCK's values (512 rows of 48), so that its temporaries
+    stay a small part of even a 2000-row set."""
     blocks = rowblocks.row_blocks(n, 8 * width)
     return blocks, max(b.stop - b.start for b in blocks)
 
@@ -324,48 +324,43 @@ def _kth_by_products(p: np.ndarray, q: np.ndarray, mean: np.ndarray, k: int) -> 
     return near
 
 
-def _outside_share(p_rot: np.ndarray, q_rot: np.ndarray) -> float:
-    """The share of p_rot's rows outside q_rot's bounding box."""
-    lo, hi = q_rot.min(axis=0), q_rot.max(axis=0)
-    outside = sum(int(np.count_nonzero(np.any((p_rot[rows] < lo) | (p_rot[rows] > hi),
-                                              axis=1)))
-                  for rows in _knn_blocks(*p_rot.shape)[0])
-    return outside / len(p_rot)
+def _principal_frame(x: np.ndarray, out: np.ndarray) -> tuple[np.ndarray, ...]:
+    """x's mean and principal axes (the eigenvectors of its centred
+    scatter), and x centred and rotated into those axes in `out`."""
+    mean = x.mean(axis=0)
+    np.subtract(x, mean, out=out)
+    axes = np.linalg.eigh(out.T @ out)[1]
+    return mean, axes, _rotate_rows(x, mean, axes, out)
 
 
 def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Index of each p_i's k-th nearest neighbor among the other points of P
     and among Q.
 
-    Both queries run in Q's centred principal axes when at most half of
-    P's rotated rows lie outside Q's bounding box: k-d trees answer them, on
-    rowblocks.cpu_share() workers.  That holds for every near set: a
-    hypernoise estimate's share is 0.03-0.07, the theory suite's pairs' less.
-    A set further out (a direct fine-tune's drift sets: 0.46 before its
-    first step, 0.99 and more once its outputs have collapsed away from Q)
-    leaves a tree on Q little to prune, so blocked products answer Q's query
-    on the calling thread (_kth_by_products), and P's self-query runs on a
-    tree in P's own centred principal axes, which fit a collapsed set.
+    Each k-d tree is built over its own set, centred and rotated into that
+    set's principal axes; P's self-query runs on a tree over P.  Q's query
+    takes its route from P's mean in Q's axes: inside the bounding box of
+    Q's rotated rows (every near set, and a direct fine-tune's drift set at
+    step 0, 0.14-0.55 of whose rows lie outside it), a tree over Q answers,
+    queried with P rotated into Q's axes; outside it (the drift sets from
+    step 25 on, 99.2% and more of their rows outside), a tree on Q prunes
+    little, so blocked products answer on the calling thread
+    (_kth_by_products).  The trees query on rowblocks.cpu_share() workers.
 
-    The rotations work one row block at a time, so the two rotated sets are
-    the most either route holds at once: the products' route frees them
-    before its products and makes P's own rotation after.  Kept apart from
-    kl_knn so the rotated copies are freed before it measures distances."""
-    mean = q.mean(axis=0)
-    q_rot = q - mean
-    axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
-    q_rot = q_rot @ axes
-    p_rot = _rotate_rows(p, mean, axes, np.empty_like(p))
+    Each set is centred in the buffer it is rotated into, one row block at
+    a time, and P's rotation into Q's axes reuses P's, so two rotated sets
+    are the most either route holds; the products' route frees both first.
+    Kept apart from kl_knn so they are freed before it measures distances."""
     tree, workers = kd_tree(), rowblocks.cpu_share()
-    if _outside_share(p_rot, q_rot) <= 0.5:
-        near_q = tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0]
-    else:
-        del p_rot, q_rot
-        near_q = _kth_by_products(p, q, mean, k)
-        mean = p.mean(axis=0)
-        p_rot = p - mean
-        _rotate_rows(p, mean, np.linalg.eigh(p_rot.T @ p_rot)[1], p_rot)
-    return tree(p_rot).query(p_rot, k=[k + 1], workers=workers)[1][:, 0], near_q  # not self
+    mean_p, _, p_rot = _principal_frame(p, np.empty_like(p))
+    near_p = tree(p_rot).query(p_rot, k=[k + 1], workers=workers)[1][:, 0]  # not self
+    mean, axes, q_rot = _principal_frame(q, np.empty_like(q))
+    centre = (mean_p - mean) @ axes
+    if np.all((q_rot.min(axis=0) <= centre) & (centre <= q_rot.max(axis=0))):
+        p_rot = _rotate_rows(p, mean, axes, p_rot)
+        return near_p, tree(q_rot).query(p_rot, k=[k], workers=workers)[1][:, 0]
+    del p_rot, q_rot
+    return near_p, _kth_by_products(p, q, mean, k)
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
@@ -383,18 +378,18 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     (a decoder's outputs), as the neighbor volumes scale with the distance
     to the power of that dimension, not of the ambient one.
 
-    Both sets are centred on the mean of Q and rotated into Q's principal
-    axes before the k-d trees are built, so that the trees' axis-aligned
+    Each k-d tree is built over its set centred on its own mean and
+    rotated into its own principal axes, so that the tree's axis-aligned
     splits follow the directions the data spans (a decoder's outputs span
     only a few of their axes).  The trees only pick the neighbors: rho and
     nu are measured between the original points, so the estimate changes
     only where rounding in the rotated coordinates reorders two neighbors
-    tied to within it.  When more than half of P lies outside Q's bounding
-    box in those axes (a direct fine-tune's drift), blocked products find
-    each nu as the k-th smallest of the very distances measured, and P's
-    own tree is built in P's principal axes (_kth_neighbors).  The tree
-    queries run on rowblocks.cpu_share() threads, the rest one row block at
-    a time, without changing a bit of the result.
+    tied to within it.  When P's mean lies outside Q's bounding box in Q's
+    axes (a direct fine-tune's drift once its outputs have collapsed),
+    blocked products find each nu instead, as the k-th smallest of the very
+    distances measured (_kth_neighbors).  The tree queries run on
+    rowblocks.cpu_share() threads, the rest one row block at a time,
+    without changing a bit of the result.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -7,16 +7,19 @@ READS = {"hypernoise": ("run", "generator", "reward", "train", "evaluation"),
          "noise_opt": ("run", "generator", "reward", "noise_opt", "evaluation"),
          "best_of_n": ("run", "generator", "reward", "best_of_n", "evaluation"),
          "theory": ("run", "theory")}
-# the [evaluation] keys not every reader of the section reads: a baseline
-# reads heldout alone (a direct_ft config also loads diversity_samples, unread)
-EVALUATION_READERS = {"fidelity_metric": ("hypernoise",), "multi_step": ("hypernoise",),
-                      "diversity_seeds": ("hypernoise",),
-                      "diversity_samples": ("hypernoise", "direct_ft")}
+# the keys not every reader of their section reads: a baseline reads
+# heldout alone of [evaluation] (a direct_ft config also loads
+# diversity_samples, unread) and generates in one step, without step_mix
+KEY_READERS = {("evaluation", "fidelity_metric"): ("hypernoise",),
+               ("evaluation", "multi_step"): ("hypernoise",),
+               ("evaluation", "diversity_seeds"): ("hypernoise",),
+               ("evaluation", "diversity_samples"): ("hypernoise", "direct_ft"),
+               ("generator", "step_mix"): ("hypernoise",)}
 
 
 def readers(section: str, key: str) -> tuple:
     """The methods that read `key` of `section`, in the order a scope message names them."""
-    scope = EVALUATION_READERS.get(key, READS) if section == "evaluation" else READS
+    scope = KEY_READERS.get((section, key), READS)
     return tuple(m for m, read in READS.items() if section in read and m in scope)
 
 

@@ -344,7 +344,7 @@ def test_theory_section_outside_a_theory_config_exit_2(tmp_path, capsys, method)
 UNREAD = [("train", "steps = 7"), ("direct_ft", "steps = 3"), ("noise_opt", "steps = 5"),
           ("best_of_n", "counts = 4"), ("evaluation", "fidelity_metric = knn_kl"),
           ("evaluation", "multi_step = 1"), ("evaluation", "diversity_seeds = 20"),
-          ("evaluation", "diversity_samples = 64")]
+          ("evaluation", "diversity_samples = 64"), ("generator", "step_mix = 0.5")]
 
 
 @pytest.mark.parametrize("method,section,line", [
@@ -1366,6 +1366,17 @@ def test_tradeoff_mismatch_exit_2(tmp_path, capsys):
     assert ("tradeoff configs disagree on the kNN sample count: [evaluation] heldout = 200, "
             "[direct_ft] eval_samples = 100") in capsys.readouterr().err
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_tradeoff_pairs_a_hypernoise_step_mix_with_a_direct_config(tmp_path):
+    # the direct fine-tune reads no step_mix, so its config cannot set one
+    # to match; the configs are compared on the keys the direct one reads
+    text = AFFINE_TRAIN.replace("[generator]\n", "[generator]\nstep_mix = 0.9\n")
+    cfg_h, cfg_d = tradeoff_configs(tmp_path, text)
+    assert "step_mix" not in Path(cfg_d).read_text()
+    out = tmp_path / "out"
+    assert main(["tradeoff", cfg_h, cfg_d, "--out", str(out), "--quiet"]) == 0
+    assert read_csv(str(out / "tradeoff.csv"))[1]
 
 
 def tradeoff_configs(tmp_path, text=AFFINE_TRAIN):

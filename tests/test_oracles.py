@@ -598,13 +598,14 @@ def test_kl_knn_on_an_evaluator_thread_same_bits(monkeypatch):
 
 
 @functools.cache
-def drift_sets() -> dict:
-    """The README run's direct fine-tune drift sets, as measure_drift draws
-    them: its decoder and reward (paper_small.ini) fine-tuned for
-    direct_ft.ini's 300 steps, and at each evaluated step (0, 25, ..., 275, 299)
-    2000 fine-tuned outputs and 2000 base outputs."""
-    g, r = decoder_and_redness(seed=1)
-    cfg = DirectFinetuneConfig(steps=300, eval_every=25, seed=1)
+def drift_sets(weight_seed=1, seed=1, steps=300) -> dict:
+    """A direct fine-tune's drift sets, as measure_drift draws them: the
+    README decoder and reward (paper_small.ini) at `weight_seed`,
+    fine-tuned for `steps` steps of direct_ft.ini at [run] seed `seed`, and
+    at each evaluated step (0, 25, ..., 275, 299 for 300 steps) 2000
+    fine-tuned outputs and 2000 base outputs."""
+    g, r = decoder_and_redness(seed=weight_seed)
+    cfg = DirectFinetuneConfig(steps=steps, eval_every=25, seed=seed)
     sets = {}
 
     def keep(step, adapted):
@@ -617,17 +618,45 @@ def drift_sets() -> dict:
     return sets
 
 
+def first_drift_set(seed):
+    """The README run's drift set at step 0, after its first step, at
+    direct_ft.ini's [run] seed `seed` (the configs' weight_seed is 0).  From
+    0.14 to 0.55 of its rows lie outside Q's bounding box in Q's axes, 0.548
+    at seed 8, but its mean lies inside."""
+    return drift_sets(weight_seed=0, seed=seed, steps=1)[0]
+
+
+def trees_in_qs_axes(p, q, k):
+    """_kth_neighbors' indices from two trees in Q's centred principal axes,
+    over P and over Q, rotated in one product each."""
+    mean = q.mean(axis=0)
+    q_rot = q - mean
+    axes = np.linalg.eigh(q_rot.T @ q_rot)[1]
+    q_rot, p_rot = q_rot @ axes, (p - mean) @ axes
+    tree = oracles.kd_tree()
+    return (tree(p_rot).query(p_rot, k=[k + 1])[1][:, 0],
+            tree(q_rot).query(p_rot, k=[k])[1][:, 0])
+
+
+def norm_estimate(p, q, near_p, near_q, d):
+    """kl_knn's estimate from the neighbors' indices, by np.linalg.norm."""
+    rho = np.linalg.norm(p[near_p] - p, axis=1)
+    nu = np.linalg.norm(q[near_q] - p, axis=1)
+    return float(d * np.mean(np.log(nu / rho)) + np.log(len(q) / (len(p) - 1)))
+
+
 def test_kl_knn_holds_little_beyond_its_rotated_sets():
     # two estimates run at once on an evaluator; each holds its two rotated
     # sets, one row block of temporaries and the trees: a whole centred
     # copy of P took the peak to 3.0 x p.nbytes.  A drift set collapsed
     # far from Q takes the blocked products, which free both rotated sets
-    # first to make room for Q's centred copy and their blocks (P's size)
+    # first to make room for Q's centred copy and their blocks (P's size);
+    # the first drift set of seed 8, mostly outside Q's box, takes the trees
     g, _ = decoder_and_redness()
     rng = np.random.default_rng(15)
     near = (g.generate(rng.standard_normal((2000, 6)) + 0.2),
             g.generate(rng.standard_normal((2000, 6))))
-    for p, q in (near, drift_sets()[299]):
+    for p, q in (near, drift_sets()[299], first_drift_set(8)):
         kl_knn(p, q, d=6)
         tracemalloc.start()
         try:
@@ -639,19 +668,33 @@ def test_kl_knn_holds_little_beyond_its_rotated_sets():
 
 
 @pytest.mark.parametrize("step", [25, 100, 299])
-def test_far_drift_sets_same_bits_as_the_tree(step, monkeypatch):
+def test_far_drift_sets_same_bits_as_the_tree(step):
     # the products and P's own axes find the neighbors the trees in Q's
     # axes find, so the drift estimate keeps its bits
     p, q = drift_sets()[step]
     near_p, near_q = oracles._kth_neighbors(p, q, 5)
-    value = kl_knn(p, q, d=6)
-    monkeypatch.setattr(oracles, "_outside_share", lambda p_rot, q_rot: 0.0)
-    tree_p, tree_q = oracles._kth_neighbors(p, q, 5)
+    tree_p, tree_q = trees_in_qs_axes(p, q, 5)
     assert np.array_equal(near_p, tree_p) and np.array_equal(near_q, tree_q)
-    assert kl_knn(p, q, d=6) == value
+    assert kl_knn(p, q, d=6) == norm_estimate(p, q, tree_p, tree_q, 6)
+
+
+def test_near_sets_own_axes_same_bits_as_qs_axes():
+    # P's self-query runs in P's own axes whatever the route; on near sets
+    # it finds the neighbors a tree in Q's axes finds
+    g, _ = decoder_and_redness(seed=0)
+    rng = np.random.default_rng(17)
+    pairs = [(g.generate(rng.standard_normal((2000, 6)) + 0.2),
+              g.generate(rng.standard_normal((2000, 6)))) for _ in range(4)]
+    for p, q in pairs + [drift_sets()[0], first_drift_set(8)]:
+        near_p, near_q = oracles._kth_neighbors(p, q, 5)
+        tree_p, tree_q = trees_in_qs_axes(p, q, 5)
+        assert np.array_equal(near_p, tree_p) and np.array_equal(near_q, tree_q)
 
 
 def test_only_far_sets_reach_the_products(monkeypatch):
+    # the route follows P's mean: inside Q's box in Q's axes it takes the
+    # trees, the first drift sets among them however many of their rows
+    # lie outside; outside it, the products
     calls, real = [], oracles._kth_by_products
 
     def counting(p, q, mean, k):
@@ -664,6 +707,9 @@ def test_only_far_sets_reach_the_products(monkeypatch):
     rng = np.random.default_rng(16)
     kl_knn(g.generate(rng.standard_normal((2000, 6)) + 0.2),
            g.generate(rng.standard_normal((2000, 6))), d=6)
+    kl_knn(*drift_sets()[0], d=6)
+    for seed in range(1, 13):
+        kl_knn(*first_drift_set(seed), d=6)
     assert calls == []
     far = [step for step in drift_sets() if step >= 25]
     for step in far:
