@@ -28,7 +28,7 @@ from .generators import Generator, make_generator
 from .hypernet import NoiseHypernetwork, init_hypernet
 from .oracles import kl_knn  # noqa: F401  (bench/test_bench.py: the tracer rebinds it)
 from .rewards import Reward, make_reward
-from .training import TrainHistory, save_checkpoint, train_hypernoise
+from .training import HISTORY_COLUMNS, save_checkpoint, train_hypernoise
 
 REPORT_COLUMNS = ["method", "step", "generation_steps", "reward_mean",
                   "reward_se", "base_reward_mean", "fidelity",
@@ -211,18 +211,14 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
     with ctx.phase("build"):
         g, r, hn = _build_hypernoise(cfg)
-    history = TrainHistory()
+    history = []
     try:
         with ctx.phase("train"):
             train_hypernoise(hn, g, r, cfg.train_config(), history=history)
     finally:    # an aborted training keeps the steps it logged
         with ctx.phase("write"):
-            reporting.write_csv(
-                ctx.path("history.csv"),
-                ["step", "loss", "l2_term", "reward_term", "grad_norm"],
-                [[s, lo, l2, rw, gn] for s, lo, l2, rw, gn in
-                 zip(history.steps, history.loss, history.l2_term,
-                     history.reward_term, history.grad_norm)])
+            reporting.write_csv(ctx.path("history.csv"), HISTORY_COLUMNS, history)
+    logged = dict(zip(HISTORY_COLUMNS, zip(*history)))     # column name -> values
     with ctx.phase("write"):
         save_checkpoint(ctx.path("checkpoint.bin"), hn,
                         extra={"steps": cfg["train"]["steps"], "seed": cfg.seed})
@@ -240,7 +236,7 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
             # a block of at least MIN_BLOCK_ROWS rows: very few rows would
             # take another BLAS path and change the last bits
             y_div = g.generate(x_mod[:max(n_div, rowblocks.MIN_BLOCK_ROWS)], steps=gen_steps)
-            rows.append(["hypernoise", history.steps[-1], gen_steps, float(vals.mean()),
+            rows.append(["hypernoise", logged["step"][-1], gen_steps, float(vals.mean()),
                          float(vals.std(ddof=1) / np.sqrt(len(vals))), base_mean,
                          fidelity, _mean_pairwise(y_div[:n_div]), lip])
         for row in rows:    # the estimates, resolved in submission order
@@ -252,8 +248,8 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
     with ctx.phase("write"):
         reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
         svg = reporting.svg_curve(
-            [("loss", [float(s) for s in history.steps], history.loss),
-             ("reward", [float(s) for s in history.steps], history.reward_term)],
+            [("loss", logged["step"], logged["loss"]),
+             ("reward", logged["step"], logged["reward_term"])],
             title="training", xlabel="step")
         reporting.atomic_write(ctx.path("plots", "history.svg"), svg)
     return 0
@@ -297,6 +293,10 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
         raise ConfigError("tradeoff configs disagree on [run] seed")
     if cfg_h["train"]["steps"] != cfg_d["direct_ft"]["steps"]:
         raise ConfigError("tradeoff configs disagree on the step budget")
+    if cfg_h["train"]["generation_steps"] != 1:     # both curves at the same step count
+        raise ConfigError("[train] generation_steps: tradeoff compares against a direct "
+                          "fine-tune, which generates in one step, so must be 1, "
+                          f"got {cfg_h['train']['generation_steps']}")
     # a kNN estimate's bias depends on its sample count, so when both curves
     # are kNN estimates (eval_samples applies to a network's drift) they share one
     ev, samples = cfg_h["evaluation"], cfg_d["direct_ft"]["eval_samples"]
@@ -352,15 +352,15 @@ def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
     g, r, hn = _build_hypernoise(cfg)
     train_hypernoise(hn, g, r, cfg.train_config())
-    ev = cfg["evaluation"]
+    ev, gen_steps = cfg["evaluation"], cfg["train"]["generation_steps"]
     n_samples = ev["diversity_samples"]
     rows = []
     base_vals, mod_vals = [], []
     for i in range(ev["diversity_seeds"]):
         rng = np.random.default_rng(cfg.seed + 700_000 + i)
         x = rng.standard_normal((n_samples, g.latent_dim))
-        base = _mean_pairwise(g.generate(x))
-        mod = _mean_pairwise(g.generate(x + hn.perturb(x)))
+        base = _mean_pairwise(g.generate(x, steps=gen_steps))
+        mod = _mean_pairwise(g.generate(x + hn.perturb(x), steps=gen_steps))
         base_vals.append(base)
         mod_vals.append(mod)
         rows.append([str(i), base, mod])

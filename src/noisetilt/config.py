@@ -192,16 +192,12 @@ class ExperimentConfig:
         return [key for key in _SCHEMA[section] if not self._outside(section, key)]
 
     def generator_spec(self) -> dict:
-        """The [generator] keys that apply, but weight_seed.  An unset (0 or
-        empty) MLP output_dim or network hidden is derived here; an unset affine
-        output_dim, matrix or bias is left out for make_generator to derive."""
+        """The [generator] keys that apply, but weight_seed and an unset (0 or
+        empty) output_dim, hidden, matrix or bias, which make_generator derives."""
         g = self.values["generator"]
-        latent = g["latent_dim"]
-        derived = {"output_dim": latent if g["variant"] == "mlp" else 0,
-                   "hidden": [2 * latent], "matrix": [], "bias": []}
-        spec = {key: g[key] or derived.get(key, g[key])
-                for key in self.applying("generator") if key != "weight_seed"}
-        return {key: value for key, value in spec.items() if value or key not in derived}
+        derived = ("output_dim", "hidden", "matrix", "bias")
+        return {key: g[key] for key in self.applying("generator")
+                if key != "weight_seed" and (g[key] or key not in derived)}
 
     def reward_spec(self) -> dict:
         return {key: self.values["reward"][key] for key in self.applying("reward")}

@@ -142,7 +142,10 @@ def _shaped(spec: dict, key: str, shape: tuple) -> np.ndarray:
 def make_generator(spec: dict, seed: int = 0) -> Generator:
     """Reproducible construction: the same (spec, seed) yields identical weights.
 
-    A spec it cannot build raises ValueError, led by the offending key."""
+    An unset mlp output_dim is latent_dim and an unset network hidden is
+    [2 * latent_dim]; both are written into the generator's spec, so its
+    spec_hash is the same whether the caller set them or not.  A spec it
+    cannot build raises ValueError, led by the offending key."""
     spec = dict(spec)
     opts = {**SPEC_DEFAULTS, **spec}
     variant = spec.get("variant")
@@ -169,13 +172,14 @@ def make_generator(spec: dict, seed: int = 0) -> Generator:
     if variant not in ("mlp", "decoder"):
         raise ValueError("variant: must be one of ('affine', 'mlp', 'decoder'), "
                          f"got {variant!r}")
-    hidden = [_positive("hidden", h) for h in spec.get("hidden", [2 * latent_dim])]
+    hidden = [_positive("hidden", h) for h in spec.setdefault("hidden", [2 * latent_dim])]
     activation = opts["activation"]
     if activation not in ad.ACTIVATIONS:
         raise ValueError(f"activation: must be one of {tuple(ad.ACTIVATIONS)}, "
                          f"got {activation!r}")
     if variant == "mlp":
-        output_dim, last = _positive("output_dim", spec.get("output_dim")), "identity"
+        output_dim = _positive("output_dim", spec.setdefault("output_dim", latent_dim))
+        last = "identity"
     else:
         output_dim = _positive("height", opts["height"]) * _positive("width", opts["width"]) * 3
         last = "sigmoid"

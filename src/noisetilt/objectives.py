@@ -20,8 +20,6 @@ class LossBreakdown:
     l2_term: float       # E 1/2 ||f(x0)||^2
     reward_term: float   # E r(g(x0 + f(x0))) / alpha
     total: float         # l2_term - reward_term
-    batch_size: int
-    alpha: float
 
 
 @dataclass
@@ -46,7 +44,6 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
     x = np.atleast_2d(np.asarray(noise_batch, dtype=np.float64))
     if x.shape[0] == 0:
         raise ValueError("noise batch is empty")
-    b = x.shape[0]
 
     param_nodes = {k: ad.param(v, name=k) for k, v in hn.params().items()}
     x_node = ad.constant(x)
@@ -66,13 +63,8 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
         k: grads.get(id(node), np.zeros_like(node.value))
         for k, node in param_nodes.items()
     }
-    breakdown = LossBreakdown(
-        l2_term=float(l2.value),
-        reward_term=float(rew.value),
-        total=float(total.value),
-        batch_size=b,
-        alpha=float(alpha),
-    )
+    breakdown = LossBreakdown(l2_term=float(l2.value), reward_term=float(rew.value),
+                              total=float(total.value))
     return breakdown, param_grads
 
 

@@ -5,7 +5,7 @@ network's training on it, and its checkpoint: a numpy .npz archive.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -44,22 +44,6 @@ class TrainConfig:
             raise ValueError("alpha: must be > 0")
         if self.log_every < 1:
             raise ValueError("log_every: must be >= 1")
-
-
-@dataclass
-class TrainHistory:
-    steps: list = field(default_factory=list)
-    loss: list = field(default_factory=list)
-    l2_term: list = field(default_factory=list)
-    reward_term: list = field(default_factory=list)
-    grad_norm: list = field(default_factory=list)
-
-    def record(self, step, breakdown, gnorm):
-        self.steps.append(step)
-        self.loss.append(breakdown.total)
-        self.l2_term.append(breakdown.l2_term)
-        self.reward_term.append(breakdown.reward_term)
-        self.grad_norm.append(gnorm)
 
 
 class Sgd:
@@ -160,11 +144,16 @@ def descend(params: dict[str, np.ndarray], loss_and_grads, opt, cfg,
             on_log(step, info, gnorm)
 
 
+# the columns of each row `train_hypernoise` logs, in order
+HISTORY_COLUMNS = ["step", "loss", "l2_term", "reward_term", "grad_norm"]
+
+
 def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
                      cfg: TrainConfig, eval_hook=None,
-                     history: Optional[TrainHistory] = None) -> TrainHistory:
-    """Optimize the adapter parameters in place with `descend`, logging
-    into `history` (a new one if not given) and returning it.
+                     history: Optional[list] = None) -> list:
+    """Optimize the adapter parameters in place with `descend`, appending a
+    row under HISTORY_COLUMNS to `history` (a new list if not given) at
+    each logged step, and return it.
 
     A non-finite loss, reward or gradient, or a perturbation energy above
     10 * latent_dim, rolls the parameters back and raises
@@ -172,7 +161,7 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
     given, is called as eval_hook(step, hn) at every logged step.
     """
     cfg.validate()
-    history = TrainHistory() if history is None else history
+    history = [] if history is None else history
     ceiling = 10.0 * g.latent_dim
 
     def loss_and_grads(noise):
@@ -186,7 +175,8 @@ def train_hypernoise(hn: NoiseHypernetwork, g: Generator, r: Reward,
         return breakdown, grads
 
     def on_log(step, breakdown, gnorm):
-        history.record(step, breakdown, gnorm)
+        history.append([step, breakdown.total, breakdown.l2_term,
+                        breakdown.reward_term, gnorm])
         if eval_hook is not None:
             eval_hook(step, hn)
 

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 from scipy.spatial.distance import pdist
 
 from noisetilt import autodiff as ad
-from noisetilt import cli, generators, oracles, rowblocks, training
+from noisetilt import cli, generators, oracles, reporting, rowblocks, training
 from noisetilt.cli import _mean_pairwise, main
 from noisetilt.config import ConfigError, load_config
 from noisetilt.generators import Generator
@@ -1050,6 +1050,18 @@ def test_aborted_train_keeps_its_history(tmp_path):
     assert not (out / "report.csv").exists() and not (out / "checkpoint.bin").exists()
 
 
+def test_history_csv_holds_the_rows_training_returns(tmp_path):
+    cfg_path = write(tmp_path, "a.ini", AFFINE_TRAIN)
+    out = tmp_path / "out"
+    assert main(["train", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    cfg = load_config(cfg_path)
+    g, r, hn = cli._build_hypernoise(cfg)
+    rows = training.train_hypernoise(hn, g, r, cfg.train_config())
+    header, written = read_csv(str(out / "history.csv"))
+    assert header == training.HISTORY_COLUMNS
+    assert written == [[reporting.fmt(v) for v in row] for row in rows]
+
+
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
@@ -1368,6 +1380,19 @@ def test_tradeoff_mismatch_exit_2(tmp_path, capsys):
     assert not out.exists() or not any(out.iterdir())
 
 
+def test_tradeoff_refuses_more_than_one_generation_step_exit_2(tmp_path, capsys):
+    # the direct fine-tune generates in one step; the hypernoise curve was
+    # measured at one step too, for a network trained at two
+    text = AFFINE_TRAIN.replace("log_every = 20", "log_every = 20\ngeneration_steps = 2")
+    cfg_h, cfg_d = tradeoff_configs(tmp_path, text)
+    out = tmp_path / "out"
+    assert main(["tradeoff", cfg_h, cfg_d, "--out", str(out), "--quiet"]) == 2
+    assert ("config error: [train] generation_steps: tradeoff compares against a direct "
+            "fine-tune, which generates in one step, so must be 1, got 2"
+            in capsys.readouterr().err)
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_tradeoff_pairs_a_hypernoise_step_mix_with_a_direct_config(tmp_path):
     # the direct fine-tune reads no step_mix, so its config cannot set one
     # to match; the configs are compared on the keys the direct one reads
@@ -1494,6 +1519,27 @@ def test_diversity_of_a_constant_generator_exits_0(tmp_path):
     _, rows = read_csv(os.path.join(out, "report.csv"))
     assert rows[-2][:3] == ["mean", "0.0", "0.0"]
     assert "(ratio nan)" in Path(out, "run.log").read_text()
+
+
+def test_diversity_audits_at_the_trained_generation_steps(tmp_path):
+    # both output sets were generated in one step, for a network trained at two
+    text = DECODER_TRAIN.format(steps=2) + "diversity_seeds = 3\ndiversity_samples = 10\n"
+    cfg_path = write(tmp_path, "d2.ini", text)
+    out = tmp_path / "out"
+    assert main(["diversity", "--config", cfg_path, "--out", str(out), "--quiet"]) == 0
+    cfg = load_config(cfg_path)
+    g, r, hn = cli._build_hypernoise(cfg)
+    training.train_hypernoise(hn, g, r, cfg.train_config())
+    audits = {}
+    for steps in (1, 2):
+        xs = [np.random.default_rng(cfg.seed + 700_000 + i).standard_normal((10, 4))
+              for i in range(3)]
+        audits[steps] = [[_mean_pairwise(g.generate(x, steps=steps)),
+                          _mean_pairwise(g.generate(x + hn.perturb(x), steps=steps))]
+                         for x in xs]
+    _, rows = read_csv(str(out / "report.csv"))
+    assert [row[1:] for row in rows[:3]] == [[repr(v) for v in pair] for pair in audits[2]]
+    assert audits[1] != audits[2]
 
 
 def test_train_needs_the_diversity_rows_it_averages(tmp_path, capsys):

@@ -68,6 +68,27 @@ def test_minimal_configs_build_what_the_library_builds():
     q = [[1.0, 0.0], [0.0, 2.0]]
     assert make_reward(cfg.reward_spec()).sign == QuadraticReward(q).sign
 
+
+@pytest.mark.parametrize("generator,reward,derived", [
+    ("variant = mlp\nlatent_dim = 4", "variant = linear\nc = 1 0 0 0",
+     {"output_dim": 4, "hidden": [8]}),
+    ("variant = decoder\nlatent_dim = 3", "variant = redness", {"hidden": [6]}),
+    ("variant = affine\nlatent_dim = 2", "variant = linear\nc = 1 0", {}),
+])
+def test_config_and_library_derive_the_same_generator(generator, reward, derived):
+    # make_generator({"variant": "mlp", "latent_dim": 4}) raised "output_dim:
+    # required key is missing" while the same config ran; the spec hash is
+    # the one of the spec with the derived keys written out
+    cfg = load_config(f"[generator]\n{generator}\n[reward]\n{reward}\n", is_text=True)
+    spec = cfg.generator_spec()
+    assert not spec.keys() & {"output_dim", "hidden", "matrix", "bias"}
+    built = make_generator(spec, cfg["generator"]["weight_seed"])
+    bare = make_generator({key: spec[key] for key in ("variant", "latent_dim")})
+    assert built.weight_checksum() == bare.weight_checksum()
+    assert built.spec == {**spec, **derived}
+    assert built.spec_hash() == make_generator({**spec, **derived}).spec_hash()
+
+
 def test_unknown_section_and_key():
     with pytest.raises(ConfigError, match="unknown section"):
         load_config(GOOD + "\n[mystery]\nx = 1\n", is_text=True)

@@ -85,7 +85,8 @@ def test_input_validation():
     ({"variant": "affine", "matrix": [[1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0]]},
      "matrix"),
     ({"variant": "affine", "bias": [1.0, 2.0]}, "bias"),
-    ({"variant": "mlp"}, "output_dim"),
+    # an unset output_dim is derived, a 0 is not
+    ({"variant": "mlp", "output_dim": 0}, "output_dim"),
     ({"variant": "mlp", "latent_dim": "x"}, "latent_dim"),
     # a bare int() error; a width-1 layer; a bare float() error; a
     # "convex combination" that ran at 7.5

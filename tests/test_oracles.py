@@ -931,3 +931,13 @@ def test_theory_suite_passes():
     report = run_theory_suite(seed=0, n=8000)
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert not failed, failed
+
+
+def test_theory_suite_fails_a_wrong_tilt_on_the_affine_pushforward(monkeypatch):
+    # both routes of pushforward_check drew SNIS weights, so a tilt 1.25 times
+    # too strong passed at z 0.93; the closed form of the exact tilt catches it
+    snis_weights = oracles._snis_weights
+    monkeypatch.setattr(oracles, "_snis_weights", lambda logw: snis_weights(1.25 * logw))
+    report = run_theory_suite(20000, seed=3)
+    status = {c.name: c.status for c in report.checks}
+    assert status["pushforward_affine"] == "fail"

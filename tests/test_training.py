@@ -36,7 +36,7 @@ def test_converges_to_closed_form_shift():
     x = np.random.default_rng(5).standard_normal((500, 2))
     got = hn.perturb(x).mean(axis=0)
     assert np.linalg.norm(got - target) / np.linalg.norm(target) < 0.02
-    assert hist.loss[-1] < hist.loss[0]
+    assert hist[-1][1] < hist[0][1]
 
 
 def test_deterministic_given_seed():
@@ -56,7 +56,7 @@ def test_adam_and_momentum_paths():
         cfg = TrainConfig(steps=100, batch_size=32, learning_rate=0.05,
                           optimizer=opt, momentum=mom, seed=2)
         hist = train_hypernoise(hn, g, r, cfg)
-        assert hist.loss[-1] < hist.loss[0]
+        assert hist[-1][1] < hist[0][1]
 
 
 # cause -> (reward, config, the abort's message up to its reason)
