@@ -50,18 +50,19 @@ class RunContext:
         self.quiet = quiet
         self.t0 = time.monotonic()
         self.log_lines: list[str] = []
-        # name -> [wall s, minor page faults, ru_maxrss KiB when last left]
+        # name -> [wall s, minor page faults, KiB by which ru_maxrss rose]
         self.phases: dict[str, list] = {}
         self._open: list[str] = []
-        self._mark = (self.t0, 0)
+        self._mark = (self.t0, 0, 0)
         # the run's kNN estimates; waiting for one counts as evaluate
         self.evaluator = oracles.KnnEvaluator(wait=lambda: self.phase("evaluate"))
 
     @contextlib.contextmanager
     def phase(self, name: str):
-        """Charge the wall time and minor page faults spent inside to phase
-        `name`, and note the process's peak memory when it is left; a phase
-        opened inside another pauses the outer one."""
+        """Charge to phase `name` the wall time and minor page faults spent
+        inside it, and how far the process's peak memory rose meanwhile; a
+        phase opened inside another pauses the outer one, so each phase
+        is charged only while it is the innermost one open."""
         self._charge()
         self._open.append(name)
         try:
@@ -77,8 +78,8 @@ class RunContext:
             totals = self.phases.setdefault(self._open[-1], [0.0, 0, 0])
             totals[0] += now - self._mark[0]
             totals[1] += usage.ru_minflt - self._mark[1]
-            totals[2] = usage.ru_maxrss
-        self._mark = (now, usage.ru_minflt)
+            totals[2] += usage.ru_maxrss - self._mark[2]
+        self._mark = (now, usage.ru_minflt, usage.ru_maxrss)
 
     def path(self, *parts) -> str:
         return os.path.join(self.out_dir, *parts)
@@ -94,9 +95,9 @@ class RunContext:
                                   f"busy {self.evaluator.busy_s:.3f} s "
                                   f"on {self.evaluator.threads} threads")
         # ru_maxrss is in KiB on Linux
-        for name, (wall, faults, peak_kib) in self.phases.items():
+        for name, (wall, faults, rise_kib) in self.phases.items():
             self.log_lines.append(f"phase {name} {wall:.3f} s, {faults} minor page faults, "
-                                  f"peak_rss_mb {peak_kib / 1024:.1f}")
+                                  f"peak_rss_rise_mb {rise_kib / 1024:.1f}")
         self.log_lines.append(f"wall_time_s {time.monotonic() - self.t0:.3f}")
         peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
         self.log_lines.append(f"peak_rss_mb {peak_kib / 1024:.1f}")

@@ -99,9 +99,11 @@ class Generator:
         return out
 
     def weight_checksum(self) -> str:
+        """sha256 over every weight's bytes in all_weights' order; each
+        weight's own buffer is hashed, as _freeze keeps it C-contiguous."""
         h = hashlib.sha256()
         for arr in self.all_weights():
-            h.update(arr.tobytes())
+            h.update(arr)
         return h.hexdigest()
 
     def spec_hash(self) -> str:

@@ -2,7 +2,7 @@
 I + J via pivoted LU, and exact spectral norms."""
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -11,19 +11,18 @@ class SingularMatrixError(ValueError):
     """I + J is singular to machine precision."""
 
 
-def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                eps: float = 1e-5) -> np.ndarray:
-    """Central-difference Jacobian of a map along the last axis of `x`.
-
-    Entry (..., i, j) = (fn(x + eps e_j)_i - fn(x - eps e_j)_i) / (2 eps):
-    (m, d) for a vector of d entries, (B, m, d) for a (B, d) batch of rows
-    of a row-wise map, whose rows all move by the same step.
-    """
+def fd_columns(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+               eps: float = 1e-5) -> Iterator[np.ndarray]:
+    """Central-difference columns of a map's Jacobian along the last axis
+    of `x`, one coordinate j at a time:
+    (fn(x + eps e_j) - fn(x - eps e_j)) / (2 eps), an (m,) column for a
+    vector of d entries, (B, m) for a (B, d) batch of rows of a row-wise
+    map, whose rows all move by the same step.  Raises ValueError, as the
+    columns are taken, for a non-positive eps or a non-finite output."""
     if eps <= 0:
         raise ValueError("eps must be positive")
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[-1]
-    cols = []
     for j in range(d):
         step = np.zeros(d)
         step[j] = eps
@@ -31,8 +30,17 @@ def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
         lo = np.asarray(fn(x - step), dtype=np.float64)
         if not (np.all(np.isfinite(hi)) and np.all(np.isfinite(lo))):
             raise ValueError(f"non-finite map output probing coordinate {j} at x={x!r}")
-        cols.append((hi - lo) / (2.0 * eps))
-    return np.stack(cols, axis=-1)
+        yield (hi - lo) / (2.0 * eps)
+
+
+def jacobian_fd(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
+                eps: float = 1e-5) -> np.ndarray:
+    """Central-difference Jacobian of a map along the last axis of `x`: the
+    columns of `fd_columns` stacked, entry (..., i, j) being column j's
+    entry i; (m, d) for a vector of d entries, (B, m, d) for a (B, d)
+    batch of rows of a row-wise map.
+    """
+    return np.stack(list(fd_columns(fn, x, eps)), axis=-1)
 
 
 def _sample(bad: np.ndarray) -> str:

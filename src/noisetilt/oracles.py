@@ -9,6 +9,7 @@ autodiff machinery it is checking.
 from __future__ import annotations
 
 import functools
+import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
@@ -20,7 +21,7 @@ import numpy as np
 from . import rowblocks
 from .generators import Generator, make_generator
 from .hypernet import NoiseHypernetwork, init_hypernet
-from .linalg import jacobian_fd
+from .linalg import fd_columns
 from .objectives import error_term, exact_noise_kl, theorem_bound
 from .rewards import LinearReward, RednessReward, Reward
 
@@ -49,6 +50,45 @@ class TiltedSampleSet:
         return self.weights @ self.samples
 
 
+class _Normals:
+    """rng.standard_normal((n, d)) drawn one row block at a time, for a
+    pass over row blocks that cover rows 0..n-1 in order and read each
+    block's rows once, as x[rows] (`reward_values` and `_streamed_moments`
+    read an array so): only the blocks being worked on exist at once.
+
+    The block of rows a:b draws once the block that ends at row a has
+    drawn (a chain of threading.Events), so the draws keep the stream's
+    order and have the bits of one call (PCG64's normals are drawn 64 bits
+    at a time, with nothing buffered between calls), while each block's
+    draw overlaps the other workers' passes through the generator.  A
+    block must read its rows before anything in it can fail, as the
+    blocks after it wait for its draw.  `rewind()` sets rng back to where
+    it stood when this was made, for another pass over the same rows."""
+
+    def __init__(self, rng: np.random.Generator, n: int, d: int):
+        self._rng, self._start, self._d, self._n = rng, rng.bit_generator.state, d, n
+        self.rewind()
+
+    def __len__(self) -> int:
+        return self._n
+
+    def rewind(self) -> "_Normals":
+        self._rng.bit_generator.state = self._start
+        self._drawn = {0: threading.Event()}
+        self._drawn[0].set()
+        return self
+
+    def _event(self, row: int) -> threading.Event:
+        return self._drawn.setdefault(row, threading.Event())
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        try:
+            self._event(rows.start).wait()
+            return self._rng.standard_normal((rows.stop - rows.start, self._d))
+        finally:
+            self._event(rows.stop).set()
+
+
 def _streamed_moments(g: Generator, x: np.ndarray, w: np.ndarray):
     """Weighted mean and second moment of the outputs y_i = g(x_i), with
     their SNIS standard errors sqrt(sum_i w_i^2 (v_i - m)^2), v_i being y_i
@@ -66,10 +106,10 @@ def _streamed_moments(g: Generator, x: np.ndarray, w: np.ndarray):
     parts = np.empty((len(blocks), 7, g.output_dim))
 
     def block(rows):
+        y = g.generate(x[rows])
         part, wb = parts[at[rows.start]], w[rows]
         w2 = wb * wb
         s0 = w2.sum()
-        y = g.generate(x[rows])
         v = np.multiply(y, y)
         for j, vj in enumerate((y, v)):
             part[j] = wb @ vj
@@ -103,9 +143,10 @@ def reward_values(g: Generator, r: Reward, x: np.ndarray, steps: int = 1) -> np.
 
 
 def _snis_weights(logw: np.ndarray) -> tuple[np.ndarray, float]:
-    """Self-normalized weights of log-weights `logw` (shifted in place), and the ESS."""
+    """Self-normalized weights of log-weights `logw`, computed in its
+    buffer (which they then are), and the ESS."""
     logw -= logw.max()
-    w = np.exp(logw)
+    w = np.exp(logw, out=logw)
     w /= w.sum()
     return w, 1.0 / float(np.sum(w * w))
 
@@ -118,6 +159,15 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
     Rejection yields exact i.i.d. samples but needs a finite bound on
     sup r(g(x)); self-normalized importance sampling always applies and
     reports its effective sample size.
+
+    Rejection draws rounds of max(n, 1024) rows and holds no round's
+    normals whole: each row block draws its rows (`_Normals`) for the
+    rewards, and once the round's uniforms are drawn a second pass draws
+    the same rows again, each block writing its accepted ones into the
+    (n, d) samples at the place the mask's count before it gives.  The
+    round's log-uniforms and mask live in vectors reused from round to
+    round.  The samples have the bits of drawing each round's
+    (max(n, 1024), d) normals at once.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -146,13 +196,31 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
         x = np.empty((n, d))
         got = drawn = 0     # rows accepted (also those past n) and drawn
         batch = max(n, 1024)
+        blocks = rowblocks.row_blocks(batch, g.output_dim)
+        logu, accept = np.empty(batch), np.empty(batch, dtype=bool)
         while got < n:
-            xb = rng.standard_normal((batch, d))
+            xb = _Normals(rng, batch, d)
+            logp = reward_values(g, r, xb)
+            logp -= envelope
+            logp /= alpha
+            np.log(rng.random(out=logu), out=logu)
+            np.less(logu, logp, out=accept)
+            del logp
+            after = rng.bit_generator.state
+            counts = [np.count_nonzero(accept[rows]) for rows in blocks]
+            ends = got + np.cumsum(counts)
+            first = {rows.start: end - count for rows, end, count in zip(blocks, ends, counts)}
+            xb.rewind()
+
+            def keep(rows):
+                kept = xb[rows][accept[rows]]
+                at = first[rows.start]
+                x[at:at + len(kept)] = kept[:n - at]
+            # the blocks after the one that fills x would keep nothing
+            rowblocks.run_blocks(keep, blocks[:np.searchsorted(ends, n) + 1])
+            rng.bit_generator.state = after
             drawn += batch
-            logp = (reward_values(g, r, xb) - envelope) / alpha
-            accepted = xb[np.log(rng.random(batch)) < logp]
-            x[got:got + len(accepted)] = accepted[:n - got]
-            got += len(accepted)
+            got = int(ends[-1])
             rate = got / drawn
             if drawn >= 50 * batch and rate < 1e-4:
                 raise SamplerError(
@@ -189,18 +257,25 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
                       method: str = "snis") -> MomentGapReport:
     """Two independent routes to the tilted output moments must agree:
     (a) push tilted-noise samples through g, (b) importance-weight base
-    outputs directly in output space.  Both routes' outputs stream through
-    row blocks: route (b) generates them once for the rewards and once more
-    for the moments."""
+    outputs directly in output space.
+
+    Both routes' outputs stream through row blocks, and at most one n-row
+    draw is held at a time.  Route (b) runs first and holds no draw at all:
+    its base noise is drawn one row block at a time (`_Normals`), once for
+    the rewards and, from the same generator state, once more with the
+    outputs for the moments; its weights are freed before route (a) draws
+    its (n, d) tilted samples."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
+    x = _Normals(np.random.default_rng(seed + 1), n, g.latent_dim)
+    logw = reward_values(g, r, x)
+    logw /= alpha
+    w, ess_ref = _snis_weights(logw)
+    mean_b, second_b, se_mb, se_sb = _streamed_moments(g, x.rewind(), w)
+    del logw, w
+
     tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
     mean_a, second_a, se_ma, se_sa = _streamed_moments(g, tilted.samples, tilted.weights)
-
-    rng = np.random.default_rng(seed + 1)
-    x = rng.standard_normal((n, g.latent_dim))
-    w, ess_ref = _snis_weights(reward_values(g, r, x) / alpha)
-    mean_b, second_b, se_mb, se_sb = _streamed_moments(g, x, w)
 
     mean_gap = mean_a - mean_b
     second_gap = second_a - second_b
@@ -215,6 +290,17 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
     )
 
 
+def exact_pushforward_z(g: Generator, tilted: TiltedSampleSet, mean: np.ndarray,
+                        second: np.ndarray) -> float:
+    """The largest gap, in standard errors, between the output moments of a
+    tilted sample pushed through g (pushforward_check's route (a)) and
+    exact ones, the closed form of the exact tilt's pushforward; unlike
+    pushforward_check's two routes, this tells a wrong tilt from the
+    right one even when both routes weight the same way."""
+    m, s, se_m, se_s = _streamed_moments(g, tilted.samples, tilted.weights)
+    return _max_z(m - mean, se_m, s - second, se_s)
+
+
 def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
                 seed: int) -> tuple[float, float, float]:
     """E[x . f(x)] versus E[tr J_f(x)] for standard Gaussian x.
@@ -223,22 +309,22 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
     output depends on row i of its input alone.  It is evaluated one row
     block at a time, on rowblocks.WORKERS threads, so it must also be safe
     to call from several threads at once.  The Jacobian trace is estimated
-    by `jacobian_fd`'s central differences, which keeps this route
-    independent of any reverse-mode machinery.
+    by central differences, which keeps this route independent of any
+    reverse-mode machinery: entry j of `fd_columns`' column j, the only
+    entry of it read, so no (B, d, d) Jacobian is built.  Each block draws
+    its own rows of the Gaussian sample (`_Normals`), in one pass.
     """
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, d))
+    x = _Normals(np.random.default_rng(seed), n, d)
     lhs_terms = np.empty(n)
     trace_terms = np.empty(n)
 
     def block(rows):
         xb = x[rows]
         lhs_terms[rows] = np.sum(xb * f(xb), axis=1)
-        jac = jacobian_fd(f, xb)
         # the diagonal summed in coordinate order (np.trace sums pairwise)
-        trace_terms[rows] = sum(jac[:, j, j] for j in range(d))
+        trace_terms[rows] = sum(col[:, j] for j, col in enumerate(fd_columns(f, xb)))
     rowblocks.run_blocks(block, rowblocks.row_blocks(n))
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
@@ -639,11 +725,11 @@ def run_theory_suite(n: int, seed: int = 0,
     # N(A^T c, I): mean A A^T c + b, second moment diag(A A^T) + mean^2; on
     # decoder/redness, the two routes of pushforward_check
     with phase("pushforward"):
-        mean, second, se_m, se_s = _streamed_moments(g_aff, tilted.samples, tilted.weights)
         exact_mean = a @ target + b
-        z = _max_z(mean - exact_mean, se_m,
-                   second - (np.sum(a * a, axis=1) + exact_mean ** 2), se_s)
+        z = exact_pushforward_z(g_aff, tilted, exact_mean,
+                                np.sum(a * a, axis=1) + exact_mean ** 2)
         report.add("pushforward_affine", z, 4.0, z <= 4.0, tilted.ess < MIN_ESS)
+        del tilted
         g_dec = make_generator({"variant": "decoder", "latent_dim": 6, "height": 4,
                                 "width": 4, "hidden": [16]}, seed=seed + 2)
         r_red = RednessReward(0.01)

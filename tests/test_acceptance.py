@@ -18,7 +18,8 @@ from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.objectives import (error_term, exact_noise_kl, hypernoise_loss,
                                   theorem_bound)
-from noisetilt.oracles import dpi_check, kl_knn, pushforward_check, stein_check
+from noisetilt.oracles import (dpi_check, exact_pushforward_z, kl_knn, pushforward_check,
+                               sample_tilted_noise, stein_check)
 from noisetilt.rewards import LinearReward, QuadraticReward, RednessReward
 from noisetilt.training import TrainConfig, train_hypernoise
 
@@ -268,9 +269,23 @@ def test_05_tilted_recovery():
 def test_06_pushforward_identity():
     checks = []
     g_aff, r_lin = affine_benchmark()
-    checks.append(pushforward_check(g_aff, r_lin, 1.0, 20000, seed=20))
-    checks.append(pushforward_check(
-        g_aff, QuadraticReward(0.1 * np.eye(4), sign=-1), 1.0, 20000, seed=21))
+    # on the affine generator both rewards tilt the noise to a Gaussian
+    # N(P^-1 h, P^-1): exp(c.(A x + b)) to P = I, h = A^T c, and
+    # exp(-(A x + b)^T Q (A x + b) / 2) to P = I + A^T Q A, h = -A^T Q b;
+    # route (a) is also held to that tilt's pushforward, N(A P^-1 h + b,
+    # A P^-1 A^T), as the two routes agree whatever tilt both draw
+    q = 0.1 * np.eye(4)
+    exact_z = []
+    for r, seed, precision, h in (
+            (r_lin, 20, np.eye(4), AFF_A.T @ AFF_C),
+            (QuadraticReward(q, sign=-1), 21, np.eye(4) + AFF_A.T @ q @ AFF_A,
+             -AFF_A.T @ q @ AFF_B)):
+        checks.append(pushforward_check(g_aff, r, 1.0, 20000, seed=seed))
+        cov = np.linalg.inv(precision)
+        mean = AFF_A @ cov @ h + AFF_B
+        second = np.diag(AFF_A @ cov @ AFF_A.T) + mean ** 2
+        exact_z.append(exact_pushforward_z(
+            g_aff, sample_tilted_noise(g_aff, r, 1.0, 20000, seed), mean, second))
     g_mlp = make_generator({"variant": "mlp", "latent_dim": 4, "output_dim": 4,
                             "hidden": [10]}, seed=22)
     checks.append(pushforward_check(g_mlp, r_lin, 1.0, 20000, seed=22))
@@ -283,8 +298,10 @@ def test_06_pushforward_identity():
                                     method="rejection"))
     worst = max(c.max_z for c in checks)
     ok = all(c.max_z <= 4.0 and not c.inconclusive for c in checks)
+    ok = ok and max(exact_z) <= 4.0
     verdict(6, "pushforward-identity", ok,
-            f"{len(checks)} pairings, worst moment gap {worst:.2f} SE (tol 4)")
+            f"{len(checks)} pairings, worst moment gap {worst:.2f} SE, affine route (a) "
+            f"against the exact tilt {max(exact_z):.2f} SE (tol 4)")
 
 
 def test_07_data_processing_inequality():

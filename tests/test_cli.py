@@ -876,21 +876,43 @@ def test_run_log_phase_lines(tmp_path):
         lines = Path(out, "run.log").read_text().splitlines()
         phases = phase_peaks(lines)
         assert sorted(phases) == ["build", "evaluate", "train", "write"], name
-        assert max(phases.values()) <= float(lines[-1].split()[1]), name
+        assert sum(phases.values()) <= float(lines[-1].split()[1]), name
 
 
 def phase_peaks(lines):
-    """{phase: peak_rss_mb when it was last left} of run.log's phase lines,
-    in order, checking each line's form."""
-    peaks = {}
+    """{phase: how far the peak memory rose inside it, in MB} of run.log's
+    phase lines, in order, checking each line's form."""
+    rises = {}
     for line in lines:
         if line.startswith("phase "):
-            _, name, wall, unit, faults, *rest, peak = line.split()
+            _, name, wall, unit, faults, *rest, rise = line.split()
             assert float(wall) >= 0 and unit == "s," and int(faults) >= 0
-            assert rest == ["minor", "page", "faults,", "peak_rss_mb"]
-            peaks[name] = float(peak)
-            assert peaks[name] > 0
-    return peaks
+            assert rest == ["minor", "page", "faults,", "peak_rss_rise_mb"]
+            rises[name] = float(rise)
+            assert rises[name] >= 0
+    return rises
+
+
+def test_phase_reports_only_its_own_rise(tmp_path, monkeypatch):
+    # ru_maxrss (KiB) as each getrusage call reads it: "write" rises by 1024
+    # and 512 KiB in its two stints, "evaluate" by 4096 between them, and
+    # nothing is charged outside a phase
+    readings = iter([10240, 11264, 12288, 16384, 16384, 16896, 20480])
+
+    def usage(who):
+        return resource.struct_rusage((0.0, 0.0, next(readings)) + (0,) * 13)
+    monkeypatch.setattr(cli.resource, "getrusage", usage)
+    ctx = cli.RunContext(str(tmp_path), quiet=True)
+    with ctx.phase("write"):
+        pass
+    with ctx.phase("evaluate"):
+        pass
+    with ctx.phase("write"):
+        pass
+    ctx.finish()
+    lines = Path(tmp_path, "run.log").read_text().splitlines()
+    assert phase_peaks(lines) == {"write": 1.5, "evaluate": 4.0}
+    assert lines[-1] == "peak_rss_mb 20.0"
 
 
 def test_run_log_ends_with_peak_rss(tmp_path):
@@ -1322,10 +1344,9 @@ def test_validate_theory_logs_each_check_group(tmp_path):
     phases = phase_peaks(lines)
     assert list(phases) == ["tilted_sampler", "pushforward", "stein", "knn",
                             "dpi", "bilipschitz", "logdet"]
-    # the groups run one after another, so the peak never falls from one to
-    # the next, and the last is the run's peak so far
-    peaks = list(phases.values())
-    assert peaks == sorted(peaks) and peaks[-1] <= float(lines[-1].split()[1])
+    # the groups run one after another, so their rises add up to at most
+    # the run's peak so far
+    assert sum(phases.values()) <= float(lines[-1].split()[1])
 
 
 def test_baseline_best_of_n(tmp_path):

@@ -1,4 +1,6 @@
 """Frozen generator construction, evaluation, and identity hashing."""
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,21 @@ def test_same_seed_identical_weights():
     assert g1.weight_checksum() == g2.weight_checksum()
     assert g1.spec_hash() == g2.spec_hash()
     assert make_generator(MLP_SPEC, seed=6).weight_checksum() != g1.weight_checksum()
+
+
+@pytest.mark.parametrize("spec", [
+    MLP_SPEC,
+    {"variant": "decoder", "latent_dim": 4, "height": 2, "width": 3, "hidden": [5]},
+    {"variant": "affine", "latent_dim": 2, "output_dim": 3,
+     "matrix": [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]],
+     "bias": [0.5, -0.5, 0.25]}], ids=["mlp", "decoder", "affine"])
+def test_weight_checksum_hashes_each_weights_bytes(spec):
+    # each weight's buffer is hashed in place: the digest of their copies
+    g = make_generator(spec, seed=5)
+    want = hashlib.sha256()
+    for arr in g.all_weights():
+        want.update(arr.tobytes())
+    assert g.weight_checksum() == want.hexdigest()
 
 
 def test_weights_are_frozen():

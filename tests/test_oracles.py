@@ -116,7 +116,9 @@ def decoder_and_redness(seed=2, side=4):
 
 
 def reward_values_one_shot(g, r, x, steps=1):
-    return r.evaluate_batch(g.generate(x, steps=steps))
+    # all rows read at once, also from the rejection sampler's block-wise
+    # normals, which then draw them in one call
+    return r.evaluate_batch(g.generate(x[0:len(x)], steps=steps))
 
 
 def stein_one_shot(f, d, n, seed, eps=1e-5):
@@ -266,6 +268,35 @@ def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
     assert np.array_equal(held, x)
 
 
+def test_normals_drawn_in_turn_under_frequent_thread_switches(monkeypatch):
+    # more workers than CPUs, switching threads as often as the interpreter
+    # allows, and the first block of each pass late to draw: a block that
+    # drew its rows out of turn would change them, on either pass
+    monkeypatch.setattr(rowblocks, "WORKERS", 4 * rowblocks.WORKERS + 1)
+    n = 6 * B + 100
+    blocks = rowblocks.row_blocks(n)
+    x = oracles._Normals(np.random.default_rng(14), n, 3)
+    want = np.random.default_rng(14).standard_normal((n, 3))
+    got = np.empty((n, 3))
+
+    def block(rows):
+        if rows.start == 0:
+            time.sleep(0.05)
+        got[rows] = x[rows]
+    runner = ThreadPoolExecutor(1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            got[:] = np.nan
+            runner.submit(rowblocks.run_blocks, block, blocks).result(timeout=60)
+            assert np.array_equal(got, want)
+            x.rewind()
+    finally:
+        sys.setswitchinterval(interval)
+        runner.shutdown(wait=False)
+
+
 @pytest.mark.parametrize("workers", [1, max(2, rowblocks.WORKERS)])
 def test_run_blocks_raises_a_block_exception(workers, monkeypatch):
     monkeypatch.setattr(rowblocks, "WORKERS", workers)
@@ -397,6 +428,64 @@ def test_pushforward_check_holds_no_whole_output_array(monkeypatch):
         finally:
             tracemalloc.stop()
         assert peak <= 3 * n * g.latent_dim * 8 + 3 * workers * block_bytes, workers
+
+
+def pushforward_one_shot(g, r, alpha, n, seed):
+    """pushforward_check(method="rejection") with every draw made whole:
+    route (a)'s rounds as rejection_as_list draws them, route (b)'s base
+    noise in one call and its rewards and weights over all n rows."""
+    samples, _ = rejection_as_list(g, r, alpha, n, seed)
+    mean_a, second_a, se_ma, se_sa = oracles._streamed_moments(g, samples, np.full(n, 1.0 / n))
+    x = np.random.default_rng(seed + 1).standard_normal((n, g.latent_dim))
+    logw = reward_values_one_shot(g, r, x) / alpha
+    w = np.exp(logw - logw.max())
+    w /= w.sum()
+    ess_ref = 1.0 / float(np.sum(w * w))
+    mean_b, second_b, se_mb, se_sb = oracles._streamed_moments(g, x, w)
+    mean_gap, second_gap = mean_a - mean_b, second_a - second_b
+    mean_se = np.sqrt(se_ma ** 2 + se_mb ** 2)
+    second_se = np.sqrt(se_sa ** 2 + se_sb ** 2)
+    return oracles.MomentGapReport(
+        mean_gap, mean_se, second_gap, second_se,
+        oracles._max_z(mean_gap, mean_se, second_gap, second_se), float(n), ess_ref,
+        min(float(n), ess_ref) < oracles.MIN_ESS)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_normals_drawn_by_blocks_same_bits_as_one_shot(workers, monkeypatch):
+    # a 5000-row round is two row blocks, which on two workers draw side by side
+    monkeypatch.setattr(rowblocks, "WORKERS", workers)
+    g, r = decoder_and_redness()
+    n = 5000
+    got = sample_tilted_noise(g, r, 0.005, n, seed=8, method="rejection")
+    samples, rate = rejection_as_list(g, r, 0.005, n, seed=8)
+    assert np.array_equal(got.samples, samples) and got.acceptance_rate == rate
+    got = pushforward_check(g, r, 0.005, n, seed=9, method="rejection")
+    want = pushforward_one_shot(g, r, 0.005, n, seed=9)
+    for name in want.__dataclass_fields__:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_tilted_draws_held_one_at_a_time(workers, monkeypatch):
+    # the theory suite's decoder check at n = 100,000, in units of one
+    # n x 6 draw (4.8 MB): holding each rejection round's normals and their
+    # accepted copy took the sampler's peak to 3.30 (one worker) and 3.38
+    # (two), and route (b)'s base noise beside route (a)'s samples took the
+    # check's to 3.30 and 3.71; drawn block by block, 1.85 and 2.35 for the
+    # sampler, 1.87 and 2.55 for the check
+    monkeypatch.setattr(rowblocks, "WORKERS", workers)
+    g, r = decoder_and_redness(seed=3)
+    n = 100_000
+    for call in (functools.partial(sample_tilted_noise, method="rejection"),
+                 functools.partial(pushforward_check, method="rejection")):
+        tracemalloc.start()
+        try:
+            call(g, r, 0.005, n, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * n * g.latent_dim * 8, (call.func.__name__, peak)
 
 
 def test_pooled_streamed_moments_same_bits():
