@@ -172,14 +172,6 @@ class DirectFinetuneConfig:
             raise ValueError("eval_every: must be >= 1")
 
 
-@dataclass
-class DirectFinetuneHistory:
-    steps: list = field(default_factory=list)
-    mean_reward: list = field(default_factory=list)
-    output_drift: list = field(default_factory=list)   # KL(adapted || base) outputs
-    drift_estimator: str = "closed_form"
-
-
 def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: int,
                   estimate=None):
     """KL(adapted || base) of the outputs after `step`: a float in closed form
@@ -199,27 +191,24 @@ def measure_drift(adapted: AdaptedGenerator, cfg: DirectFinetuneConfig, step: in
 
 
 def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
-                          eval_hook=None) -> tuple[AdaptedGenerator, DirectFinetuneHistory]:
-    """Maximize mean reward by adapting generator weights directly.
+                          eval_hook=None) -> tuple[AdaptedGenerator, list]:
+    """Maximize mean reward by adapting generator weights directly, and
+    return the adapted generator with one [step, mean batch reward] row per
+    logged step: every `eval_every`-th step and the last.
 
     No closeness term: the point of this baseline is to expose the output
-    drift that the noise-space method avoids, so drift is measured and
-    logged rather than penalized.  At every evaluated step the drift is
-    eval_hook(step, adapted), by default `measure_drift` with this config;
-    a hook lets the caller time the evaluation apart from the training.  A
-    hook may return an Estimate still running on a KnnEvaluator (one in
-    flight, its error re-raised by the next submission), so training goes
-    on beside it; every drift is resolved to a float, in submission order,
-    before this returns.  A non-finite gradient rolls the weights back and
-    raises FloatingPointError("direct fine-tune aborted: step N: ...").
+    drift that the noise-space method avoids, so drift is measured (by
+    `measure_drift`, from `eval_hook`) rather than penalized.  `eval_hook`,
+    if given, is called as eval_hook(step, adapted) at every logged step.
+    A row's reward is the mean over that step's training batch of
+    `batch_size` rows, taken before the step's update, while a drift
+    measured from the hook sees the weights after it.  A non-finite
+    gradient rolls the weights back and raises
+    FloatingPointError("direct fine-tune aborted: step N: ...").
     """
     cfg.validate()
-    if eval_hook is None:
-        def eval_hook(step, net):
-            return measure_drift(net, cfg, step)
     adapted = AdaptedGenerator(g, rank=cfg.rank, seed=cfg.seed)
-    history = DirectFinetuneHistory(
-        drift_estimator="closed_form" if adapted.bias_delta is not None else "knn")
+    rows = []
 
     def loss_and_grads(x):
         param_nodes = {k: ad.param(v, name=k) for k, v in adapted.params().items()}
@@ -230,12 +219,11 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
                                   for k, n in param_nodes.items()}
 
     def on_log(step, mean_reward, gnorm):
-        history.steps.append(step)
-        history.mean_reward.append(mean_reward)
-        history.output_drift.append(eval_hook(step, adapted))
+        rows.append([step, mean_reward])
+        if eval_hook is not None:
+            eval_hook(step, adapted)
 
     opt = OPTIMIZERS[cfg.optimizer](cfg.learning_rate)
     descend(adapted.params(), loss_and_grads, opt, cfg, g.latent_dim, cfg.eval_every,
             on_log, "direct fine-tune")
-    history.output_drift = [float(d) for d in history.output_drift]
-    return adapted, history
+    return adapted, rows

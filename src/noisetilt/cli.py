@@ -168,14 +168,20 @@ def _modulated(ctx: RunContext, g: Generator, r: Reward, y_ref: Optional[np.ndar
     return r.evaluate_batch(y_mod), estimate
 
 
-def _drift_hook(ctx: RunContext, cfg: DirectFinetuneConfig):
-    """`train_direct_finetune`'s drift measurement, charged to the evaluate
-    phase instead of the training loop it runs in; its kNN estimate runs on
-    the run's evaluator while training goes on."""
+def _direct_curve(ctx: RunContext, g: Generator, r: Reward,
+                  cfg: DirectFinetuneConfig) -> list[tuple]:
+    """Train the direct fine-tune and return its (step, reward, drift) at
+    each logged step.  Each drift is measured at once, charged to the
+    evaluate phase; its kNN estimate runs on the run's evaluator while
+    training goes on, and all are resolved, in submission order, after."""
+    drifts = []
+
     def hook(step, adapted):
         with ctx.phase("evaluate"):
-            return measure_drift(adapted, cfg, step, ctx.evaluator.submit)
-    return hook
+            drifts.append(measure_drift(adapted, cfg, step, ctx.evaluator.submit))
+
+    _, rows = train_direct_finetune(g, r, cfg, eval_hook=hook)
+    return [(step, reward, float(drift)) for (step, reward), drift in zip(rows, drifts)]
 
 
 def _expect_method(cfg: ExperimentConfig, what: str, *methods: str):
@@ -274,13 +280,11 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
         ctx.log(f"best_of_n: best reward {res.best_rewards[-1]:.6g} "
                 f"at n={res.counts[-1]}")
     else:
-        d = cfg.direct_ft_config()
         with ctx.phase("train"):
-            _, hist = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
-        for step, rew, drift in zip(hist.steps, hist.mean_reward, hist.output_drift):
+            curve = _direct_curve(ctx, g, r, cfg.direct_ft_config())
+        for step, rew, drift in curve:
             rows.append(["direct_ft", step, 1, rew, 0.0, base_mean, drift, "", ""])
-        ctx.log(f"direct_ft: reward {hist.mean_reward[-1]:.6g}, "
-                f"final drift {hist.output_drift[-1]:.6g} ({hist.drift_estimator})")
+        ctx.log(f"direct_ft: reward {curve[-1][1]:.6g}, final drift {curve[-1][2]:.6g}")
     reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
     return 0
 
@@ -321,10 +325,8 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 
     with ctx.phase("train"):
         train_hypernoise(hn, g, r, cfg_h.train_config(), eval_hook=hook)
-        d = cfg_d.direct_ft_config()
-        _, hist_d = train_direct_finetune(g, r, d, eval_hook=_drift_hook(ctx, d))
+        curve_d = _direct_curve(ctx, g, r, cfg_d.direct_ft_config())
     curve_h = [(s, rw, float(fi)) for s, rw, fi in curve_h]
-    curve_d = list(zip(hist_d.steps, hist_d.mean_reward, hist_d.output_drift))
 
     steps = sorted({s for s, _, _ in curve_h} | {s for s, _, _ in curve_d})
     h_map = {s: (rw, fi) for s, rw, fi in curve_h}

@@ -42,8 +42,6 @@ class TiltedSampleSet:
     samples: np.ndarray       # (n, d)
     weights: np.ndarray       # (n,), self-normalized
     ess: float
-    method: str               # "rejection" or "snis"
-    alpha: float
     acceptance_rate: Optional[float] = None
 
     def mean(self) -> np.ndarray:
@@ -179,7 +177,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
     if method == "snis":
         x = rng.standard_normal((n, d))
         w, ess = _snis_weights(reward_values(g, r, x) / alpha)
-        return TiltedSampleSet(x, w, ess, "snis", alpha)
+        return TiltedSampleSet(x, w, ess)
 
     if method == "rejection":
         if envelope is None:
@@ -227,7 +225,7 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
                     f"rejection acceptance rate {rate:.2e} below 1e-4; "
                     "switch to method='snis'")
         w = np.full(n, 1.0 / n)
-        return TiltedSampleSet(x, w, float(n), "rejection", alpha, acceptance_rate=rate)
+        return TiltedSampleSet(x, w, float(n), acceptance_rate=rate)
 
     raise ValueError(f"unknown sampling method {method!r}")
 
@@ -454,7 +452,7 @@ def _kth_neighbors(p: np.ndarray, q: np.ndarray, k: int) -> tuple[np.ndarray, np
 
 
 def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
-           d: Optional[int] = None, _retried: bool = False) -> float:
+           d: Optional[int] = None) -> float:
     """k-nearest-neighbor estimate of D(P || Q) from two sample sets.
 
     The Wang-Kulkarni-Verdu (2009) estimator: with n points from P, m from
@@ -479,7 +477,9 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     blocked products find each nu instead, as the k-th smallest of the very
     distances measured (_kth_neighbors).  The tree queries run on
     rowblocks.cpu_share() threads, the rest one row block at a time,
-    without changing a bit of the result.
+    without changing a bit of the result.  A zero distance (a duplicated
+    point) makes it retry once on copies of both sets jittered by a fixed
+    draw; one that persists raises ValueError.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -495,27 +495,28 @@ def kl_knn(samples_p: np.ndarray, samples_q: np.ndarray, k: int = KNN_K, *,
     for name, s in (("samples_p", p), ("samples_q", q)):
         if not np.all(np.isfinite(s)):
             raise ValueError(f"{name} contains non-finite values")
-    near_p, near_q = _kth_neighbors(p, q, k)
-    # |x[near] - p| one row block at a time through one buffer: the same
-    # bits as np.linalg.norm(x[near] - p, axis=1) without its temporaries
-    # ("clip" skips take's own buffering; every index is in range, as each
-    # set holds more than k points)
-    rho, nu = np.empty(n), np.empty(n)
-    blocks, most = _knn_blocks(*p.shape)
-    buf = np.empty((most, p.shape[1]))
-    for rows in blocks:
-        part = buf[:rows.stop - rows.start]
-        for x, near, dist in ((p, near_p, rho), (q, near_q, nu)):
-            np.take(x, near[rows], axis=0, out=part, mode="clip")
-            np.sqrt(_sq_distances(part, p[rows]), out=dist[rows])
-    if np.any(rho == 0.0) or np.any(nu == 0.0):
-        if _retried:
+    for jittered in (False, True):
+        near_p, near_q = _kth_neighbors(p, q, k)
+        # |x[near] - p| one row block at a time through one buffer: the same
+        # bits as np.linalg.norm(x[near] - p, axis=1) without its temporaries
+        # ("clip" skips take's own buffering; every index is in range, as each
+        # set holds more than k points)
+        rho, nu = np.empty(n), np.empty(n)
+        blocks, most = _knn_blocks(*p.shape)
+        buf = np.empty((most, p.shape[1]))
+        for rows in blocks:
+            part = buf[:rows.stop - rows.start]
+            for x, near, dist in ((p, near_p, rho), (q, near_q, nu)):
+                np.take(x, near[rows], axis=0, out=part, mode="clip")
+                np.sqrt(_sq_distances(part, p[rows]), out=dist[rows])
+        if not (np.any(rho == 0.0) or np.any(nu == 0.0)):
+            return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1)))
+        if jittered:
             raise ValueError("duplicate points persist after jitter; cannot estimate")
         rng = np.random.default_rng(0)
         jitter = 1e-10 * max(1.0, float(np.abs(p).max()))
-        return kl_knn(p + jitter * rng.standard_normal(p.shape),
-                      q + jitter * rng.standard_normal(q.shape), k, d=d, _retried=True)
-    return float(d * np.mean(np.log(nu / rho)) + np.log(m / (n - 1)))
+        p = p + jitter * rng.standard_normal(p.shape)
+        q = q + jitter * rng.standard_normal(q.shape)
 
 
 class Estimate:
@@ -612,29 +613,29 @@ class DpiReport:
     kl_noise: float
     kl_output: float
     margin: float
-    mode: str
+
+
+def dpi_closed_form(hn: NoiseHypernetwork, g: Generator) -> DpiReport:
+    """The data-processing inequality in closed form: a constant-shift
+    network on an affine generator moves N(0, I) to N(c, I), and the outputs
+    by A c."""
+    if g.variant != "affine":
+        raise ValueError("the closed form needs an affine generator")
+    shift = hn.perturb(np.zeros(g.latent_dim))
+    probe = hn.perturb(np.ones(g.latent_dim))
+    if not np.allclose(shift, probe, atol=1e-12):
+        raise ValueError("the closed form needs a constant-shift network")
+    kl_noise = gaussian_shift_kl(shift)
+    a = g.layers[0].weight
+    kl_output = affine_shift_kl(a, a @ shift)
+    return DpiReport(kl_noise, kl_output, kl_noise - kl_output)
 
 
 def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
-              k: int = KNN_K, mode: str = "knn") -> DpiReport:
-    """The generator cannot increase the KL between noise laws.
-
-    `mode="gaussian"` uses closed forms and requires a constant-shift
-    network on an affine generator; `mode="knn"` estimates both sides, the
-    output side at the generator's manifold_dim.
-    """
-    if mode == "gaussian":
-        if g.variant != "affine":
-            raise ValueError("gaussian mode needs an affine generator")
-        shift = hn.perturb(np.zeros(g.latent_dim))
-        probe = hn.perturb(np.ones(g.latent_dim))
-        if not np.allclose(shift, probe, atol=1e-12):
-            raise ValueError("gaussian mode needs a constant-shift network")
-        kl_noise = gaussian_shift_kl(shift)
-        a = g.layers[0].weight
-        kl_output = affine_shift_kl(a, a @ shift)
-        return DpiReport(kl_noise, kl_output, kl_noise - kl_output, "gaussian")
-
+              k: int = KNN_K) -> DpiReport:
+    """The generator cannot increase the KL between noise laws: both sides
+    estimated by kl_knn from n draws each, the output side at the
+    generator's manifold_dim."""
     rng_seed = np.random.SeedSequence(seed).spawn(2)
     rng_a = np.random.default_rng(rng_seed[0])
     rng_b = np.random.default_rng(rng_seed[1])
@@ -643,7 +644,7 @@ def dpi_check(hn: NoiseHypernetwork, g: Generator, n: int, seed: int,
     x_base = rng_b.standard_normal((n, g.latent_dim))
     kl_noise = kl_knn(x_mod, x_base, k)
     kl_output = kl_knn(g.generate(x_mod), g.generate(x_base), k, d=g.manifold_dim)
-    return DpiReport(kl_noise, kl_output, kl_noise - kl_output, "knn")
+    return DpiReport(kl_noise, kl_output, kl_noise - kl_output)
 
 
 def bilipschitz_check(hn: NoiseHypernetwork, n_pairs: int, seed: int) -> tuple[float, float]:
@@ -767,7 +768,7 @@ def run_theory_suite(n: int, seed: int = 0,
         hn_c = init_hypernet(g_proj, rank=1, alpha=1.0, seed=0)
         cshift = np.array([0.6, 0.8, -0.5])
         hn_c.set_constant(cshift)
-        dpi_cf = dpi_check(hn_c, g_proj, n, seed + 50, mode="gaussian")
+        dpi_cf = dpi_closed_form(hn_c, g_proj)
         expected_margin = 0.5 * float(cshift[1:] @ cshift[1:])
         report.add("dpi_closed_form", abs(dpi_cf.margin - expected_margin), 1e-12,
                    abs(dpi_cf.margin - expected_margin) <= 1e-12)

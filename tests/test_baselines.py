@@ -3,12 +3,14 @@ import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
+from noisetilt import cli
 from noisetilt.baselines import (AdaptedGenerator, DirectFinetuneConfig,
                                  NoiseOptConfig, best_of_n, measure_drift,
                                  noise_opt, train_direct_finetune)
 from noisetilt.generators import make_generator
-from noisetilt.oracles import KnnEvaluator
+from noisetilt.hypernet import init_hypernet
 from noisetilt.rewards import LinearReward, RednessReward
+from noisetilt.training import TrainConfig, train_hypernoise
 
 A = np.array([[1.0, 0.3], [0.0, 0.9]])
 C = np.array([0.6, -0.5])
@@ -17,6 +19,11 @@ C = np.array([0.6, -0.5])
 def affine_gen():
     return make_generator({"variant": "affine", "latent_dim": 2,
                            "matrix": A.tolist(), "bias": [0.2, -0.1]}, seed=0)
+
+
+def small_decoder():
+    return make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
+                           "width": 3, "hidden": [8]}, seed=1)
 
 
 def test_noise_opt_closed_form():
@@ -68,8 +75,8 @@ def test_direct_ft_affine_drift_linear_in_steps():
         cfg = DirectFinetuneConfig(steps=steps, batch_size=32, learning_rate=0.01,
                                    optimizer="sgd", clip_norm=1.0, seed=4,
                                    eval_every=steps)
-        adapted, hist = train_direct_finetune(g, r, cfg)
-        assert hist.drift_estimator == "closed_form"
+        adapted, _ = train_direct_finetune(g, r, cfg)
+        assert adapted.bias_delta is not None     # measure_drift's closed form
         drifts.append(np.linalg.norm(adapted.bias_delta))
     assert drifts[1] == pytest.approx(2.0 * drifts[0], rel=1e-9)
 
@@ -79,10 +86,13 @@ def test_direct_ft_reward_increases_and_drift_grows():
                         "width": 3, "hidden": [8]}, seed=1)
     cfg = DirectFinetuneConfig(steps=80, batch_size=32, learning_rate=0.05,
                                seed=5, eval_every=20, eval_samples=800)
-    adapted, hist = train_direct_finetune(g, RednessReward(0.01), cfg)
-    assert hist.drift_estimator == "knn"
-    assert hist.mean_reward[-1] > hist.mean_reward[0]
-    assert hist.output_drift[-1] > hist.output_drift[0]
+    drifts = []
+    adapted, rows = train_direct_finetune(
+        g, RednessReward(0.01), cfg,
+        eval_hook=lambda step, net: drifts.append(measure_drift(net, cfg, step)))
+    assert adapted.bias_delta is None     # measure_drift's kNN estimate
+    assert rows[-1][1] > rows[0][1]
+    assert drifts[-1] > drifts[0]
 
 
 @pytest.mark.parametrize("field,value,message", [
@@ -127,35 +137,59 @@ def test_direct_ft_raises_on_a_non_finite_gradient():
     assert steps == [0, 25]
 
 
-def test_direct_ft_eval_hook_returns_the_drift():
-    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
-                        "width": 3, "hidden": [8]}, seed=1)
+def test_both_trainers_call_their_hooks_alike():
+    # equal steps and logging period: the same logged steps, what a hook
+    # returns kept by neither, and the network at the last call is the one
+    # each trainer returns
+    g, r = small_decoder(), RednessReward(0.01)
+    returned = object()
+    calls = {"hypernoise": [], "direct_ft": []}
+
+    def recorder(name):
+        def hook(step, net):
+            calls[name].append((step, {k: v.copy() for k, v in net.params().items()}))
+            return returned
+        return hook
+
+    hn = init_hypernet(g, rank=2, alpha=2.0, seed=4)
+    history = train_hypernoise(hn, g, r, TrainConfig(steps=12, batch_size=8, seed=1,
+                                                     log_every=5),
+                               eval_hook=recorder("hypernoise"))
+    adapted, rows = train_direct_finetune(
+        g, r, DirectFinetuneConfig(steps=12, batch_size=8, seed=1, eval_every=5),
+        eval_hook=recorder("direct_ft"))
+    for name, logged, params in (("hypernoise", history, hn.params()),
+                                 ("direct_ft", rows, adapted.params())):
+        assert [step for step, _ in calls[name]] == [row[0] for row in logged] == [0, 5, 10, 11]
+        assert not any(returned in row for row in logged)
+        last = calls[name][-1][1]
+        assert last.keys() == params.keys()
+        assert all(np.array_equal(last[k], params[k]) for k in params)
+
+
+def test_direct_curve_resolves_the_inline_drifts(tmp_path):
+    # the CLI's drifts, left running on the run's evaluator, come back as
+    # the floats measure_drift returns inline
+    g, r = small_decoder(), RednessReward(0.01)
     cfg = DirectFinetuneConfig(steps=12, batch_size=8, seed=1, eval_every=5,
                                eval_samples=60)
-    calls = []
-
-    def hook(step, adapted):
-        calls.append(step)
-        return measure_drift(adapted, cfg, step)
-
-    _, plain = train_direct_finetune(g, RednessReward(0.01), cfg)
-    _, hooked = train_direct_finetune(g, RednessReward(0.01), cfg, eval_hook=hook)
-    assert calls == plain.steps == [0, 5, 10, 11]
-    assert hooked.output_drift == plain.output_drift
-    assert hooked.mean_reward == plain.mean_reward
-    # estimates left running on an evaluator come back as the same floats
-    evaluator = KnnEvaluator()
-    _, deferred = train_direct_finetune(
-        g, RednessReward(0.01), cfg,
-        eval_hook=lambda step, adapted: measure_drift(adapted, cfg, step, evaluator.submit))
-    assert deferred.output_drift == plain.output_drift and evaluator.estimates == 4
-    assert all(type(d) is float for d in deferred.output_drift)
+    ctx = cli.RunContext(str(tmp_path), quiet=True)
+    try:
+        curve = cli._direct_curve(ctx, g, r, cfg)
+    finally:
+        ctx.evaluator.close()
+    inline = []
+    _, rows = train_direct_finetune(
+        g, r, cfg, eval_hook=lambda step, net: inline.append(measure_drift(net, cfg, step)))
+    assert ctx.evaluator.estimates == 4
+    assert curve == [(step, reward, drift) for (step, reward), drift in zip(rows, inline)]
+    assert [step for step, _, _ in curve] == [0, 5, 10, 11]
+    assert all(type(drift) is float for _, _, drift in curve)
 
 
 def test_drift_is_estimated_at_the_latent_dimension():
     # a decoder's 27 outputs are a pushforward of its 4-d latent
-    g = make_generator({"variant": "decoder", "latent_dim": 4, "height": 3,
-                        "width": 3, "hidden": [8]}, seed=1)
+    g = small_decoder()
     cfg = DirectFinetuneConfig(eval_samples=60, seed=1)
     assert measure_drift(AdaptedGenerator(g), cfg, 0, lambda p, q, d: (p.shape[1], d)) == (27, 4)
 

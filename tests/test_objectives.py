@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from noisetilt import autodiff as ad
-from noisetilt.baselines import (DirectFinetuneConfig, NoiseOptConfig, noise_opt,
-                                 train_direct_finetune)
+from noisetilt.baselines import (DirectFinetuneConfig, NoiseOptConfig, measure_drift,
+                                 noise_opt, train_direct_finetune)
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.objectives import (MAX_EXACT_KL_DIM, error_term, exact_noise_kl,
@@ -150,9 +150,12 @@ def run_loop(name):
         res = noise_opt(g, r, NoiseOptConfig(steps=3, learning_rate=0.5, seed=4))
         return [res.noise, res.objective, res.reward, res.trajectory]
     if name == "direct_ft":
-        adapted, hist = train_direct_finetune(g, r, DirectFinetuneConfig(
-            steps=3, batch_size=8, eval_every=2, eval_samples=40, seed=4))
-        return [*adapted.params().values(), hist.mean_reward, hist.output_drift]
+        cfg = DirectFinetuneConfig(steps=3, batch_size=8, eval_every=2, eval_samples=40,
+                                   seed=4)
+        drifts = []
+        adapted, rows = train_direct_finetune(
+            g, r, cfg, eval_hook=lambda step, net: drifts.append(measure_drift(net, cfg, step)))
+        return [*adapted.params().values(), rows, drifts]
     hn = init_hypernet(g, rank=2, alpha=2.0, seed=4)
     hist = train_hypernoise(hn, g, r, TrainConfig(steps=3, batch_size=8,
                                                   optimizer="adam", seed=4,

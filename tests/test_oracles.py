@@ -18,7 +18,7 @@ from noisetilt.baselines import DirectFinetuneConfig, measure_drift, train_direc
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
 from noisetilt.oracles import (DpiReport, SamplerError, bilipschitz_check,
-                               dpi_check, gaussian_shift_kl, kl_knn,
+                               dpi_check, dpi_closed_form, gaussian_shift_kl, kl_knn,
                                pushforward_check, run_theory_suite,
                                sample_tilted_noise, stein_check)
 from noisetilt.rewards import LinearReward, RednessReward
@@ -980,7 +980,7 @@ def test_dpi_closed_form_projection():
     hn = init_hypernet(g, rank=1, alpha=1.0, seed=0)
     c = np.array([0.5, 1.0, -2.0])
     hn.set_constant(c)
-    rep = dpi_check(hn, g, 10, seed=0, mode="gaussian")
+    rep = dpi_closed_form(hn, g)
     assert isinstance(rep, DpiReport)
     assert rep.kl_noise == pytest.approx(gaussian_shift_kl(c))
     assert rep.margin == pytest.approx(0.5 * (1.0 + 4.0), abs=1e-12)
@@ -992,7 +992,7 @@ def test_dpi_gaussian_mode_guards():
                         "hidden": [4]}, seed=0)
     hn = init_hypernet(g, rank=1, alpha=1.0, seed=0)
     with pytest.raises(ValueError):
-        dpi_check(hn, g, 10, seed=0, mode="gaussian")
+        dpi_closed_form(hn, g)
 
 
 def test_dpi_estimated_margin():
@@ -1001,7 +1001,7 @@ def test_dpi_estimated_margin():
     hn = init_hypernet(g, rank=2, alpha=2.0, seed=2)
     hn.randomize_adapters(3)
     hn.set_lipschitz_budget(0.4)
-    rep = dpi_check(hn, g, 6000, seed=8, mode="knn")
+    rep = dpi_check(hn, g, 6000, seed=8)
     assert rep.margin >= -0.05
 
 
