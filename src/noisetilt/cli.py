@@ -264,17 +264,21 @@ def run_train(cfg: ExperimentConfig, ctx: RunContext) -> int:
 
 def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
-    g, r = _build(cfg)
-    base_mean = float(oracles.reward_values(g, r, _heldout_noise(cfg, g)).mean())
+    with ctx.phase("build"):
+        g, r = _build(cfg)
+    with ctx.phase("evaluate"):
+        base_mean = float(oracles.reward_values(g, r, _heldout_noise(cfg, g)).mean())
     rows = []
     if cfg.method == "noise_opt":
-        res = noise_opt(g, r, cfg.noise_opt_config())
+        with ctx.phase("train"):
+            res = noise_opt(g, r, cfg.noise_opt_config())
         fidelity = 0.5 * float(res.noise @ res.noise)
         rows.append(["noise_opt", cfg["noise_opt"]["steps"], 1, res.reward,
                      0.0, base_mean, fidelity, "", ""])
         ctx.log(f"noise_opt: reward {res.reward:.6g}, objective {res.objective:.6g}")
     elif cfg.method == "best_of_n":
-        res = best_of_n(g, r, cfg["best_of_n"]["counts"], seed=cfg.seed)
+        with ctx.phase("evaluate"):     # no training: the base model's best draws
+            res = best_of_n(g, r, cfg["best_of_n"]["counts"], seed=cfg.seed)
         for n, best in zip(res.counts, res.best_rewards):
             rows.append(["best_of_n", n, 1, best, 0.0, base_mean, "", "", ""])
         ctx.log(f"best_of_n: best reward {res.best_rewards[-1]:.6g} "
@@ -285,7 +289,8 @@ def run_baseline(cfg: ExperimentConfig, ctx: RunContext) -> int:
         for step, rew, drift in curve:
             rows.append(["direct_ft", step, 1, rew, 0.0, base_mean, drift, "", ""])
         ctx.log(f"direct_ft: reward {curve[-1][1]:.6g}, final drift {curve[-1][2]:.6g}")
-    reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
+    with ctx.phase("write"):
+        reporting.write_csv(ctx.path("report.csv"), REPORT_COLUMNS, rows)
     return 0
 
 
@@ -353,31 +358,35 @@ def run_tradeoff(cfg_h: ExperimentConfig, cfg_d: ExperimentConfig,
 
 def run_diversity(cfg: ExperimentConfig, ctx: RunContext) -> int:
     _echo_config(ctx, cfg)
-    g, r, hn = _build_hypernoise(cfg)
-    train_hypernoise(hn, g, r, cfg.train_config())
+    with ctx.phase("build"):
+        g, r, hn = _build_hypernoise(cfg)
+    with ctx.phase("train"):
+        train_hypernoise(hn, g, r, cfg.train_config())
     ev, gen_steps = cfg["evaluation"], cfg["train"]["generation_steps"]
     n_samples = ev["diversity_samples"]
     rows = []
     base_vals, mod_vals = [], []
-    for i in range(ev["diversity_seeds"]):
-        rng = np.random.default_rng(cfg.seed + 700_000 + i)
-        x = rng.standard_normal((n_samples, g.latent_dim))
-        base = _mean_pairwise(g.generate(x, steps=gen_steps))
-        mod = _mean_pairwise(g.generate(x + hn.perturb(x), steps=gen_steps))
-        base_vals.append(base)
-        mod_vals.append(mod)
-        rows.append([str(i), base, mod])
+    with ctx.phase("evaluate"):
+        for i in range(ev["diversity_seeds"]):
+            rng = np.random.default_rng(cfg.seed + 700_000 + i)
+            x = rng.standard_normal((n_samples, g.latent_dim))
+            base = _mean_pairwise(g.generate(x, steps=gen_steps))
+            mod = _mean_pairwise(g.generate(x + hn.perturb(x), steps=gen_steps))
+            base_vals.append(base)
+            mod_vals.append(mod)
+            rows.append([str(i), base, mod])
     bmean, mmean = float(np.mean(base_vals)), float(np.mean(mod_vals))
     ratio = mmean / bmean if bmean else float("nan")    # nan: a constant generator
     rows.append(["mean", bmean, mmean])
     rows.append(["sd", float(np.std(base_vals, ddof=1)),
                  float(np.std(mod_vals, ddof=1))])
-    reporting.write_csv(ctx.path("report.csv"),
-                        ["seed", "base_mean_pairwise", "modulated_mean_pairwise"],
-                        rows)
-    svg = reporting.svg_bars(["base", "modulated"], [bmean, mmean],
-                             title="output diversity", ylabel="mean pairwise distance")
-    reporting.atomic_write(ctx.path("plots", "diversity.svg"), svg)
+    with ctx.phase("write"):
+        reporting.write_csv(ctx.path("report.csv"),
+                            ["seed", "base_mean_pairwise", "modulated_mean_pairwise"],
+                            rows)
+        svg = reporting.svg_bars(["base", "modulated"], [bmean, mmean],
+                                 title="output diversity", ylabel="mean pairwise distance")
+        reporting.atomic_write(ctx.path("plots", "diversity.svg"), svg)
     ctx.log(f"diversity: base {bmean:.6g}, modulated {mmean:.6g} "
             f"(ratio {ratio:.4f})")
     return 0

@@ -9,7 +9,6 @@ autodiff machinery it is checking.
 from __future__ import annotations
 
 import functools
-import threading
 import time
 from concurrent.futures import Future
 from contextlib import nullcontext
@@ -48,43 +47,34 @@ class TiltedSampleSet:
         return self.weights @ self.samples
 
 
+# the first entry of every `_Normals` key: it keeps them apart from the keys
+# (0,), (1,), ... of the SeedSequence(seed).spawn children other checks use
+NORMALS_TAG = 0x6E6F726D
+
+
 class _Normals:
-    """rng.standard_normal((n, d)) drawn one row block at a time, for a
-    pass over row blocks that cover rows 0..n-1 in order and read each
-    block's rows once, as x[rows] (`reward_values` and `_streamed_moments`
-    read an array so): only the blocks being worked on exist at once.
+    """Standard normal rows, `d` values a row, in the row blocks `blocks`
+    (slices that cover rows 0..n-1 in order).  Reading x[blocks[i]] draws
+    block i's rows from default_rng(SeedSequence(seed, spawn_key=
+    (NORMALS_TAG, stream, i))), so a row depends on (seed, stream, its
+    block) alone, whichever thread reads it, in whatever order and however
+    often, and a pass over the blocks holds only the blocks being worked
+    on.  Reading any other slice raises ValueError."""
 
-    The block of rows a:b draws once the block that ends at row a has
-    drawn (a chain of threading.Events), so the draws keep the stream's
-    order and have the bits of one call (PCG64's normals are drawn 64 bits
-    at a time, with nothing buffered between calls), while each block's
-    draw overlaps the other workers' passes through the generator.  A
-    block must read its rows before anything in it can fail, as the
-    blocks after it wait for its draw.  `rewind()` sets rng back to where
-    it stood when this was made, for another pass over the same rows."""
-
-    def __init__(self, rng: np.random.Generator, n: int, d: int):
-        self._rng, self._start, self._d, self._n = rng, rng.bit_generator.state, d, n
-        self.rewind()
+    def __init__(self, seed: int, blocks: list[slice], d: int, stream: int):
+        self._seed, self._d, self._stream = seed, d, stream
+        self._index = {(rows.start, rows.stop, rows.step): i for i, rows in enumerate(blocks)}
+        self._n = blocks[-1].stop
 
     def __len__(self) -> int:
         return self._n
 
-    def rewind(self) -> "_Normals":
-        self._rng.bit_generator.state = self._start
-        self._drawn = {0: threading.Event()}
-        self._drawn[0].set()
-        return self
-
-    def _event(self, row: int) -> threading.Event:
-        return self._drawn.setdefault(row, threading.Event())
-
     def __getitem__(self, rows: slice) -> np.ndarray:
-        try:
-            self._event(rows.start).wait()
-            return self._rng.standard_normal((rows.stop - rows.start, self._d))
-        finally:
-            self._event(rows.stop).set()
+        i = self._index.get((rows.start, rows.stop, rows.step))
+        if i is None:
+            raise ValueError(f"{rows!r} is not a row block of this draw")
+        key = np.random.SeedSequence(self._seed, spawn_key=(NORMALS_TAG, self._stream, i))
+        return np.random.default_rng(key).standard_normal((rows.stop - rows.start, self._d))
 
 
 def _streamed_moments(g: Generator, x: np.ndarray, w: np.ndarray):
@@ -158,14 +148,14 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
     sup r(g(x)); self-normalized importance sampling always applies and
     reports its effective sample size.
 
-    Rejection draws rounds of max(n, 1024) rows and holds no round's
-    normals whole: each row block draws its rows (`_Normals`) for the
-    rewards, and once the round's uniforms are drawn a second pass draws
-    the same rows again, each block writing its accepted ones into the
-    (n, d) samples at the place the mask's count before it gives.  The
-    round's log-uniforms and mask live in vectors reused from round to
-    round.  The samples have the bits of drawing each round's
-    (max(n, 1024), d) normals at once.
+    SNIS draws its (n, d) normals in one call of default_rng(seed).
+    Rejection runs rounds of max(n, 1024) candidates.  Round k (from 1)
+    draws its log-uniforms whole from default_rng(seed), after those of
+    the rounds before, and its normals as stream k of `_Normals(seed, ...)`
+    over the round's row blocks.  In one pass over the blocks, each block
+    draws its rows, scores them and keeps those with
+    log u < (r(g(x)) - envelope) / alpha; the kept rows then fill the
+    (n, d) samples in block order.  No round's normals are held whole.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -195,30 +185,25 @@ def sample_tilted_noise(g: Generator, r: Reward, alpha: float, n: int, seed: int
         got = drawn = 0     # rows accepted (also those past n) and drawn
         batch = max(n, 1024)
         blocks = rowblocks.row_blocks(batch, g.output_dim)
-        logu, accept = np.empty(batch), np.empty(batch, dtype=bool)
+        logu = np.empty(batch)
         while got < n:
-            xb = _Normals(rng, batch, d)
-            logp = reward_values(g, r, xb)
-            logp -= envelope
-            logp /= alpha
+            normals = _Normals(seed, blocks, d, 1 + drawn // batch)
             np.log(rng.random(out=logu), out=logu)
-            np.less(logu, logp, out=accept)
-            del logp
-            after = rng.bit_generator.state
-            counts = [np.count_nonzero(accept[rows]) for rows in blocks]
-            ends = got + np.cumsum(counts)
-            first = {rows.start: end - count for rows, end, count in zip(blocks, ends, counts)}
-            xb.rewind()
+            kept = {}
 
-            def keep(rows):
-                kept = xb[rows][accept[rows]]
-                at = first[rows.start]
-                x[at:at + len(kept)] = kept[:n - at]
-            # the blocks after the one that fills x would keep nothing
-            rowblocks.run_blocks(keep, blocks[:np.searchsorted(ends, n) + 1])
-            rng.bit_generator.state = after
+            def block(rows):
+                xb = normals[rows]
+                logp = r.evaluate_batch(g.generate(xb))
+                logp -= envelope
+                logp /= alpha
+                kept[rows.start] = xb[logu[rows] < logp]
+            rowblocks.run_blocks(block, blocks)
+            for rows in blocks:
+                accepted = kept[rows.start]
+                if got < n:
+                    x[got:got + len(accepted)] = accepted[:n - got]
+                got += len(accepted)
             drawn += batch
-            got = int(ends[-1])
             rate = got / drawn
             if drawn >= 50 * batch and rate < 1e-4:
                 raise SamplerError(
@@ -259,17 +244,17 @@ def pushforward_check(g: Generator, r: Reward, alpha: float, n: int, seed: int,
 
     Both routes' outputs stream through row blocks, and at most one n-row
     draw is held at a time.  Route (b) runs first and holds no draw at all:
-    its base noise is drawn one row block at a time (`_Normals`), once for
-    the rewards and, from the same generator state, once more with the
+    its base noise is stream 0 of `_Normals(seed + 1, ...)` over the row
+    blocks of its outputs, read once for the rewards and once more with the
     outputs for the moments; its weights are freed before route (a) draws
-    its (n, d) tilted samples."""
+    its (n, d) tilted samples (sample_tilted_noise at `seed`)."""
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
-    x = _Normals(np.random.default_rng(seed + 1), n, g.latent_dim)
+    x = _Normals(seed + 1, rowblocks.row_blocks(n, g.output_dim), g.latent_dim, 0)
     logw = reward_values(g, r, x)
     logw /= alpha
     w, ess_ref = _snis_weights(logw)
-    mean_b, second_b, se_mb, se_sb = _streamed_moments(g, x.rewind(), w)
+    mean_b, second_b, se_mb, se_sb = _streamed_moments(g, x, w)
     del logw, w
 
     tilted = sample_tilted_noise(g, r, alpha, n, seed, method=method)
@@ -301,7 +286,9 @@ def exact_pushforward_z(g: Generator, tilted: TiltedSampleSet, mean: np.ndarray,
 
 def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
                 seed: int) -> tuple[float, float, float]:
-    """E[x . f(x)] versus E[tr J_f(x)] for standard Gaussian x.
+    """E[x . f(x)] versus E[tr J_f(x)] for standard Gaussian x: both means,
+    over the same x, and the standard error of their difference, the mean
+    of the per-row differences x . f(x) - tr J_f(x).
 
     `f` must accept an (m, d) batch of any m and be row-wise: row i of its
     output depends on row i of its input alone.  It is evaluated one row
@@ -309,12 +296,14 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
     to call from several threads at once.  The Jacobian trace is estimated
     by central differences, which keeps this route independent of any
     reverse-mode machinery: entry j of `fd_columns`' column j, the only
-    entry of it read, so no (B, d, d) Jacobian is built.  Each block draws
-    its own rows of the Gaussian sample (`_Normals`), in one pass.
+    entry of it read, so no (B, d, d) Jacobian is built.  The Gaussian
+    sample is stream 0 of `_Normals(seed, ...)` over rowblocks.row_blocks(n),
+    each block drawing its own rows in the one pass.
     """
     if n < MIN_MOMENT_SAMPLES:
         raise ValueError(f"need at least {MIN_MOMENT_SAMPLES} samples")
-    x = _Normals(np.random.default_rng(seed), n, d)
+    blocks = rowblocks.row_blocks(n)
+    x = _Normals(seed, blocks, d, 0)
     lhs_terms = np.empty(n)
     trace_terms = np.empty(n)
 
@@ -323,10 +312,10 @@ def stein_check(f: Callable[[np.ndarray], np.ndarray], d: int, n: int,
         lhs_terms[rows] = np.sum(xb * f(xb), axis=1)
         # the diagonal summed in coordinate order (np.trace sums pairwise)
         trace_terms[rows] = sum(col[:, j] for j, col in enumerate(fd_columns(f, xb)))
-    rowblocks.run_blocks(block, rowblocks.row_blocks(n))
+    rowblocks.run_blocks(block, blocks)
     lhs = float(lhs_terms.mean())
     rhs = float(trace_terms.mean())
-    se = float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n))
+    se = float(np.sqrt((lhs_terms - trace_terms).var(ddof=1) / n))
     return lhs, rhs, se
 
 

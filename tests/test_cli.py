@@ -869,13 +869,23 @@ def test_closed_form_train_starts_no_evaluator(tmp_path, monkeypatch):
 
 def test_run_log_phase_lines(tmp_path):
     cfg_h, cfg_d = tradeoff_configs(tmp_path)
-    runs = {"train": ["train", "--config", cfg_h], "tradeoff": ["tradeoff", cfg_h, cfg_d]}
-    for name, argv in runs.items():
+    cfg_n = write(tmp_path, "n.ini", as_method(AFFINE_TRAIN, "noise_opt", noise_opt="steps = 20"))
+    cfg_b = write(tmp_path, "b.ini", as_method(AFFINE_TRAIN, "best_of_n",
+                                               best_of_n="counts = 4 64"))
+    every = ["build", "evaluate", "train", "write"]
+    # name -> (argv, the phases its run.log reports); best_of_n trains nothing
+    runs = {"train": (["train", "--config", cfg_h], every),
+            "tradeoff": (["tradeoff", cfg_h, cfg_d], every),
+            "diversity": (["diversity", "--config", cfg_h], every),
+            "direct_ft": (["baseline", "--config", cfg_d], every),
+            "noise_opt": (["baseline", "--config", cfg_n], every),
+            "best_of_n": (["baseline", "--config", cfg_b], ["build", "evaluate", "write"])}
+    for name, (argv, expected) in runs.items():
         out = str(tmp_path / name)
         assert main(argv + ["--out", out, "--quiet"]) == 0
         lines = Path(out, "run.log").read_text().splitlines()
         phases = phase_peaks(lines)
-        assert sorted(phases) == ["build", "evaluate", "train", "write"], name
+        assert sorted(phases) == expected, name
         assert sum(phases.values()) <= float(lines[-1].split()[1]), name
 
 

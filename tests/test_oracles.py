@@ -116,14 +116,22 @@ def decoder_and_redness(seed=2, side=4):
 
 
 def reward_values_one_shot(g, r, x, steps=1):
-    # all rows read at once, also from the rejection sampler's block-wise
-    # normals, which then draw them in one call
-    return r.evaluate_batch(g.generate(x[0:len(x)], steps=steps))
+    return r.evaluate_batch(g.generate(x, steps=steps))
+
+
+def keyed_normals(seed, blocks, d, stream):
+    """oracles._Normals(seed, blocks, d, stream)'s rows by their definition:
+    block i drawn whole from its own key, on the calling thread."""
+    return np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(
+            seed, spawn_key=(oracles.NORMALS_TAG, stream, i))).standard_normal(
+                (rows.stop - rows.start, d))
+        for i, rows in enumerate(blocks)])
 
 
 def stein_one_shot(f, d, n, seed, eps=1e-5):
     """stein_check with every pass over all n rows at once."""
-    x = np.random.default_rng(seed).standard_normal((n, d))
+    x = keyed_normals(seed, rowblocks.row_blocks(n), d, 0)
     lhs_terms = np.sum(x * f(x), axis=1)
     trace_terms = np.zeros(n)
     for j in range(d):
@@ -131,7 +139,7 @@ def stein_one_shot(f, d, n, seed, eps=1e-5):
         step[j] = eps
         trace_terms += (f(x + step)[:, j] - f(x - step)[:, j]) / (2 * eps)
     return (float(lhs_terms.mean()), float(trace_terms.mean()),
-            float(np.sqrt(lhs_terms.var(ddof=1) / n + trace_terms.var(ddof=1) / n)))
+            float(np.sqrt(np.var(lhs_terms - trace_terms, ddof=1) / n)))
 
 
 def weighted_moments_one_shot(y, w):
@@ -190,6 +198,10 @@ def test_streamed_stein_check_same_bits(n):
 def test_streamed_tilted_sampling_same_bits(n, method, monkeypatch):
     g, r = decoder_and_redness()
     streamed = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
+    if method == "rejection":
+        samples, rate = rejection_as_list(g, r, 0.005, n, seed=4)
+        assert np.array_equal(streamed.samples, samples) and streamed.acceptance_rate == rate
+        return
     monkeypatch.setattr(oracles, "reward_values", reward_values_one_shot)
     one_shot = sample_tilted_noise(g, r, 0.005, n, seed=4, method=method)
     assert np.array_equal(streamed.samples, one_shot.samples)
@@ -268,20 +280,20 @@ def test_pooled_blocks_under_frequent_thread_switches(monkeypatch):
     assert np.array_equal(held, x)
 
 
-def test_normals_drawn_in_turn_under_frequent_thread_switches(monkeypatch):
-    # more workers than CPUs, switching threads as often as the interpreter
-    # allows, and the first block of each pass late to draw: a block that
-    # drew its rows out of turn would change them, on either pass
+def test_normals_keyed_by_block_under_frequent_thread_switches(monkeypatch):
+    # each block's rows come from its own key, so reading the blocks in
+    # reverse, or twice over by more workers than CPUs switching threads as
+    # often as the interpreter allows, gives the same rows
     monkeypatch.setattr(rowblocks, "WORKERS", 4 * rowblocks.WORKERS + 1)
-    n = 6 * B + 100
+    n, d, seed = 6 * B + 100, 3, 14
     blocks = rowblocks.row_blocks(n)
-    x = oracles._Normals(np.random.default_rng(14), n, 3)
-    want = np.random.default_rng(14).standard_normal((n, 3))
-    got = np.empty((n, 3))
+    x = oracles._Normals(seed, blocks, d, 2)
+    want = keyed_normals(seed, blocks, d, 2)
+    assert len(x) == n and len(blocks) == 7
+    assert np.array_equal(np.concatenate([x[rows] for rows in reversed(blocks)][::-1]), want)
+    got = np.empty((n, d))
 
     def block(rows):
-        if rows.start == 0:
-            time.sleep(0.05)
         got[rows] = x[rows]
     runner = ThreadPoolExecutor(1)
     interval = sys.getswitchinterval()
@@ -291,10 +303,32 @@ def test_normals_drawn_in_turn_under_frequent_thread_switches(monkeypatch):
             got[:] = np.nan
             runner.submit(rowblocks.run_blocks, block, blocks).result(timeout=60)
             assert np.array_equal(got, want)
-            x.rewind()
     finally:
         sys.setswitchinterval(interval)
         runner.shutdown(wait=False)
+
+    for rows in (slice(0, n), slice(0, B - 1), slice(1, B + 1), slice(0, B, 2),
+                 slice(None)):
+        with pytest.raises(ValueError):
+            x[rows]
+
+    # no two keys draw the same rows: not stream 0's next block, another
+    # stream or seed, the seed's own generator, nor the children
+    # SeedSequence(seed).spawn(2) gives dpi_check and measure_drift
+    def rows_of(stream, i=0, key=seed):
+        return oracles._Normals(key, blocks, d, stream)[blocks[i]]
+
+    def plain(entropy):
+        return np.random.default_rng(entropy).standard_normal((B, d))
+    drawn = [rows_of(0), rows_of(0, 1), rows_of(1), rows_of(0, key=seed + 1), plain(seed),
+             *map(plain, np.random.SeedSequence(seed).spawn(2))]
+    for i, a in enumerate(drawn):
+        for j, b in enumerate(drawn[:i]):
+            assert not np.any(a == b), (i, j)
+    # numpy pads entropy with zeros, so keys built as entropy tuples would
+    # collide: (seed, stream, i) = (seed, 0, 0) draws what default_rng(seed) does
+    assert np.array_equal(plain((seed, 3)), plain((seed, 3, 0)))
+    assert np.array_equal(plain(seed), plain((seed, 0)))
 
 
 @pytest.mark.parametrize("workers", [1, max(2, rowblocks.WORKERS)])
@@ -390,8 +424,9 @@ def rejection_as_list(g, r, alpha, n, seed):
     rng = np.random.default_rng(seed)
     envelope = r.upper_bound_on_box(*g.output_range, g.output_dim)
     accepted, drawn, batch = [], 0, max(n, 1024)
+    blocks = rowblocks.row_blocks(batch, g.output_dim)
     while sum(len(a) for a in accepted) < n:
-        x = rng.standard_normal((batch, g.latent_dim))
+        x = keyed_normals(seed, blocks, g.latent_dim, 1 + len(accepted))
         drawn += batch
         logp = (reward_values_one_shot(g, r, x) - envelope) / alpha
         accepted.append(x[np.log(rng.random(batch)) < logp])
@@ -433,10 +468,11 @@ def test_pushforward_check_holds_no_whole_output_array(monkeypatch):
 def pushforward_one_shot(g, r, alpha, n, seed):
     """pushforward_check(method="rejection") with every draw made whole:
     route (a)'s rounds as rejection_as_list draws them, route (b)'s base
-    noise in one call and its rewards and weights over all n rows."""
+    noise block by block on the calling thread and its rewards and weights
+    over all n rows."""
     samples, _ = rejection_as_list(g, r, alpha, n, seed)
     mean_a, second_a, se_ma, se_sa = oracles._streamed_moments(g, samples, np.full(n, 1.0 / n))
-    x = np.random.default_rng(seed + 1).standard_normal((n, g.latent_dim))
+    x = keyed_normals(seed + 1, rowblocks.row_blocks(n, g.output_dim), g.latent_dim, 0)
     logw = reward_values_one_shot(g, r, x) / alpha
     w = np.exp(logw - logw.max())
     w /= w.sum()
