@@ -446,6 +446,13 @@ def backprop(root: Node, seed=None) -> dict[int, np.ndarray]:
     return {k: g if k in owned else g.copy() for k, g in grads.items()}
 
 
+def leaf_grad(grads: dict[int, np.ndarray], leaf: Node) -> np.ndarray:
+    """`leaf`'s gradient in a `backprop` result, or zeros of its shape when
+    the root does not depend on it (built only then)."""
+    g = grads.get(id(leaf))
+    return np.zeros_like(leaf.value) if g is None else g
+
+
 def jacobian(y: Node, x: Node) -> np.ndarray:
     """Jacobian of a row-wise map's output `y` with respect to its `param`
     input `x`: (B, m, n) for a (B, m) output of a (B, n) batch, (m, n) for
@@ -457,5 +464,5 @@ def jacobian(y: Node, x: Node) -> np.ndarray:
     for i in range(y.shape[-1]):
         seed = np.zeros(y.shape)
         seed[..., i] = 1.0
-        rows.append(backprop(y, seed).get(id(x), np.zeros(x.shape)))
+        rows.append(leaf_grad(backprop(y, seed), x))
     return np.stack(rows, axis=-2)

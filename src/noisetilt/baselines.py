@@ -65,7 +65,7 @@ def noise_opt(g: Generator, r: Reward, cfg: NoiseOptConfig,
             rew = r.node_rows(out)
             obj = ad.sub(rew, ad.scale(ad.sumsq_rows(x_node), 0.5 * cfg.prior_weight))
             grads = ad.backprop(obj)
-            return float(obj.value), float(rew.value), grads.get(id(x_node), np.zeros_like(xv))
+            return float(obj.value), float(rew.value), ad.leaf_grad(grads, x_node)
 
     best_x, best_obj, best_rew = x.copy(), -np.inf, -np.inf
     trajectory = []
@@ -215,8 +215,7 @@ def train_direct_finetune(g: Generator, r: Reward, cfg: DirectFinetuneConfig,
         out = adapted.node(ad.constant(x), param_nodes)
         rew = ad.amean(r.node_rows(out), axis=None)
         raw = ad.backprop(ad.neg(rew))
-        return float(rew.value), {k: raw.get(id(n), np.zeros_like(n.value))
-                                  for k, n in param_nodes.items()}
+        return float(rew.value), {k: ad.leaf_grad(raw, n) for k, n in param_nodes.items()}
 
     def on_log(step, mean_reward, gnorm):
         rows.append([step, mean_reward])

@@ -81,7 +81,7 @@ class NoiseHypernetwork:
 
     def set_lipschitz_budget(self, budget: float) -> float:
         """Rescale the head so the compositional bound equals `budget` exactly."""
-        head_norm = spectral_norm(self.head.scale * self.head.up @ self.head.down)
+        head_norm = spectral_norm(self.stack.merged().layers[-1].weight)
         if head_norm == 0.0:
             raise ValueError("head is zero; randomize adapters before budgeting")
         trunk = self.lipschitz_upper_bound() / head_norm

@@ -5,7 +5,8 @@ A stack is a list of frozen affine layers, each with an optional low-rank
 adapter (LoRA) added before its activation, and an optional trainable shift
 added to the output.  `forward` evaluates arrays and `trace` records the same
 arithmetic on the autodiff tape (so the two agree bit for bit; the tape's
-`autodiff.jacobian` differentiates a trace).  Every activation comes from
+`autodiff.jacobian` differentiates a trace).  `merged` folds the adapters
+into the weights, for forward-only use.  Every activation comes from
 `autodiff.ACTIVATIONS`.
 """
 from __future__ import annotations
@@ -102,11 +103,22 @@ class LayerStack:
             h = ad.frozen_layer(h, layer.weight, layer.bias, layer.activation, lora)
         return h if self.shift is None else ad.add(h, nodes[self.shift_name])
 
+    def merged(self) -> "LayerStack":
+        """This stack with each adapter folded, as it is now, into its
+        layer's weight (``weight + scale * up @ down``) and a copy of the
+        shift: two products a layer fewer, the same map to rounding but not
+        bit for bit, so for forward-only checks, never for what a run writes."""
+        layers = [layer if a is None else
+                  Layer(layer.weight + a.scale * a.up @ a.down, layer.bias, layer.activation)
+                  for layer, a in zip(self.layers, self.adapters)]
+        return LayerStack(layers, names=self.names,
+                          shift=None if self.shift is None else self.shift.copy(),
+                          shift_name=self.shift_name)
+
     def lipschitz_upper_bound(self) -> float:
         """Product of the layers' spectral norms (adapters merged) and their
         activations' slope bounds."""
         bound = 1.0
-        for layer, a in zip(self.layers, self.adapters):
-            w = layer.weight if a is None else layer.weight + a.scale * a.up @ a.down
-            bound *= ad.ACTIVATIONS[layer.activation].slope_bound * spectral_norm(w)
+        for layer in self.merged().layers:
+            bound *= ad.ACTIVATIONS[layer.activation].slope_bound * spectral_norm(layer.weight)
         return bound

@@ -59,10 +59,7 @@ def hypernoise_loss(hn: NoiseHypernetwork, g: Generator, r: Reward,
     total = ad.sub(l2, rew)
 
     grads = ad.backprop(total)
-    param_grads = {
-        k: grads.get(id(node), np.zeros_like(node.value))
-        for k, node in param_nodes.items()
-    }
+    param_grads = {k: ad.leaf_grad(grads, node) for k, node in param_nodes.items()}
     breakdown = LossBreakdown(l2_term=float(l2.value), reward_term=float(rew.value),
                               total=float(total.value))
     return breakdown, param_grads

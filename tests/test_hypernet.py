@@ -4,9 +4,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from noisetilt import autodiff as ad
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
-from noisetilt.linalg import jacobian_fd
+from noisetilt.linalg import jacobian_fd, spectral_norm
 
 MLP_SPEC = {"variant": "mlp", "latent_dim": 4, "output_dim": 4, "hidden": [10]}
 
@@ -86,6 +87,31 @@ def test_lipschitz_budget_exact():
     achieved = hn.set_lipschitz_budget(0.3)
     assert achieved == pytest.approx(0.3, rel=1e-9)
     assert sampled_lipschitz(hn, seed=1) <= achieved + 1e-9
+
+
+def test_lipschitz_audits_keep_the_bits_of_the_unfolded_expressions():
+    # the bound and the budget take their matrices from stack.merged(); the
+    # expressions they replaced, written out, give the same bits
+    g, hn = fresh()
+    hn.randomize_adapters(7)
+    stack = hn.stack
+
+    def unfolded_bound():
+        bound = 1.0
+        for layer, a in zip(stack.layers, stack.adapters):
+            w = layer.weight if a is None else layer.weight + a.scale * a.up @ a.down
+            bound *= ad.ACTIVATIONS[layer.activation].slope_bound * spectral_norm(w)
+        return bound
+
+    for layer, folded, a in zip(stack.layers, stack.merged().layers, stack.adapters):
+        assert np.array_equal(folded.weight, layer.weight + a.scale * a.up @ a.down)
+    assert hn.lipschitz_upper_bound() == unfolded_bound()
+    head = hn.head
+    head_norm = spectral_norm(head.scale * head.up @ head.down)
+    up = head.up * (0.3 / (unfolded_bound() / head_norm * head_norm))
+    achieved = hn.set_lipschitz_budget(0.3)
+    assert np.array_equal(head.up, up)
+    assert achieved == unfolded_bound()
 
 
 def test_set_constant():

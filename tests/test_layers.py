@@ -7,6 +7,7 @@ from noisetilt import autodiff as ad
 from noisetilt.baselines import AdaptedGenerator
 from noisetilt.generators import make_generator
 from noisetilt.hypernet import init_hypernet
+from noisetilt.layers import LayerStack
 from noisetilt.linalg import jacobian_fd
 
 LATENT = 3
@@ -51,3 +52,22 @@ def test_stack_invariants(kind, activation):
         np.testing.assert_allclose(jac[i], ref, rtol=1e-5, atol=1e-7)
         xi = ad.param(x[i])
         np.testing.assert_allclose(ad.jacobian(stack.trace(xi), xi), jac[i], rtol=1e-13)
+
+
+@pytest.mark.parametrize("activation", sorted(ad.ACTIVATIONS))
+@pytest.mark.parametrize("kind", ["generator", "hypernet", "adapted", "shift"])
+def test_merged_stack_matches_forward(kind, activation):
+    # with and without adapters and a shift: the folded stack has no
+    # adapters, keeps the shift, and gives forward's values to rounding
+    if kind == "shift":
+        stack = LayerStack(configuration("generator", activation)[0].layers,
+                           shift=np.array([0.1, -0.2, 0.3, 0.4]))
+    else:
+        stack = configuration(kind, activation)[0]
+    merged = stack.merged()
+    assert merged.adapters == [None] * len(stack.layers)
+    assert set(merged.params()) == (set() if stack.shift is None else {stack.shift_name})
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(LATENT), rng.standard_normal((64, LATENT))):
+        want = stack.forward(x)
+        assert np.max(np.abs(merged.forward(x) - want)) <= 1e-12 * np.max(np.abs(want))

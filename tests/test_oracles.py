@@ -1,4 +1,5 @@
 """Sampling oracles, identity checks, and divergence estimators."""
+import contextlib
 import functools
 import os
 import sys
@@ -16,7 +17,7 @@ from noisetilt import autodiff as ad
 from noisetilt import oracles, rowblocks
 from noisetilt.baselines import DirectFinetuneConfig, measure_drift, train_direct_finetune
 from noisetilt.generators import make_generator
-from noisetilt.hypernet import init_hypernet
+from noisetilt.hypernet import NoiseHypernetwork, init_hypernet
 from noisetilt.oracles import (DpiReport, SamplerError, bilipschitz_check,
                                dpi_check, dpi_closed_form, gaussian_shift_kl, kl_knn,
                                pushforward_check, run_theory_suite,
@@ -1056,6 +1057,60 @@ def test_theory_suite_passes():
     report = run_theory_suite(seed=0, n=8000)
     failed = [c.name for c in report.checks if c.status == "fail"]
     assert not failed, failed
+
+
+class _SuiteStopped(Exception):
+    pass
+
+
+def suite_until_knn(seed, on_phase=lambda name: None):
+    """run_theory_suite at n 1000 up to its knn phase, where it is stopped;
+    on_phase(name) is called as each earlier phase starts."""
+    @contextlib.contextmanager
+    def phase(name):
+        if name == "knn":
+            raise _SuiteStopped
+        on_phase(name)
+        yield
+
+    with pytest.raises(_SuiteStopped):
+        run_theory_suite(1000, seed=seed, phase=phase)
+
+
+def test_stein_phase_runs_folded_networks(monkeypatch):
+    # the Stein check evaluates each network folded (stack.merged()), not
+    # through perturb: no perturb call is charged to the stein phase
+    phases, calls = [], []
+    perturb = NoiseHypernetwork.perturb
+
+    def counting(self, x0):
+        calls.append(phases[-1])
+        return perturb(self, x0)
+
+    monkeypatch.setattr(NoiseHypernetwork, "perturb", counting)
+    suite_until_knn(0, on_phase=phases.append)
+    assert "stein" in phases and "stein" not in calls
+
+
+def test_stein_trials_keyed_by_seed_and_trial(monkeypatch):
+    # suites at neighbouring seeds share no Stein trial: neither a draw seed
+    # nor a network
+    trials = []
+
+    def recording(f, d, n, seed):
+        probe = np.linspace(-1.0, 1.0, 2 * d).reshape(2, d)
+        trials[-1].append((seed, f(probe).tobytes()))
+        return 0.0, 0.0, 1.0
+
+    monkeypatch.setattr(oracles, "stein_check", recording)
+    for seed in (5, 6, 7):
+        trials.append([])
+        suite_until_knn(seed)
+    assert all(len(t) == 5 for t in trials)
+    for i in range(3):
+        for j in range(i + 1, 3):
+            for part in (0, 1):
+                assert not {t[part] for t in trials[i]} & {t[part] for t in trials[j]}
 
 
 def test_theory_suite_fails_a_wrong_tilt_on_the_affine_pushforward(monkeypatch):
